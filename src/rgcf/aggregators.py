@@ -37,14 +37,17 @@ class AggregatorSpec:
             raise ValueError("f_count must be >= 0")
 
     def check_preconditions(self, n: int) -> None:
-        if self.kind == KRUM and n < self.f_count + 3:
-            raise TooFewWorkersError(f"krum needs n >= f+3, got n={n}, f={self.f_count}")
-        if self.kind == TRIMMED_MEAN and n - 2 * self.f_count < 1:
-            raise TooFewWorkersError(
-                f"trimmed mean needs n - 2f >= 1, got n={n}, f={self.f_count}"
-            )
-        if self.kind == BULYAN and n < 4 * self.f_count + 3:
-            raise TooFewWorkersError(f"bulyan needs n >= 4f+3, got n={n}, f={self.f_count}")
+        _check_worker_count(self.kind, n, self.f_count)
+
+
+def _check_worker_count(kind: str, n: int, f_count: int) -> None:
+    """The minimum worker count of each rule that assumes f_count Byzantine workers."""
+    if kind == KRUM and n < f_count + 3:
+        raise TooFewWorkersError(f"krum needs n >= f+3, got n={n}, f={f_count}")
+    if kind == TRIMMED_MEAN and n - 2 * f_count < 1:
+        raise TooFewWorkersError(f"trimmed mean needs n - 2f >= 1, got n={n}, f={f_count}")
+    if kind == BULYAN and n < 4 * f_count + 3:
+        raise TooFewWorkersError(f"bulyan needs n >= 4f+3, got n={n}, f={f_count}")
 
 
 def _stack(grads: list[np.ndarray]) -> np.ndarray:
@@ -91,8 +94,7 @@ def agg_krum(
     """
     g = _stack(grads)
     n = g.shape[0]
-    if n < f_count + 3:
-        raise TooFewWorkersError(f"krum needs n >= f+3, got n={n}, f={f_count}")
+    _check_worker_count(KRUM, n, f_count)
     scores = _krum_scores(g, f_count, squared_distances)
     idx = int(np.argmin(scores))
     return idx, grads[idx]
@@ -107,8 +109,7 @@ def agg_trimmed_mean(grads: list[np.ndarray], f_count: int) -> np.ndarray:
     """Per coordinate, drop the f_count largest and smallest values, average the rest."""
     g = _stack(grads)
     n = g.shape[0]
-    if n - 2 * f_count < 1:
-        raise TooFewWorkersError(f"trimmed mean needs n - 2f >= 1, got n={n}, f={f_count}")
+    _check_worker_count(TRIMMED_MEAN, n, f_count)
     if f_count == 0:
         return g.mean(axis=0)
     s = np.sort(g, axis=0)
@@ -123,8 +124,7 @@ def agg_bulyan(
     to the coordinate median of the selected set."""
     g = _stack(grads)
     n = g.shape[0]
-    if n < 4 * f_count + 3:
-        raise TooFewWorkersError(f"bulyan needs n >= 4f+3, got n={n}, f={f_count}")
+    _check_worker_count(BULYAN, n, f_count)
     theta = n - 2 * f_count
     pool = list(range(n))
     selected = []

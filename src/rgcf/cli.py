@@ -11,29 +11,25 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import models
 from .aggregators import AGGREGATOR_KINDS, BULYAN, COORD_MEDIAN, KRUM, MEAN, TRIMMED_MEAN, AggregatorSpec
-from .attacks import ATTACK_KINDS, AttackSpec
+from .attacks import AttackSpec
 from .config import ConfigError, ExperimentConfig, build_config, write_manifest
 from .core import RngStream, TooFewWorkersError
 from .data import Dataset, load_idx, synth_gaussian_blobs
-from .filter import FilterTrainConfig, load_filter, save_filter, train_filter
+from .filter import FilterNet, FilterTrainConfig, load_filter, save_filter, train_filter
 from .models import Architecture
-from .simulation import (
-    AGGREGATOR_MODE,
-    RGCF_MODE,
-    RunConfig,
-    RunMetrics,
-    bench_filtering,
-    run_aggregated,
-    run_rgcf,
-)
+from .simulation import RunConfig, RunMetrics, bench_filtering, run_aggregated, run_rgcf
 
 _SID_BLOBS_TRAIN = 40
 _SID_BLOBS_VAL = 41
+
+RGCF_MODE = "rgcf"
+AGGREGATOR_MODE = "aggregator"
 
 
 class ValidationError(ValueError):
@@ -109,10 +105,17 @@ def build_arch(cfg: ExperimentConfig, data: Dataset) -> Architecture:
     raise ValidationError(f"unknown arch {cfg.arch!r}")
 
 
+def _spec(constructor, *args, **kwargs):
+    """Build a spec from config values; a value the spec rejects is invalid
+    configuration, not a runtime failure."""
+    try:
+        return constructor(*args, **kwargs)
+    except ValueError as e:
+        raise ValidationError(str(e)) from e
+
+
 def build_attack(kind: str, scale: float | None) -> AttackSpec:
-    if kind not in ATTACK_KINDS:
-        raise ValidationError(f"unknown attack {kind!r}")
-    return AttackSpec(kind, scale)
+    return _spec(AttackSpec, kind, scale)
 
 
 def resolve_f_count(cfg: ExperimentConfig) -> int:
@@ -190,18 +193,10 @@ def cmd_train_filter(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _build_run_config(cfg: ExperimentConfig, n_workers=None, fraction=None, attack=None, mode=None, agg=None) -> RunConfig:
-    mode = mode or cfg.mode
-    aggregator = None
-    if mode == AGGREGATOR_MODE:
-        aggregator = agg or AggregatorSpec(
-            cfg.aggregator, max(0, resolve_f_count(cfg)), cfg.krum_squared
-        )
-        if aggregator.kind not in AGGREGATOR_KINDS:
-            raise ValidationError(f"unknown aggregator {aggregator.kind!r}")
-    return RunConfig(
-        mode=mode,
-        n_workers=n_workers if n_workers is not None else cfg.n_workers,
+def _build_run_config(cfg: ExperimentConfig, fraction=None, attack=None, aggregator=None) -> RunConfig:
+    return _spec(
+        RunConfig,
+        n_workers=cfg.n_workers,
         byzantine_fraction=fraction if fraction is not None else cfg.byzantine_fraction,
         attack=attack or build_attack(cfg.attack, cfg.attack_scale_value()),
         steps=cfg.steps,
@@ -213,24 +208,35 @@ def _build_run_config(cfg: ExperimentConfig, n_workers=None, fraction=None, atta
     )
 
 
+def _load_filter(cfg: ExperimentConfig, arch: Architecture) -> FilterNet:
+    """The configured filter file, which must exist and fit the model."""
+    if not os.path.exists(cfg.filter_file):
+        raise ValidationError(f"filter file not found: {cfg.filter_file}")
+    filt = load_filter(cfg.filter_file)
+    if filt.d != arch.param_count:
+        raise ValidationError(
+            f"filter dimension {filt.d} does not match model dimension {arch.param_count}"
+        )
+    return filt
+
+
 def cmd_run(cfg: ExperimentConfig) -> int:
+    if cfg.mode not in (RGCF_MODE, AGGREGATOR_MODE):
+        raise ValidationError(f"unknown mode {cfg.mode!r}")
     train_data, val_data = load_datasets(cfg)
     arch = build_arch(cfg, train_data)
     run_cfg = _build_run_config(cfg)
-    if run_cfg.mode == RGCF_MODE:
-        if not os.path.exists(cfg.filter_file):
-            raise ValidationError(f"filter file not found: {cfg.filter_file}")
-        filt = load_filter(cfg.filter_file)
-        if filt.d != arch.param_count:
-            raise ValidationError(
-                f"filter dimension {filt.d} does not match model dimension {arch.param_count}"
-            )
+    if cfg.mode == RGCF_MODE:
+        filt = _load_filter(cfg, arch)
     else:
-        run_cfg.aggregator.check_preconditions(run_cfg.n_workers)
-        filt = None
+        aggregator = _spec(
+            AggregatorSpec, cfg.aggregator, max(0, resolve_f_count(cfg)), cfg.krum_squared
+        )
+        aggregator.check_preconditions(run_cfg.n_workers)
+        run_cfg = replace(run_cfg, aggregator=aggregator)
     os.makedirs(cfg.out, exist_ok=True)
     write_manifest(cfg, _outpath(cfg, "manifest.txt"))
-    if run_cfg.mode == RGCF_MODE:
+    if cfg.mode == RGCF_MODE:
         m = run_rgcf(run_cfg, train_data, val_data, arch, filt)
     else:
         m = run_aggregated(run_cfg, train_data, val_data, arch)
@@ -302,23 +308,16 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     methods = [m.strip() for m in cfg.compare_methods.split(",") if m.strip()]
     attacks = [a.strip() for a in cfg.compare_attacks.split(",") if a.strip()]
     fractions = [float(x) for x in cfg.compare_fractions.split(",") if x.strip()]
-    for a in attacks:
-        if a not in ATTACK_KINDS:
-            raise ValidationError(f"unknown attack {a!r}")
+    attack_specs = [(a, build_attack(a, cfg.attack_scale_value())) for a in attacks]
     for meth in methods:
         if meth != "rgcf" and meth not in AGGREGATOR_KINDS:
             raise ValidationError(f"unknown method {meth!r}")
+    for fraction in fractions:
+        if not 0.0 <= fraction <= 1.0:
+            raise ValidationError(f"compare fraction {fraction} must lie in [0,1]")
     train_data, val_data = load_datasets(cfg)
     arch = build_arch(cfg, train_data)
-    filt = None
-    if "rgcf" in methods:
-        if not os.path.exists(cfg.filter_file):
-            raise ValidationError(f"filter file not found: {cfg.filter_file}")
-        filt = load_filter(cfg.filter_file)
-        if filt.d != arch.param_count:
-            raise ValidationError(
-                f"filter dimension {filt.d} does not match model dimension {arch.param_count}"
-            )
+    filt = _load_filter(cfg, arch) if "rgcf" in methods else None
     os.makedirs(cfg.out, exist_ok=True)
     write_manifest(cfg, _outpath(cfg, "manifest.txt"))
 
@@ -332,8 +331,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         key = (spec.kind, spec.f_count)
         if key not in agg_refs:
             run_cfg = _build_run_config(
-                cfg, fraction=0.0, attack=AttackSpec("inverse", 1.0),
-                mode=AGGREGATOR_MODE, agg=spec,
+                cfg, fraction=0.0, attack=AttackSpec("inverse", 1.0), aggregator=spec
             )
             m = run_aggregated(run_cfg, train_data, val_data, arch)
             agg_refs[key] = m.val_accuracies[-1] if m.val_accuracies else float("nan")
@@ -344,13 +342,12 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         f.flush()
-        for attack_kind in attacks:
-            attack = build_attack(attack_kind, cfg.attack_scale_value())
+        for attack_kind, attack in attack_specs:
             for fraction in fractions:
                 f_true = round(cfg.n_workers * fraction)
                 for method in methods:
                     if method == "rgcf":
-                        run_cfg = _build_run_config(cfg, fraction=fraction, attack=attack, mode=RGCF_MODE)
+                        run_cfg = _build_run_config(cfg, fraction=fraction, attack=attack)
                         oracle = run_rgcf(run_cfg, train_data, val_data, arch, filt, ground_truth=True)
                         ref = oracle.val_accuracies[-1] if oracle.val_accuracies else float("nan")
                         m = run_rgcf(run_cfg, train_data, val_data, arch, filt)
@@ -369,7 +366,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                             else:
                                 ref = aggregator_reference(spec)
                                 run_cfg = _build_run_config(
-                                    cfg, fraction=fraction, attack=attack, mode=AGGREGATOR_MODE, agg=spec
+                                    cfg, fraction=fraction, attack=attack, aggregator=spec
                                 )
                                 m = run_aggregated(run_cfg, train_data, val_data, arch)
                                 verdict, acc = convergence_verdict(m, ref)

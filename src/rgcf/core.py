@@ -49,12 +49,6 @@ def assert_finite(v: np.ndarray) -> None:
         raise NonFiniteValueError(int(np.argmin(finite)))
 
 
-def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
-    if a.shape != b.shape:
-        raise LengthMismatchError(a.shape[0], b.shape[0])
-    return float(np.linalg.norm(a - b))
-
-
 @dataclass(frozen=True)
 class Provenance:
     byzantine: bool

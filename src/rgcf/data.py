@@ -58,43 +58,32 @@ class Dataset:
         return self.inputs.shape[1]
 
 
-def _read_exact(f, n: int, path: str) -> bytes:
+def read_exact(f, n: int, path: str) -> bytes:
+    """The next n bytes of a binary file, or TruncatedFileError if it ends first."""
     data = f.read(n)
     if len(data) != n:
-        raise TruncatedFileError(f"{path}: expected {n} more bytes, got {len(data)}")
+        raise TruncatedFileError(f"{path}: truncated, expected {n} more bytes, got {len(data)}")
     return data
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Parse a big-endian IDX image/label file pair; pixels scaled to [0,1]."""
     with open(images_path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, images_path))
+        magic, count, rows, cols = struct.unpack(">iiii", read_exact(f, 16, images_path))
         if magic != IMAGE_MAGIC:
             raise BadMagicError(f"{images_path}: magic {magic:#010x}, expected {IMAGE_MAGIC:#010x}")
         pixels = np.frombuffer(
-            _read_exact(f, count * rows * cols, images_path), dtype=np.uint8
+            read_exact(f, count * rows * cols, images_path), dtype=np.uint8
         )
     with open(labels_path, "rb") as f:
-        magic, lcount = struct.unpack(">ii", _read_exact(f, 8, labels_path))
+        magic, lcount = struct.unpack(">ii", read_exact(f, 8, labels_path))
         if magic != LABEL_MAGIC:
             raise BadMagicError(f"{labels_path}: magic {magic:#010x}, expected {LABEL_MAGIC:#010x}")
-        labels = np.frombuffer(_read_exact(f, lcount, labels_path), dtype=np.uint8)
+        labels = np.frombuffer(read_exact(f, lcount, labels_path), dtype=np.uint8)
     if count != lcount:
         raise CountMismatchError(f"{count} images vs {lcount} labels")
     inputs = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
     return Dataset(inputs=inputs, labels=labels.astype(np.int64), classes=10)
-
-
-def write_idx(dataset: Dataset, images_path: str, labels_path: str, rows: int, cols: int) -> None:
-    """Write a dataset back to an IDX pair (inputs are rescaled to u8 by *255)."""
-    if rows * cols != dataset.in_dim:
-        raise ValueError("rows*cols must equal in_dim")
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">iiii", IMAGE_MAGIC, dataset.size, rows, cols))
-        f.write(np.round(dataset.inputs * 255.0).astype(np.uint8).tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">ii", LABEL_MAGIC, dataset.size))
-        f.write(dataset.labels.astype(np.uint8).tobytes())
 
 
 def synth_gaussian_blobs(

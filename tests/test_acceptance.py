@@ -285,7 +285,7 @@ def test_criterion_7_full_byzantine_resilience():
     val = synth_gaussian_blobs(5, 200, 20, 10.0, rng(seed, 41))
     arch = mlp(20, (32,), 5)
     cfg = RunConfig(
-        mode="rgcf", n_workers=10, byzantine_fraction=1.0, attack=AttackSpec("inverse"),
+        n_workers=10, byzantine_fraction=1.0, attack=AttackSpec("inverse"),
         steps=1000, seed=seed,
     )
     m = run_rgcf(cfg, train, val, arch, filt)

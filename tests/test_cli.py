@@ -168,6 +168,25 @@ class TestCompare:
         assert code == 1
 
 
+# Invalid configuration exits 1 before any output is written.
+INVALID_CONFIGS = [
+    ("run", ["--set", "mode=vote"]),
+    ("run", ["--set", "mode=aggregator", "--set", "aggregator=fft"]),
+    ("run", ["--set", "byzantine_fraction=1.5"]),
+    ("run", ["--set", "byzantine_fraction=nan"]),
+    ("run", ["--set", "attack_scale=inf"]),
+    ("compare", ["--set", "compare_fractions=1.5"]),
+]
+
+
+@pytest.mark.parametrize("command,args", INVALID_CONFIGS)
+def test_invalid_config_exits_1_before_writing(trained, tmp_path, command, args):
+    out = str(tmp_path / "x")
+    code = run_cli(command, "--out", out, *FAST, "--set", f"filter_file={trained}/filter.rgcf", *args)
+    assert code == 1
+    assert not os.path.exists(os.path.join(out, "manifest.txt"))
+
+
 class TestArgs:
     def test_bad_set_syntax(self, tmp_path):
         assert run_cli("run", "--out", str(tmp_path / "x"), "--set", "nonsense") == 1

@@ -11,9 +11,14 @@ from rgcf.core import (
     Provenance,
     RngStream,
     assert_finite,
-    l2_distance,
     param_vector,
 )
+
+
+def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
+    if a.shape != b.shape:
+        raise LengthMismatchError(a.shape[0], b.shape[0])
+    return float(np.linalg.norm(a - b))
 
 
 class TestParamVector:

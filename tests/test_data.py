@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from rgcf.data import (
+    IMAGE_MAGIC,
+    LABEL_MAGIC,
     BadMagicError,
     CountMismatchError,
     Dataset,
@@ -13,9 +15,20 @@ from rgcf.data import (
     sample_minibatch,
     shard,
     synth_gaussian_blobs,
-    write_idx,
 )
 from tests.conftest import rng
+
+
+def write_idx(dataset: Dataset, images_path: str, labels_path: str, rows: int, cols: int) -> None:
+    """Write a dataset back to an IDX pair (inputs are rescaled to u8 by *255)."""
+    if rows * cols != dataset.in_dim:
+        raise ValueError("rows*cols must equal in_dim")
+    with open(images_path, "wb") as f:
+        f.write(struct.pack(">iiii", IMAGE_MAGIC, dataset.size, rows, cols))
+        f.write(np.round(dataset.inputs * 255.0).astype(np.uint8).tobytes())
+    with open(labels_path, "wb") as f:
+        f.write(struct.pack(">ii", LABEL_MAGIC, dataset.size))
+        f.write(dataset.labels.astype(np.uint8).tobytes())
 
 
 def small_dataset(n=12, in_dim=4, classes=10):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,6 @@ def zero_filter(d, hidden=(4, 3), threshold=0.5, normalize=True):
     return FilterNet(
         d=d,
         params=param_vector(np.zeros(count)),
-        adam=adam_init(count),
         hidden=hidden,
         threshold=threshold,
         normalize=normalize,
@@ -110,7 +111,8 @@ class TestTrainStep:
 
             # recover the analytic gradient from the Adam t=1 update direction:
             # step = lr * g / (|g| + eps), so sign and support must match FD
-            updated, _ = filter_train_step(filt, report, label, 10.0)
+            adam = adam_init(filt.params.shape[0])
+            updated, _, _ = filter_train_step(filt, adam, report, label, 10.0)
             h = 1e-6
             base = np.array(filt.params)
             fd = np.empty_like(base)
@@ -125,11 +127,12 @@ class TestTrainStep:
 
     def test_repeated_steps_reduce_loss(self):
         r = rng(21)
-        filt = filter_init(4, r, lr=0.01)
+        filt = filter_init(4, r)
+        adam = adam_init(filt.params.shape[0], lr=0.01)
         report = self._report(r, 4)
-        _, first = filter_train_step(filt, report, 1, 10.0)
+        _, _, first = filter_train_step(filt, adam, report, 1, 10.0)
         for _ in range(50):
-            filt, last = filter_train_step(filt, report, 1, 10.0)
+            filt, adam, last = filter_train_step(filt, adam, report, 1, 10.0)
         assert last < first
 
     def test_returns_pre_update_loss(self):
@@ -137,7 +140,8 @@ class TestTrainStep:
         filt = filter_init(4, r)
         report = self._report(r, 4)
         pred = filter_forward(filt, report.gradient, report.loss)
-        _, loss = filter_train_step(filt, report, 0, 10.0)
+        adam = adam_init(filt.params.shape[0])
+        _, _, loss = filter_train_step(filt, adam, report, 0, 10.0)
         assert loss == pytest.approx(filter_loss(pred, 0, 10.0), abs=1e-9)
 
 
@@ -161,7 +165,7 @@ class TestTrainFilter:
     def test_zero_steps_returns_init(self, blobs):
         arch = logistic(blobs.in_dim, blobs.classes)
         filt, log = train_filter(FilterTrainConfig(steps_per_episode=0), blobs, arch, seed=6)
-        ref = filter_init(arch.param_count, rng(6, 10), lr=0.002)
+        ref = filter_init(arch.param_count, rng(6, 10))
         assert np.array_equal(filt.params, ref.params)
         assert log.steps == []
 
@@ -218,6 +222,32 @@ class TestSerialization:
         with pytest.raises(ValueError, match="truncated"):
             load_filter(str(path))
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "f.rgcf"
+        save_filter(zero_filter(4), str(path))
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ValueError, match="truncated"):
+            load_filter(str(path))
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "f.rgcf"
+        save_filter(zero_filter(4), str(path))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
+            load_filter(str(path))
+
+    def test_layer_sizes_must_fit_d(self, tmp_path):
+        path = tmp_path / "f.rgcf"
+        save_filter(zero_filter(4), str(path))
+        blob = bytearray(path.read_bytes())
+        # sizes start after magic, version, d and the size count: (5, 4, 3, 1)
+        for index, wrong in ((0, 6), (3, 2)):
+            bad = bytearray(blob)
+            struct.pack_into("<I", bad, 16 + 4 * index, wrong)
+            path.write_bytes(bytes(bad))
+            with pytest.raises(ValueError, match="layer sizes"):
+                load_filter(str(path))
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -227,4 +257,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FilterTrainConfig(episodes=-1)
     with pytest.raises(ValueError):
-        FilterNet(d=3, params=param_vector(np.zeros(10)), adam=adam_init(10))
+        FilterNet(d=3, params=param_vector(np.zeros(10)))

@@ -9,7 +9,6 @@ from rgcf.filter import FilterNet
 from rgcf.models import (
     Architecture,
     ServerModel,
-    adam_init,
     apply_update,
     backward,
     init_params,
@@ -35,19 +34,18 @@ def accept_all_filter(d):
     count = Architecture(d + 1, (64, 32), 1).param_count
     params = np.zeros(count)
     params[-1] = -50.0
-    return FilterNet(d=d, params=param_vector(params), adam=adam_init(count))
+    return FilterNet(d=d, params=param_vector(params))
 
 
 def reject_all_filter(d):
     count = Architecture(d + 1, (64, 32), 1).param_count
     params = np.zeros(count)
     params[-1] = 50.0
-    return FilterNet(d=d, params=param_vector(params), adam=adam_init(count))
+    return FilterNet(d=d, params=param_vector(params))
 
 
 def run_config(**kw):
     defaults = dict(
-        mode="rgcf",
         n_workers=4,
         byzantine_fraction=0.5,
         attack=AttackSpec("inverse"),
@@ -67,10 +65,6 @@ class TestRunConfig:
         assert run_config(n_workers=3, byzantine_fraction=0.5).byzantine_count == 2
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            run_config(mode="vote")
-        with pytest.raises(ValueError):
-            run_config(mode="aggregator")  # needs an AggregatorSpec
         with pytest.raises(ValueError):
             run_config(byzantine_fraction=1.5)
         with pytest.raises(ValueError):
@@ -165,7 +159,7 @@ class TestRunRgcf:
 
 class TestRunAggregated:
     def agg_config(self, **kw):
-        return run_config(mode="aggregator", aggregator=AggregatorSpec("mean"), **kw)
+        return run_config(aggregator=AggregatorSpec("mean"), **kw)
 
     def test_transfer_counter_n_per_step(self, blobs, blobs_val):
         arch = logistic(blobs.in_dim, blobs.classes)
@@ -183,6 +177,23 @@ class TestRunAggregated:
         a = run_aggregated(self.agg_config(), blobs, blobs_val, arch)
         b = run_aggregated(self.agg_config(), blobs, blobs_val, arch)
         assert np.array_equal(a.final_params, b.final_params)
+
+    def test_clean_mean_equals_plain_sgd(self, blobs, blobs_val):
+        # white-box stream replay: three honest workers under the mean rule
+        # must reduce to SGD on the mean of their gradients
+        arch = logistic(blobs.in_dim, blobs.classes)
+        cfg = self.agg_config(n_workers=3, byzantine_fraction=0.0, steps=20)
+        m = run_aggregated(cfg, blobs, blobs_val, arch)
+        shards = shard(blobs, 3, RngStream(cfg.seed, 22).generator())
+        batch_rngs = [RngStream(cfg.seed, 1000 + i).generator() for i in range(3)]
+        params = init_params(arch, RngStream(cfg.seed, 11).generator())
+        for _ in range(20):
+            grads = [
+                backward(ServerModel(arch, params), sample_minibatch(s, cfg.batch_size, r)).gradient
+                for s, r in zip(shards, batch_rngs)
+            ]
+            params = params - cfg.server_lr * np.stack(grads).mean(axis=0)
+        assert np.array_equal(m.final_params, params)
 
     def test_divergence_sets_flag_instead_of_raising(self, blobs, blobs_val):
         arch = mlp(blobs.in_dim, (8,), blobs.classes)
