@@ -1,9 +1,12 @@
 """Command-line entry point: train-filter, run, bench and compare.
 
-Every command resolves its configuration (config file plus --set overrides),
-validates it fully, writes a manifest.txt of the resolved config into the
-output directory, and emits CSV artifacts with floats formatted to 9
-significant digits for byte-stable reruns.
+Every command runs in three phases. It resolves its configuration (config
+file plus --set overrides) into every spec the config describes, whichever
+command runs, and reads the data and filter files it needs; it writes a
+manifest.txt of the resolved config into the output directory; then it
+computes, emitting CSV artifacts with floats formatted to 9 significant
+digits for byte-stable reruns. Invalid configuration is a ConfigError,
+raised before any output is written.
 """
 
 from __future__ import annotations
@@ -11,29 +14,25 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import models
-from .aggregators import AGGREGATOR_KINDS, BULYAN, COORD_MEDIAN, KRUM, MEAN, TRIMMED_MEAN, AggregatorSpec
-from .attacks import AttackSpec
+from .aggregators import BULYAN, COORD_MEDIAN, KRUM, MEAN, TRIMMED_MEAN, AggregatorSpec
+from .attacks import INVERSE, AttackSpec
 from .config import ConfigError, ExperimentConfig, build_config, write_manifest
-from .core import RngStream, TooFewWorkersError
+from .core import RngStream
 from .data import Dataset, load_idx, synth_gaussian_blobs
 from .filter import FilterNet, FilterTrainConfig, load_filter, save_filter, train_filter
 from .models import Architecture
-from .simulation import RunConfig, RunMetrics, bench_filtering, run_aggregated, run_rgcf
+from .simulation import RunConfig, RunMetrics, bench_filtering, bench_spec, run_aggregated, run_rgcf
 
 _SID_BLOBS_TRAIN = 40
 _SID_BLOBS_VAL = 41
 
 RGCF_MODE = "rgcf"
 AGGREGATOR_MODE = "aggregator"
-
-
-class ValidationError(ValueError):
-    pass
 
 
 def fmt(x) -> str:
@@ -52,76 +51,126 @@ def write_csv(path: str, header: list[str], rows) -> None:
             f.write(",".join(fmt(c) for c in row) + "\n")
 
 
+def _head(data: Dataset, n: int) -> Dataset:
+    """The first n examples; all of them when n is 0 or not below the size."""
+    if not n or n >= data.size:
+        return data
+    return Dataset(inputs=data.inputs[:n], labels=data.labels[:n], classes=data.classes)
+
+
 def load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """Returns (train, val)."""
+    """Returns (train, val). Settings the data cannot satisfy are a
+    ConfigError; a corrupt IDX file is a runtime failure."""
     if cfg.task == "blobs":
-        train = synth_gaussian_blobs(
-            cfg.blobs_classes,
-            cfg.blobs_per_class,
-            cfg.blobs_in_dim,
-            cfg.blobs_separation,
-            RngStream(cfg.seed, _SID_BLOBS_TRAIN).generator(),
-        )
-        val = synth_gaussian_blobs(
-            cfg.blobs_classes,
-            cfg.blobs_val_per_class,
-            cfg.blobs_in_dim,
-            cfg.blobs_separation,
-            RngStream(cfg.seed, _SID_BLOBS_VAL).generator(),
-        )
-        return train, val
-    if cfg.task == "idx":
+        try:
+            train = synth_gaussian_blobs(
+                cfg.blobs_classes,
+                cfg.blobs_per_class,
+                cfg.blobs_in_dim,
+                cfg.blobs_separation,
+                RngStream(cfg.seed, _SID_BLOBS_TRAIN).generator(),
+            )
+            val = synth_gaussian_blobs(
+                cfg.blobs_classes,
+                cfg.blobs_val_per_class,
+                cfg.blobs_in_dim,
+                cfg.blobs_separation,
+                RngStream(cfg.seed, _SID_BLOBS_VAL).generator(),
+            )
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+    else:
         for path in (cfg.train_images, cfg.train_labels, cfg.val_images, cfg.val_labels):
             if not path:
-                raise ValidationError("idx task requires train_images/train_labels/val_images/val_labels")
+                raise ConfigError("idx task requires train_images/train_labels/val_images/val_labels")
             if not os.path.exists(path):
-                raise ValidationError(f"dataset file not found: {path}")
+                raise ConfigError(f"dataset file not found: {path}")
         train = load_idx(cfg.train_images, cfg.train_labels)
-        val = load_idx(cfg.val_images, cfg.val_labels)
-        if cfg.train_subset and cfg.train_subset < train.size:
-            train = Dataset(
-                inputs=train.inputs[: cfg.train_subset],
-                labels=train.labels[: cfg.train_subset],
-                classes=train.classes,
-            )
-        if cfg.val_subset and cfg.val_subset < val.size:
-            val = Dataset(
-                inputs=val.inputs[: cfg.val_subset],
-                labels=val.labels[: cfg.val_subset],
-                classes=val.classes,
-            )
-        return train, val
-    raise ValidationError(f"unknown task {cfg.task!r}")
+        val = _head(load_idx(cfg.val_images, cfg.val_labels), cfg.val_subset)
+    if cfg.n_workers > train.size:
+        raise ConfigError(f"n_workers={cfg.n_workers} exceeds the {train.size} training examples")
+    return train, val
 
 
 def build_arch(cfg: ExperimentConfig, data: Dataset) -> Architecture:
     if cfg.arch == "logistic":
         return models.logistic(data.in_dim, data.classes)
-    if cfg.arch == "mlp":
-        hidden = cfg.hidden_dims()
-        if not hidden:
-            raise ValidationError("mlp arch requires nonempty hidden dims")
-        return models.mlp(data.in_dim, hidden, data.classes)
-    raise ValidationError(f"unknown arch {cfg.arch!r}")
-
-
-def _spec(constructor, *args, **kwargs):
-    """Build a spec from config values; a value the spec rejects is invalid
-    configuration, not a runtime failure."""
-    try:
-        return constructor(*args, **kwargs)
-    except ValueError as e:
-        raise ValidationError(str(e)) from e
-
-
-def build_attack(kind: str, scale: float | None) -> AttackSpec:
-    return _spec(AttackSpec, kind, scale)
+    return models.mlp(data.in_dim, cfg.hidden, data.classes)
 
 
 def resolve_f_count(cfg: ExperimentConfig) -> int:
     if cfg.f_count >= 0:
         return cfg.f_count
     return round(cfg.n_workers * cfg.byzantine_fraction)
+
+
+@dataclass(frozen=True)
+class Specs:
+    """Every spec an ExperimentConfig describes."""
+
+    run: RunConfig  # with the AggregatorSpec in aggregator mode
+    filter_train: FilterTrainConfig
+    # The compare grid in row order: (method, attack, fraction, cell), where
+    # the cell is None when the method cannot run at that fraction.
+    grid: tuple[tuple[str, str, float, RunConfig | None], ...]
+
+
+def resolve(cfg: ExperimentConfig) -> Specs:
+    """Build every spec the config describes, whichever command runs, so
+    that invalid configuration is a ConfigError before any output."""
+    try:
+        if cfg.task not in ("blobs", "idx"):
+            raise ConfigError(f"unknown task {cfg.task!r}")
+        if cfg.arch not in ("logistic", "mlp"):
+            raise ConfigError(f"unknown arch {cfg.arch!r}")
+        if cfg.arch == "mlp" and (not cfg.hidden or min(cfg.hidden) < 1):
+            raise ConfigError("mlp arch requires nonempty, positive hidden dims")
+        run = RunConfig(
+            n_workers=cfg.n_workers,
+            byzantine_fraction=cfg.byzantine_fraction,
+            attack=AttackSpec(cfg.attack, cfg.attack_scale),
+            steps=cfg.steps,
+            seed=cfg.seed,
+            server_lr=cfg.server_lr,
+            eval_every=cfg.eval_every,
+            batch_size=cfg.batch_size,
+        )
+        if cfg.mode == AGGREGATOR_MODE:
+            f_count = max(0, resolve_f_count(cfg))
+            aggregator = AggregatorSpec(cfg.aggregator, f_count, cfg.krum_squared)
+            aggregator.check_preconditions(run.n_workers)
+            run = replace(run, aggregator=aggregator)
+        elif cfg.mode != RGCF_MODE:
+            raise ConfigError(f"unknown mode {cfg.mode!r}")
+        filter_train = FilterTrainConfig(
+            episodes=cfg.episodes,
+            steps_per_episode=cfg.filter_steps,
+            positive_weight=cfg.positive_weight,
+            filter_lr=cfg.filter_lr,
+            server_lr=cfg.server_lr,
+            batch_size=cfg.batch_size,
+            attack=AttackSpec(cfg.train_attack, cfg.train_attack_scale),
+            threshold=cfg.threshold,
+            normalize=cfg.normalize,
+        )
+        for method in cfg.bench_methods:
+            for n in cfg.bench_n:
+                bench_spec(method, n, cfg.bench_d, cfg.bench_reps, cfg.bench_f_count)
+        attacks = [AttackSpec(kind, cfg.attack_scale) for kind in cfg.compare_attacks]
+        bases = [replace(run, byzantine_fraction=x, aggregator=None) for x in cfg.compare_fractions]
+        grid = []
+        for attack in attacks:
+            for base in bases:
+                for method in cfg.compare_methods:
+                    cell = replace(base, attack=attack)
+                    if method != "rgcf":
+                        fc = clamped_f_count(method, base.n_workers, base.byzantine_count)
+                        spec = None if fc is None else AggregatorSpec(method, fc, cfg.krum_squared)
+                        cell = None if spec is None else replace(cell, aggregator=spec)
+                    grid.append((method, attack.kind, base.byzantine_fraction, cell))
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    return Specs(run, filter_train, tuple(grid))
 
 
 def _outpath(cfg: ExperimentConfig, name: str) -> str:
@@ -166,23 +215,14 @@ def _write_run_outputs(cfg: ExperimentConfig, m: RunMetrics) -> None:
         f.write(f"wall_time_seconds={m.wall_time:.6f}\n")
 
 
-def cmd_train_filter(cfg: ExperimentConfig) -> int:
+def cmd_train_filter(cfg: ExperimentConfig, specs: Specs) -> int:
     train_data, _val = load_datasets(cfg)
+    if cfg.task == "idx":
+        train_data = _head(train_data, cfg.train_subset)
     arch = build_arch(cfg, train_data)
-    ftc = FilterTrainConfig(
-        episodes=cfg.episodes,
-        steps_per_episode=cfg.filter_steps,
-        positive_weight=cfg.positive_weight,
-        filter_lr=cfg.filter_lr,
-        server_lr=cfg.server_lr,
-        batch_size=cfg.batch_size,
-        attack=build_attack(cfg.train_attack, cfg.train_attack_scale_value()),
-        threshold=cfg.threshold,
-        normalize=cfg.normalize,
-    )
     os.makedirs(cfg.out, exist_ok=True)
     write_manifest(cfg, _outpath(cfg, "manifest.txt"))
-    filt, log = train_filter(ftc, train_data, arch, cfg.seed)
+    filt, log = train_filter(specs.filter_train, train_data, arch, cfg.seed)
     save_filter(filt, _outpath(cfg, cfg.filter_file))
     write_csv(
         _outpath(cfg, "filter_train.csv"),
@@ -193,70 +233,40 @@ def cmd_train_filter(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _build_run_config(cfg: ExperimentConfig, fraction=None, attack=None, aggregator=None) -> RunConfig:
-    return _spec(
-        RunConfig,
-        n_workers=cfg.n_workers,
-        byzantine_fraction=fraction if fraction is not None else cfg.byzantine_fraction,
-        attack=attack or build_attack(cfg.attack, cfg.attack_scale_value()),
-        steps=cfg.steps,
-        seed=cfg.seed,
-        aggregator=aggregator,
-        server_lr=cfg.server_lr,
-        eval_every=cfg.eval_every,
-        batch_size=cfg.batch_size,
-    )
-
-
 def _load_filter(cfg: ExperimentConfig, arch: Architecture) -> FilterNet:
     """The configured filter file, which must exist and fit the model."""
     if not os.path.exists(cfg.filter_file):
-        raise ValidationError(f"filter file not found: {cfg.filter_file}")
+        raise ConfigError(f"filter file not found: {cfg.filter_file}")
     filt = load_filter(cfg.filter_file)
     if filt.d != arch.param_count:
-        raise ValidationError(
+        raise ConfigError(
             f"filter dimension {filt.d} does not match model dimension {arch.param_count}"
         )
     return filt
 
 
-def cmd_run(cfg: ExperimentConfig) -> int:
-    if cfg.mode not in (RGCF_MODE, AGGREGATOR_MODE):
-        raise ValidationError(f"unknown mode {cfg.mode!r}")
+def cmd_run(cfg: ExperimentConfig, specs: Specs) -> int:
     train_data, val_data = load_datasets(cfg)
     arch = build_arch(cfg, train_data)
-    run_cfg = _build_run_config(cfg)
-    if cfg.mode == RGCF_MODE:
-        filt = _load_filter(cfg, arch)
-    else:
-        aggregator = _spec(
-            AggregatorSpec, cfg.aggregator, max(0, resolve_f_count(cfg)), cfg.krum_squared
-        )
-        aggregator.check_preconditions(run_cfg.n_workers)
-        run_cfg = replace(run_cfg, aggregator=aggregator)
+    filt = _load_filter(cfg, arch) if cfg.mode == RGCF_MODE else None
     os.makedirs(cfg.out, exist_ok=True)
     write_manifest(cfg, _outpath(cfg, "manifest.txt"))
-    if cfg.mode == RGCF_MODE:
-        m = run_rgcf(run_cfg, train_data, val_data, arch, filt)
+    if filt is not None:
+        m = run_rgcf(specs.run, train_data, val_data, arch, filt)
     else:
-        m = run_aggregated(run_cfg, train_data, val_data, arch)
+        m = run_aggregated(specs.run, train_data, val_data, arch)
     _write_run_outputs(cfg, m)
     acc = m.val_accuracies[-1] if m.val_accuracies else float("nan")
     print(f"run finished: final val accuracy {acc:.4f}, diverged={m.diverged}")
     return 0
 
 
-def cmd_bench(cfg: ExperimentConfig) -> int:
-    methods = [m.strip() for m in cfg.bench_methods.split(",") if m.strip()]
-    ns = [int(x) for x in cfg.bench_n.split(",") if x.strip()]
-    for method in methods:
-        if method != "rgcf" and method not in AGGREGATOR_KINDS:
-            raise ValidationError(f"unknown bench method {method!r}")
+def cmd_bench(cfg: ExperimentConfig, specs: Specs) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     write_manifest(cfg, _outpath(cfg, "manifest.txt"))
     rows = []
-    for method in methods:
-        for n in ns:
+    for method in cfg.bench_methods:
+        for n in cfg.bench_n:
             mean, std = bench_filtering(
                 method, n, cfg.bench_d, cfg.bench_reps, seed=cfg.seed, f_count=cfg.bench_f_count
             )
@@ -287,7 +297,7 @@ def clamped_f_count(kind: str, n: int, f_true: int) -> int | None:
         return min(f_true, (n - 1) // 2)
     if kind == BULYAN:
         return f_true if n >= 4 * f_true + 3 else None
-    raise ValidationError(f"unknown method {kind!r}")
+    raise ConfigError(f"unknown method {kind!r}")
 
 
 def convergence_verdict(m: RunMetrics, ref: float) -> tuple[str, float]:
@@ -304,20 +314,10 @@ def convergence_verdict(m: RunMetrics, ref: float) -> tuple[str, float]:
     return FAILED, acc
 
 
-def cmd_compare(cfg: ExperimentConfig) -> int:
-    methods = [m.strip() for m in cfg.compare_methods.split(",") if m.strip()]
-    attacks = [a.strip() for a in cfg.compare_attacks.split(",") if a.strip()]
-    fractions = [float(x) for x in cfg.compare_fractions.split(",") if x.strip()]
-    attack_specs = [(a, build_attack(a, cfg.attack_scale_value())) for a in attacks]
-    for meth in methods:
-        if meth != "rgcf" and meth not in AGGREGATOR_KINDS:
-            raise ValidationError(f"unknown method {meth!r}")
-    for fraction in fractions:
-        if not 0.0 <= fraction <= 1.0:
-            raise ValidationError(f"compare fraction {fraction} must lie in [0,1]")
+def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
     train_data, val_data = load_datasets(cfg)
     arch = build_arch(cfg, train_data)
-    filt = _load_filter(cfg, arch) if "rgcf" in methods else None
+    filt = _load_filter(cfg, arch) if "rgcf" in cfg.compare_methods else None
     os.makedirs(cfg.out, exist_ok=True)
     write_manifest(cfg, _outpath(cfg, "manifest.txt"))
 
@@ -325,55 +325,38 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     # the reference is the oracle twin of each cell (same picks/batches,
     # ground-truth filtering); for an aggregator it is the same aggregator
     # and f_count with zero Byzantine workers, cached across cells.
-    agg_refs: dict[tuple[str, int], float] = {}
+    agg_refs: dict[AggregatorSpec, float] = {}
 
-    def aggregator_reference(spec: AggregatorSpec) -> float:
-        key = (spec.kind, spec.f_count)
-        if key not in agg_refs:
-            run_cfg = _build_run_config(
-                cfg, fraction=0.0, attack=AttackSpec("inverse", 1.0), aggregator=spec
-            )
-            m = run_aggregated(run_cfg, train_data, val_data, arch)
-            agg_refs[key] = m.val_accuracies[-1] if m.val_accuracies else float("nan")
-        return agg_refs[key]
+    def aggregator_reference(cell: RunConfig) -> float:
+        spec = cell.aggregator
+        if spec not in agg_refs:
+            clean = replace(cell, byzantine_fraction=0.0, attack=AttackSpec(INVERSE, 1.0))
+            m = run_aggregated(clean, train_data, val_data, arch)
+            agg_refs[spec] = m.val_accuracies[-1] if m.val_accuracies else float("nan")
+        return agg_refs[spec]
 
     path = _outpath(cfg, "convergence_matrix.csv")
     header = ["method", "attack", "fraction", "f_count", "final_accuracy", "clean_reference", "verdict"]
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         f.flush()
-        for attack_kind, attack in attack_specs:
-            for fraction in fractions:
-                f_true = round(cfg.n_workers * fraction)
-                for method in methods:
-                    if method == "rgcf":
-                        run_cfg = _build_run_config(cfg, fraction=fraction, attack=attack)
-                        oracle = run_rgcf(run_cfg, train_data, val_data, arch, filt, ground_truth=True)
-                        ref = oracle.val_accuracies[-1] if oracle.val_accuracies else float("nan")
-                        m = run_rgcf(run_cfg, train_data, val_data, arch, filt)
-                        verdict, acc = convergence_verdict(m, ref)
-                        row = (method, attack_kind, fraction, None, acc, ref, verdict)
-                    else:
-                        fc = clamped_f_count(method, cfg.n_workers, f_true)
-                        if fc is None:
-                            row = (method, attack_kind, fraction, None, None, None, SKIPPED)
-                        else:
-                            spec = AggregatorSpec(method, fc, cfg.krum_squared)
-                            try:
-                                spec.check_preconditions(cfg.n_workers)
-                            except TooFewWorkersError:
-                                row = (method, attack_kind, fraction, fc, None, None, SKIPPED)
-                            else:
-                                ref = aggregator_reference(spec)
-                                run_cfg = _build_run_config(
-                                    cfg, fraction=fraction, attack=attack, aggregator=spec
-                                )
-                                m = run_aggregated(run_cfg, train_data, val_data, arch)
-                                verdict, acc = convergence_verdict(m, ref)
-                                row = (method, attack_kind, fraction, fc, acc, ref, verdict)
-                    f.write(",".join(fmt(c) for c in row) + "\n")
-                    f.flush()
-                    print(f"compare {attack_kind} f={fraction:.0%} {method}: {row[-1]}")
+        for method, attack_kind, fraction, cell in specs.grid:
+            if cell is None:
+                row = (method, attack_kind, fraction, None, None, None, SKIPPED)
+            elif cell.aggregator is None:
+                oracle = run_rgcf(cell, train_data, val_data, arch, filt, ground_truth=True)
+                ref = oracle.val_accuracies[-1] if oracle.val_accuracies else float("nan")
+                m = run_rgcf(cell, train_data, val_data, arch, filt)
+                verdict, acc = convergence_verdict(m, ref)
+                row = (method, attack_kind, fraction, None, acc, ref, verdict)
+            else:
+                ref = aggregator_reference(cell)
+                m = run_aggregated(cell, train_data, val_data, arch)
+                verdict, acc = convergence_verdict(m, ref)
+                row = (method, attack_kind, fraction, cell.aggregator.f_count, acc, ref, verdict)
+            f.write(",".join(fmt(c) for c in row) + "\n")
+            f.flush()
+            print(f"compare {attack_kind} f={fraction:.0%} {method}: {row[-1]}")
     return 0
 
 
@@ -420,8 +403,8 @@ def main(argv=None) -> int:
         if args.out is not None:
             overrides["out"] = args.out
         cfg = build_config(args.config, overrides)
-        return COMMANDS[args.command](cfg)
-    except (ConfigError, ValidationError, TooFewWorkersError) as e:
+        return COMMANDS[args.command](cfg, resolve(cfg))
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime failure

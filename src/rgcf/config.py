@@ -1,7 +1,10 @@
 """Flat key=value experiment configuration with CLI overrides.
 
 The config format is deliberately plain: one `key=value` per line, `#`
-comments, every key validated against the schema below before any
+comments. Every key is checked against the schema below and every value is
+parsed into its field's type here: comma lists become tuples, and an empty
+attack scale becomes None. The cli then builds every spec the config
+describes before any output is written, so every key is validated before
 computation starts. A resolved config written back out (the run manifest)
 is itself a valid config file.
 """
@@ -23,6 +26,16 @@ def _bool(s: str) -> bool:
     raise ConfigError(f"not a boolean: {s!r}")
 
 
+def _optional(parse):
+    """An empty value is None (the consumer's default)."""
+    return lambda s: parse(s) if s.strip() else None
+
+
+def _tuple(parse):
+    """A comma list; blank entries are dropped."""
+    return lambda s: tuple(parse(x.strip()) for x in s.split(",") if x.strip())
+
+
 @dataclass
 class ExperimentConfig:
     seed: int = 0
@@ -39,12 +52,12 @@ class ExperimentConfig:
     train_labels: str = ""
     val_images: str = ""
     val_labels: str = ""
-    train_subset: int = 10000  # filter-training local subset for the idx task
+    train_subset: int = 10000  # train-filter only: local subset for the idx task
     val_subset: int = 0  # 0 = full validation set
 
     # server model
     arch: str = "logistic"  # logistic | mlp
-    hidden: str = "32"
+    hidden: tuple[int, ...] = (32,)
     batch_size: int = 128
     server_lr: float = 0.01
 
@@ -54,7 +67,7 @@ class ExperimentConfig:
     positive_weight: float = 10.0
     filter_lr: float = 0.002
     train_attack: str = "random_gaussian"
-    train_attack_scale: str = ""  # empty = attack default
+    train_attack_scale: float | None = None  # empty = attack default
     threshold: float = 0.5
     normalize: bool = True  # direction-only filter input
     filter_file: str = "filter.rgcf"
@@ -67,34 +80,27 @@ class ExperimentConfig:
     n_workers: int = 10
     byzantine_fraction: float = 0.0
     attack: str = "inverse"
-    attack_scale: str = ""  # empty = attack default
+    attack_scale: float | None = None  # empty = attack default
     steps: int = 2000
     eval_every: int = 25
 
     # bench
-    bench_methods: str = "rgcf,krum,median,trimmed_mean,bulyan"
-    bench_n: str = "10"
+    bench_methods: tuple[str, ...] = ("rgcf", "krum", "median", "trimmed_mean", "bulyan")
+    bench_n: tuple[int, ...] = (10,)
     bench_d: int = 100000
     bench_reps: int = 100
     bench_f_count: int = 1
 
     # compare grid
-    compare_methods: str = "rgcf,krum,median,trimmed_mean,bulyan"
-    compare_attacks: str = "inverse,random_gaussian,all_ones,gradient_shift"
-    compare_fractions: str = "0.2,0.33,0.5,0.9"
-
-    def hidden_dims(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.hidden.split(",") if x.strip())
-
-    def attack_scale_value(self) -> float | None:
-        return float(self.attack_scale) if self.attack_scale.strip() else None
-
-    def train_attack_scale_value(self) -> float | None:
-        return float(self.train_attack_scale) if self.train_attack_scale.strip() else None
+    compare_methods: tuple[str, ...] = ("rgcf", "krum", "median", "trimmed_mean", "bulyan")
+    compare_attacks: tuple[str, ...] = ("inverse", "random_gaussian", "all_ones", "gradient_shift")
+    compare_fractions: tuple[float, ...] = (0.2, 0.33, 0.5, 0.9)
 
 
 _FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _bool}
+_PARSERS |= {f"tuple[{t}, ...]": _tuple(_PARSERS[t]) for t in ("int", "float", "str")}
+_PARSERS["float | None"] = _optional(float)
 
 
 def parse_kv_lines(lines, source: str) -> dict[str, str]:
@@ -140,4 +146,8 @@ def write_manifest(cfg: ExperimentConfig, path: str) -> None:
             value = getattr(cfg, field)
             if isinstance(value, bool):
                 value = "true" if value else "false"
+            elif isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            elif value is None:
+                value = ""
             f.write(f"{field}={value}\n")

@@ -29,10 +29,6 @@ class TooManyShardsError(ValueError):
     pass
 
 
-class EmptyShardError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Dataset:
     inputs: np.ndarray  # (N, in_dim), float64 in [0, 1]
@@ -127,8 +123,6 @@ def shard(data: Dataset, n: int, rng: np.random.Generator) -> list[Dataset]:
 
 def sample_minibatch(data: Dataset, size: int, rng: np.random.Generator) -> LabeledBatch:
     """Uniform with-replacement sample."""
-    if data.size < 1:
-        raise EmptyShardError("empty shard")
     if size < 1:
         raise ValueError("size must be >= 1")
     idx = rng.integers(0, data.size, size=size)

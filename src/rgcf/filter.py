@@ -171,10 +171,14 @@ class FilterTrainConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        if min(self.episodes, self.steps_per_episode, self.batch_size) < 0:
-            raise ValueError("episodes/steps/batch_size must be non-negative")
+        if min(self.episodes, self.steps_per_episode) < 0:
+            raise ValueError("episodes/steps must be non-negative")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if min(self.positive_weight, self.filter_lr, self.server_lr) <= 0:
             raise ValueError("positive_weight and learning rates must be positive")
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError("threshold must lie in (0,1)")
 
 
 @dataclass
@@ -205,8 +209,6 @@ def train_filter(
     updated with the ground-truth label (drop every Byzantine gradient),
     not the filter's prediction, so filter quality cannot disturb the
     server trajectory it learns from."""
-    if local_data.size < 1:
-        raise ValueError("local_data must be nonempty")
     d = server_arch.param_count
     filt = filter_init(
         d,

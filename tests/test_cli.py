@@ -2,8 +2,12 @@ import os
 
 import pytest
 
+from rgcf import cli
 from rgcf.cli import clamped_f_count, fmt, main, resolve_f_count
 from rgcf.config import build_config
+from rgcf.core import RngStream
+from rgcf.data import synth_gaussian_blobs
+from tests.test_data import write_idx
 
 # tiny-but-real settings: logistic blobs task, short runs
 FAST = [
@@ -97,11 +101,14 @@ class TestRun:
         assert run_cli("run", "--out", out, *FAST, "--set", "filter_file=/no/such.rgcf") == 1
         assert not os.path.exists(os.path.join(out, "steps.csv"))
 
-    def test_corrupt_filter_is_runtime_failure(self, tmp_path):
+    def test_corrupt_filter_is_runtime_failure(self, trained, tmp_path):
         bad = tmp_path / "bad.rgcf"
         bad.write_bytes(b"JUNKJUNKJUNKJUNK" * 8)
-        out = str(tmp_path / "r")
-        assert run_cli("run", "--out", out, *FAST, "--set", f"filter_file={bad}") == 2
+        cut = tmp_path / "cut.rgcf"
+        cut.write_bytes(read(os.path.join(trained, "filter.rgcf"))[:-8])
+        for path in (bad, cut):
+            out = str(tmp_path / "r")
+            assert run_cli("run", "--out", out, *FAST, "--set", f"filter_file={path}") == 2
 
     def test_infeasible_aggregator_is_validation_error(self, tmp_path):
         out = str(tmp_path / "r")
@@ -176,6 +183,19 @@ INVALID_CONFIGS = [
     ("run", ["--set", "byzantine_fraction=nan"]),
     ("run", ["--set", "attack_scale=inf"]),
     ("compare", ["--set", "compare_fractions=1.5"]),
+    ("run", ["--set", "n_workers=1000"]),  # FAST has 90 training examples
+    ("compare", ["--set", "steps=0"]),
+    ("compare", ["--set", "compare_fractions=abc"]),
+    ("bench", ["--set", "bench_n=x"]),
+    ("bench", ["--set", "bench_reps=5"]),
+    ("bench", ["--set", "bench_n=2", "--set", "bench_methods=krum"]),
+    ("train-filter", ["--set", "blobs_classes=7"]),  # FAST has blobs_in_dim=6
+    ("train-filter", ["--set", "threshold=1.5"]),
+    ("run", ["--set", "batch_size=0"]),
+    ("train-filter", ["--set", "filter_lr=0"]),
+    ("run", ["--set", "server_lr=0"]),
+    ("run", ["--set", "mode=aggregator", "--set", "server_lr=-1"]),
+    ("bench", ["--set", "steps=0"]),  # every command validates the whole config
 ]
 
 
@@ -184,7 +204,46 @@ def test_invalid_config_exits_1_before_writing(trained, tmp_path, command, args)
     out = str(tmp_path / "x")
     code = run_cli(command, "--out", out, *FAST, "--set", f"filter_file={trained}/filter.rgcf", *args)
     assert code == 1
-    assert not os.path.exists(os.path.join(out, "manifest.txt"))
+    assert not os.path.exists(out)
+
+
+class TestIdx:
+    @pytest.fixture
+    def idx_args(self, tmp_path):
+        """A 30-example training and a 12-example validation IDX pair."""
+        args = ["--set", "task=idx"]
+        for split, per_class in (("train", 10), ("val", 4)):
+            data = synth_gaussian_blobs(3, per_class, 4, 8.0, RngStream(0, 40).generator())
+            images, labels = str(tmp_path / f"{split}-images"), str(tmp_path / f"{split}-labels")
+            write_idx(data, images, labels, 2, 2)
+            args += ["--set", f"{split}_images={images}", "--set", f"{split}_labels={labels}"]
+        return args
+
+    def test_train_subset_limits_only_filter_training(self, idx_args, tmp_path, monkeypatch):
+        sizes = {}
+
+        def spy(name):
+            real = getattr(cli, name)
+
+            def wrapper(spec, train_data, *rest):
+                sizes[name] = train_data.size
+                return real(spec, train_data, *rest)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        spy("train_filter")
+        spy("run_aggregated")
+        common = [*FAST, *idx_args, "--set", "train_subset=12", "--set", "n_workers=3"]
+        assert run_cli("train-filter", "--out", str(tmp_path / "tf"), *common) == 0
+        code = run_cli("run", "--out", str(tmp_path / "r"), *common, "--set", "mode=aggregator")
+        assert code == 0
+        assert sizes == {"train_filter": 12, "run_aggregated": 30}
+
+    def test_truncated_idx_is_runtime_failure(self, idx_args, tmp_path):
+        images = tmp_path / "train-images"
+        images.write_bytes(images.read_bytes()[:-1])
+        out = str(tmp_path / "tf")
+        assert run_cli("train-filter", "--out", out, *FAST, *idx_args) == 2
 
 
 class TestArgs:

@@ -47,19 +47,43 @@ class TestBuild:
             build_config("/nonexistent/path.cfg")
 
     def test_helpers(self):
+        # list keys parse to tuples, an empty scale to None (the attack default)
         cfg = build_config(None, {"hidden": "64,32", "attack_scale": "2.5", "train_attack_scale": ""})
-        assert cfg.hidden_dims() == (64, 32)
-        assert cfg.attack_scale_value() == 2.5
-        assert cfg.train_attack_scale_value() is None
+        assert cfg.hidden == (64, 32)
+        assert cfg.attack_scale == 2.5
+        assert cfg.train_attack_scale is None
+        cfg = build_config(None, {"compare_fractions": "0.5, 0.9,"})
+        assert cfg.compare_fractions == (0.5, 0.9)
+        with pytest.raises(ConfigError, match="bad value for bench_n"):
+            build_config(None, {"bench_n": "10,x"})
 
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        cfg = build_config(None, {"seed": "42", "arch": "mlp", "krum_squared": "false"})
+        cfg = build_config(
+            None,
+            {
+                "seed": "42",
+                "arch": "mlp",
+                "krum_squared": "false",
+                "hidden": "64,32",
+                "bench_n": "10,20,40",
+                "bench_methods": "rgcf,krum",
+                "compare_methods": "median",
+                "compare_attacks": "inverse,all_ones",
+                "compare_fractions": "0.25,0.5",
+                "attack_scale": "2.5",
+                "train_attack_scale": "",
+            },
+        )
         path = str(tmp_path / "manifest.txt")
         write_manifest(cfg, path)
         again = build_config(path)
         assert again == cfg
+        assert again.train_attack_scale is None
+        lines = open(path).read().splitlines()
+        assert "compare_fractions=0.25,0.5" in lines
+        assert "train_attack_scale=" in lines
 
     def test_manifest_lists_every_field(self, tmp_path):
         path = str(tmp_path / "manifest.txt")

@@ -257,4 +257,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FilterTrainConfig(episodes=-1)
     with pytest.raises(ValueError):
+        FilterTrainConfig(batch_size=0)
+    for threshold in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="threshold"):
+            FilterTrainConfig(threshold=threshold)
+    with pytest.raises(ValueError):
         FilterNet(d=3, params=param_vector(np.zeros(10)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rgcf import simulation
 from rgcf.aggregators import AggregatorSpec
 from rgcf.attacks import AttackSpec
 from rgcf.core import RngStream, param_vector
@@ -69,6 +70,11 @@ class TestRunConfig:
             run_config(byzantine_fraction=1.5)
         with pytest.raises(ValueError):
             run_config(steps=0)
+        with pytest.raises(ValueError):
+            run_config(batch_size=0)
+        for lr in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="server_lr"):
+                run_config(server_lr=lr)
 
 
 class TestWorkers:
@@ -95,8 +101,11 @@ class TestWorkers:
         assert rb.provenance.byzantine and not rh.provenance.byzantine
 
     def test_worker_spec_validation(self, blobs):
-        with pytest.raises(ValueError):
-            WorkerSpec(id=0, shard=blobs, batch_size=0)
+        # workers take their batch size from the RunConfig, which refuses 0,
+        # so no worker with an empty batch can be built
+        assert {w.batch_size for w in build_workers(run_config(batch_size=5), blobs)} == {5}
+        with pytest.raises(ValueError, match="batch_size"):
+            build_workers(run_config(batch_size=0), blobs)
 
 
 class TestRunRgcf:
@@ -203,6 +212,17 @@ class TestRunAggregated:
         m = run_aggregated(cfg, blobs, blobs_val, arch)
         assert m.diverged
         assert len(m.steps) < 10
+
+    def test_other_errors_propagate(self, blobs, blobs_val, monkeypatch):
+        # only a non-finite value means divergence; any other ValueError
+        # inside a step (a shape bug, say) is a failure, not a diverged run
+        def broken_step(*args):
+            raise ValueError("shape bug")
+
+        monkeypatch.setattr(simulation, "worker_step", broken_step)
+        arch = logistic(blobs.in_dim, blobs.classes)
+        with pytest.raises(ValueError, match="shape bug"):
+            run_aggregated(self.agg_config(), blobs, blobs_val, arch)
 
 
 class TestEvaluate:
