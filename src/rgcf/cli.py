@@ -125,6 +125,8 @@ def resolve(cfg: ExperimentConfig) -> Specs:
             raise ConfigError(f"unknown arch {cfg.arch!r}")
         if cfg.arch == "mlp" and (not cfg.hidden or min(cfg.hidden) < 1):
             raise ConfigError("mlp arch requires nonempty, positive hidden dims")
+        if min(cfg.train_subset, cfg.val_subset) < 0:
+            raise ConfigError("train_subset and val_subset must be >= 0")
         run = RunConfig(
             n_workers=cfg.n_workers,
             byzantine_fraction=cfg.byzantine_fraction,

@@ -50,30 +50,20 @@ def assert_finite(v: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    byzantine: bool
-    attack: str | None = None
-
-
-HONEST = Provenance(byzantine=False)
-
-
-@dataclass(frozen=True)
 class GradientReport:
-    """A gradient plus the scalar training loss it was computed at.
-
-    `provenance` is ground truth (honest or which attack produced the
-    gradient); it exists for filter training and evaluation only and is
-    never visible to the filter at decision time.
-    """
+    """One worker message: the gradient it sends plus the scalar training
+    loss it was computed at. The caller freezes the gradient with
+    `param_vector`; a non-finite loss raises NonFiniteValueError at index
+    d, the loss's coordinate in the filter input."""
 
     gradient: np.ndarray
     loss: float
-    provenance: Provenance = HONEST
 
     def __post_init__(self):
-        if not np.isfinite(self.loss) or self.loss < 0:
-            raise ValueError(f"loss must be finite and non-negative, got {self.loss}")
+        if not np.isfinite(self.loss):
+            raise NonFiniteValueError(self.gradient.shape[0])
+        if self.loss < 0:
+            raise ValueError(f"loss must be non-negative, got {self.loss}")
 
 
 # Stream id shared by the filter-training simulation and deployment runs:

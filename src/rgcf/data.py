@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import LabeledBatch
-
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
@@ -121,9 +119,11 @@ def shard(data: Dataset, n: int, rng: np.random.Generator) -> list[Dataset]:
     return shards
 
 
-def sample_minibatch(data: Dataset, size: int, rng: np.random.Generator) -> LabeledBatch:
-    """Uniform with-replacement sample."""
+def sample_minibatch(
+    data: Dataset, size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform with-replacement sample: (inputs, labels)."""
     if size < 1:
         raise ValueError("size must be >= 1")
     idx = rng.integers(0, data.size, size=size)
-    return LabeledBatch(inputs=data.inputs[idx], labels=data.labels[idx])
+    return data.inputs[idx], data.labels[idx]

@@ -18,12 +18,11 @@ import numpy as np
 
 from . import models
 from .attacks import RANDOM_GAUSSIAN, AttackSpec, apply_attack
-from .core import SID_SERVER_INIT, GradientReport, Provenance, RngStream, param_vector
+from .core import SID_SERVER_INIT, GradientReport, RngStream, param_vector
 from .data import Dataset, read_exact, sample_minibatch
 from .models import (
     AdamState,
     Architecture,
-    ServerModel,
     ShapeMismatchError,
     adam_init,
     adam_step,
@@ -131,9 +130,9 @@ def filter_loss(pred: float, label: int, p: float) -> float:
 
 def filter_gradient(
     filt: FilterNet, report: GradientReport, label: int, p: float
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, float]:
     """Gradient of the single-example weighted BCE w.r.t. the filter's own
-    parameters, plus the loss value."""
+    parameters, plus the loss value and the predicted probability."""
     x = _filter_input(filt, report.gradient, report.loss)
     z, acts = mlp_forward(filt.params, filt.layer_sizes, x)
     pred = 1.0 / (1.0 + np.exp(-z[0, 0]))
@@ -142,20 +141,20 @@ def filter_gradient(
     # dL/dq through the clamp, then sigmoid derivative at the raw pred.
     dq = -p / q if label == 1 else 1.0 / (1.0 - q)
     dz = np.array([[dq * pred * (1.0 - pred)]])
-    return mlp_backward(filt.params, filt.layer_sizes, acts, dz), loss
+    return mlp_backward(filt.params, filt.layer_sizes, acts, dz), loss, pred
 
 
 def filter_train_step(
     filt: FilterNet, adam: AdamState, report: GradientReport, label: int, p: float
-) -> tuple[FilterNet, AdamState, float]:
+) -> tuple[FilterNet, AdamState, float, float]:
     """One Adam update on the single-example weighted BCE.
 
     Returns the updated filter and optimizer state, and the pre-update loss
-    value.
+    value and predicted probability.
     """
-    grad, loss = filter_gradient(filt, report, label, p)
+    grad, loss, pred = filter_gradient(filt, report, label, p)
     adam, new_params = adam_step(adam, filt.params, grad)
-    return replace(filt, params=param_vector(new_params)), adam, loss
+    return replace(filt, params=param_vector(new_params)), adam, loss, pred
 
 
 @dataclass(frozen=True)
@@ -229,18 +228,14 @@ def train_filter(
         params = init_params(server_arch, init_rng)
         for _t in range(cfg.steps_per_episode):
             byz = int(pick_rng.integers(0, 2))
-            batch = sample_minibatch(local_data, cfg.batch_size, batch_rng)
-            report = models.backward(ServerModel(server_arch, params), batch)
+            inputs, labels = sample_minibatch(local_data, cfg.batch_size, batch_rng)
+            grad, server_loss = models.backward(server_arch, params, inputs, labels)
             if byz:
-                attacked = apply_attack(cfg.attack, report.gradient, attack_rng)
-                report = GradientReport(
-                    gradient=param_vector(attacked),
-                    loss=report.loss,
-                    provenance=Provenance(True, cfg.attack.kind),
-                )
+                grad = apply_attack(cfg.attack, grad, attack_rng)
+            report = GradientReport(param_vector(grad), server_loss)
             params = apply_update(params, report.gradient, cfg.server_lr, byz)
-            predicted = classify(filt, report.gradient, report.loss)
-            filt, adam, loss = filter_train_step(filt, adam, report, byz, cfg.positive_weight)
+            filt, adam, loss, pred = filter_train_step(filt, adam, report, byz, cfg.positive_weight)
+            predicted = int(pred >= filt.threshold)
             step += 1
             correct += int(predicted == byz)
             log.steps.append(step)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GradientReport, LengthMismatchError, param_vector
+from .core import LengthMismatchError, param_vector
 
 
 class ShapeMismatchError(ValueError):
@@ -51,34 +51,6 @@ def mlp(in_dim: int, hidden: tuple[int, ...], classes: int) -> Architecture:
     return Architecture(in_dim, tuple(hidden), classes)
 
 
-@dataclass(frozen=True)
-class ServerModel:
-    arch: Architecture
-    params: np.ndarray
-
-    def __post_init__(self):
-        if self.params.shape != (self.arch.param_count,):
-            raise ShapeMismatchError(
-                f"params length {self.params.shape} != architecture count {self.arch.param_count}"
-            )
-
-    @property
-    def d(self) -> int:
-        return self.arch.param_count
-
-
-@dataclass(frozen=True)
-class LabeledBatch:
-    inputs: np.ndarray  # (batch_size, in_dim)
-    labels: np.ndarray  # (batch_size,) class indices
-
-    def __post_init__(self):
-        if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
-            raise ShapeMismatchError(f"bad inputs shape {self.inputs.shape}")
-        if self.labels.shape != (self.inputs.shape[0],):
-            raise ShapeMismatchError("labels must match batch size")
-
-
 def init_params(arch: Architecture, rng: np.random.Generator) -> np.ndarray:
     """Uniform fan-in initialization: W ~ U(±1/sqrt(fan_in)), biases zero."""
     sizes = arch.layer_sizes
@@ -109,7 +81,10 @@ def unflatten(params: np.ndarray, layer_sizes: tuple[int, ...]):
 
 
 def mlp_forward(params: np.ndarray, layer_sizes: tuple[int, ...], x: np.ndarray):
-    """ReLU net forward pass. Returns (logits, activations per layer input)."""
+    """ReLU net forward pass over one input row or a batch of rows.
+    Returns (logits, activations per layer input)."""
+    if x.shape[-1] != layer_sizes[0]:
+        raise ShapeMismatchError(f"input dim {x.shape[-1]} != model {layer_sizes[0]}")
     layers = unflatten(params, layer_sizes)
     acts = [x]
     a = x
@@ -154,46 +129,43 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(logsumexp - z[np.arange(len(labels)), labels]))
 
 
-def _check_batch(model: ServerModel, batch: LabeledBatch) -> None:
-    if batch.inputs.shape[1] != model.arch.in_dim:
-        raise ShapeMismatchError(
-            f"batch input dim {batch.inputs.shape[1]} != model {model.arch.in_dim}"
-        )
-
-
-def forward_loss(model: ServerModel, batch: LabeledBatch) -> float:
+def forward_loss(
+    arch: Architecture, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray
+) -> float:
     """Mean softmax cross-entropy of the batch."""
-    _check_batch(model, batch)
-    logits, _ = mlp_forward(model.params, model.arch.layer_sizes, batch.inputs)
-    return cross_entropy(logits, batch.labels)
+    logits, _ = mlp_forward(params, arch.layer_sizes, inputs)
+    return cross_entropy(logits, labels)
 
 
-def backward(model: ServerModel, batch: LabeledBatch) -> GradientReport:
-    """Gradient of the mean batch loss w.r.t. the flat parameters."""
-    _check_batch(model, batch)
-    logits, acts = mlp_forward(model.params, model.arch.layer_sizes, batch.inputs)
-    n = batch.inputs.shape[0]
-    loss = cross_entropy(logits, batch.labels)
+def backward(
+    arch: Architecture, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Gradient of the mean batch loss w.r.t. the flat parameters, and that
+    loss. Neither is checked here: the caller checks what it sends."""
+    logits, acts = mlp_forward(params, arch.layer_sizes, inputs)
+    n = inputs.shape[0]
+    loss = cross_entropy(logits, labels)
     dlogits = _softmax(logits)
-    dlogits[np.arange(n), batch.labels] -= 1.0
+    dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
-    grad = mlp_backward(model.params, model.arch.layer_sizes, acts, dlogits)
-    return GradientReport(gradient=param_vector(grad), loss=loss)
+    return mlp_backward(params, arch.layer_sizes, acts, dlogits), loss
 
 
-def finite_diff_gradient(model: ServerModel, batch: LabeledBatch, h: float = 1e-5) -> np.ndarray:
+def finite_diff_gradient(
+    arch: Architecture, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray, h: float = 1e-5
+) -> np.ndarray:
     """Central-difference gradient oracle: (L(w+h e_j) - L(w-h e_j)) / 2h."""
     if h <= 0:
         raise ValueError("h must be positive")
-    base = np.array(model.params)
+    base = np.array(params)
     grad = np.empty_like(base)
     for j in range(base.shape[0]):
         wp = base.copy()
         wp[j] += h
         wm = base.copy()
         wm[j] -= h
-        lp = forward_loss(ServerModel(model.arch, param_vector(wp)), batch)
-        lm = forward_loss(ServerModel(model.arch, param_vector(wm)), batch)
+        lp = forward_loss(arch, wp, inputs, labels)
+        lm = forward_loss(arch, wm, inputs, labels)
         grad[j] = (lp - lm) / (2.0 * h)
     return grad
 

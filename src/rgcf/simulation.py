@@ -17,17 +17,10 @@ import numpy as np
 from . import models
 from .aggregators import AggregatorSpec, aggregate
 from .attacks import AttackSpec, apply_attack
-from .core import (
-    SID_SERVER_INIT,
-    GradientReport,
-    NonFiniteValueError,
-    Provenance,
-    RngStream,
-    param_vector,
-)
+from .core import SID_SERVER_INIT, GradientReport, NonFiniteValueError, RngStream, param_vector
 from .data import Dataset, sample_minibatch, shard
 from .filter import FilterNet, classify, filter_forward, filter_init
-from .models import Architecture, ServerModel, ShapeMismatchError, apply_update, init_params
+from .models import Architecture, ShapeMismatchError, apply_update, init_params
 
 
 @dataclass(frozen=True)
@@ -61,6 +54,8 @@ class RunConfig:
             raise ValueError("steps, n_workers, eval_every and batch_size must be >= 1")
         if not self.server_lr > 0:
             raise ValueError("server_lr must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2**64)")
 
     @property
     def byzantine_count(self) -> int:
@@ -114,17 +109,12 @@ def worker_step(
     attack_rng: np.random.Generator,
 ) -> GradientReport:
     """One worker turn: honest gradient on a fresh mini-batch, attacked if
-    the worker is Byzantine. The reported scalar loss stays honest."""
-    batch = sample_minibatch(w.shard, w.batch_size, batch_rng)
-    report = models.backward(ServerModel(arch, params), batch)
-    if w.attack is None:
-        return report
-    attacked = apply_attack(w.attack, report.gradient, attack_rng)
-    return GradientReport(
-        gradient=param_vector(attacked),
-        loss=report.loss,
-        provenance=Provenance(True, w.attack.kind),
-    )
+    the worker is Byzantine, sent with the honest loss as one report."""
+    inputs, labels = sample_minibatch(w.shard, w.batch_size, batch_rng)
+    grad, loss = models.backward(arch, params, inputs, labels)
+    if w.attack is not None:
+        grad = apply_attack(w.attack, grad, attack_rng)
+    return GradientReport(param_vector(grad), loss)
 
 
 def build_workers(cfg: RunConfig, train_data: Dataset) -> list[WorkerSpec]:
@@ -156,8 +146,6 @@ def _make_rngs(cfg: RunConfig):
 
 def evaluate(arch: Architecture, params: np.ndarray, dataset: Dataset) -> tuple[float, float]:
     """Exact accuracy fraction and mean loss over the full dataset."""
-    if dataset.in_dim != arch.in_dim:
-        raise ShapeMismatchError(f"dataset dim {dataset.in_dim} != model {arch.in_dim}")
     logits, _ = models.mlp_forward(params, arch.layer_sizes, dataset.inputs)
     accuracy = float(np.mean(np.argmax(logits, axis=1) == dataset.labels))
     return accuracy, models.cross_entropy(logits, dataset.labels)
@@ -174,8 +162,8 @@ def run_rgcf(
     """Filter-in-the-loop training: one worker queried per step, the masked
     update drops every gradient the filter rejects.
 
-    ground_truth=True replaces the filter's decision with the worker's true
-    provenance (oracle filtering); the result is the Byzantine-free twin of
+    ground_truth=True replaces the filter's decision with whether the worker
+    is Byzantine (oracle filtering); the result is the Byzantine-free twin of
     the same run — identical worker picks, batches and honest gradients —
     used as the clean convergence reference at equal accepted-update counts.
     """
@@ -208,7 +196,8 @@ def _run(
 ) -> RunMetrics:
     """The server loop. With a filter, each step decides on one random
     worker's gradient; without one, it aggregates all n workers' gradients
-    with cfg.aggregator. A non-finite gradient ends the run as diverged."""
+    with cfg.aggregator. A non-finite gradient or loss in a report ends the
+    run as diverged."""
     workers = build_workers(cfg, train_data)
     batch_rngs, attack_rngs = _make_rngs(cfg)
     pick_rng = RngStream(cfg.seed, _SID_WORKER_PICK).generator()
@@ -239,7 +228,7 @@ def _run(
                 decision = float(np.linalg.norm(agg))
             else:
                 report = reports[0]
-                truth = int(report.provenance.byzantine)
+                truth = int(queried[0].byzantine)
                 b = truth if ground_truth else classify(filt, report.gradient, report.loss)
                 params = apply_update(params, report.gradient, cfg.server_lr, b)
                 if truth == 0 and b == 0:

@@ -28,8 +28,6 @@ from rgcf.filter import (
     train_filter,
 )
 from rgcf.models import (
-    LabeledBatch,
-    ServerModel,
     apply_update,
     backward,
     finite_diff_gradient,
@@ -94,14 +92,13 @@ def test_criterion_1_gradient_oracle():
         mlp(4, (5, 4), 2)
     ] * 10:
         while True:
-            model = ServerModel(arch, init_params(arch, r))
-            batch = LabeledBatch(
-                inputs=r.random((6, arch.in_dim)), labels=r.integers(0, arch.classes, size=6)
-            )
-            if _kink_margin(model.params, arch.layer_sizes, batch.inputs) > 1e-3:
+            params = init_params(arch, r)
+            inputs = r.random((6, arch.in_dim))
+            labels = r.integers(0, arch.classes, size=6)
+            if _kink_margin(params, arch.layer_sizes, inputs) > 1e-3:
                 break
-        fd = finite_diff_gradient(model, batch, h=1e-5)
-        ana = backward(model, batch).gradient
+        fd = finite_diff_gradient(arch, params, inputs, labels, h=1e-5)
+        ana, _ = backward(arch, params, inputs, labels)
         worst = max(worst, np.abs(ana - fd).max() / max(1.0, np.abs(fd).max()))
         checked += 1
     # filter net: 10 instances of the weighted-BCE gradient
@@ -119,7 +116,7 @@ def test_criterion_1_gradient_oracle():
             if _relu_margin(filt, rep) > 1e-3:
                 break
         label = int(r.integers(0, 2))
-        ana, _ = filter_gradient(filt, rep, label, 10.0)
+        ana, _, _ = filter_gradient(filt, rep, label, 10.0)
         from rgcf.filter import _filter_input
 
         x = _filter_input(filt, rep.gradient, rep.loss)
@@ -198,12 +195,11 @@ def _heldout_accuracy(attack_kind):
     spec = AttackSpec(attack_kind)
     correct = 0
     for _ in range(100):  # 100 honest + 100 attacked = 200 fresh reports
-        batch = sample_minibatch(data, 128, batch_rng)
-        rep = backward(ServerModel(arch, params), batch)
-        attacked = param_vector(apply_attack(spec, rep.gradient, attack_rng))
-        correct += int(classify(filt, rep.gradient, rep.loss) == 0)
-        correct += int(classify(filt, attacked, rep.loss) == 1)
-        params = apply_update(params, rep.gradient, 0.01, 0)
+        grad, loss = backward(arch, params, *sample_minibatch(data, 128, batch_rng))
+        attacked = param_vector(apply_attack(spec, grad, attack_rng))
+        correct += int(classify(filt, grad, loss) == 0)
+        correct += int(classify(filt, attacked, loss) == 1)
+        params = apply_update(params, grad, 0.01, 0)
     return correct / 200.0
 
 

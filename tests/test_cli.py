@@ -168,6 +168,29 @@ class TestCompare:
         assert by_method["bulyan"][6] == "–"  # n=10, f=5 violates n >= 4f+3
         assert by_method["rgcf"][6] in "✓✗"
 
+    def test_overflowing_runs_are_failed_cells(self, tmp_path):
+        # runs whose parameters overflow report an infinite loss; each is a
+        # diverged (✗) cell and the grid runs to its end
+        mlp = [*FAST, "--set", "arch=mlp", "--set", "hidden=32"]
+        tf = str(tmp_path / "tf")
+        assert run_cli("train-filter", "--seed", "1", "--out", tf, *mlp) == 0
+        out = str(tmp_path / "cmp")
+        code = run_cli(
+            "compare", "--seed", "1", "--out", out, *mlp,
+            "--set", f"filter_file={tf}/filter.rgcf",
+            "--set", "compare_methods=rgcf,median,trimmed_mean",
+            "--set", "compare_attacks=gradient_shift",
+            "--set", "attack_scale=1e156",
+            "--set", "steps=60",
+        )
+        assert code == 0
+        lines = open(os.path.join(out, "convergence_matrix.csv")).read().splitlines()
+        rows = {(r[0], r[2]): r for r in (ln.split(",") for ln in lines[1:])}
+        assert len(rows) == 12
+        for method in ("median", "trimmed_mean"):
+            assert rows[(method, "0.9")][4] == "nan"
+            assert rows[(method, "0.9")][6] == "✗"
+
     def test_unknown_attack(self, tmp_path):
         code = run_cli(
             "compare", "--out", str(tmp_path / "c"), "--set", "compare_attacks=mirror"
@@ -238,6 +261,22 @@ class TestIdx:
         code = run_cli("run", "--out", str(tmp_path / "r"), *common, "--set", "mode=aggregator")
         assert code == 0
         assert sizes == {"train_filter": 12, "run_aggregated": 30}
+
+    @pytest.mark.parametrize(
+        "command,args",
+        [
+            ("train-filter", ["--seed", "-1"]),
+            ("run", ["--seed", str(2**64), "--set", "mode=aggregator"]),
+            ("train-filter", ["--set", "train_subset=-10"]),
+            ("run", ["--set", "val_subset=-10", "--set", "mode=aggregator"]),
+        ],
+    )
+    def test_invalid_seed_or_subset_exits_1_before_writing(self, idx_args, tmp_path, command, args):
+        # the seed keys a 128-bit Philox counter as (seed << 64) | stream,
+        # and a negative subset would trim from the end
+        out = str(tmp_path / "x")
+        assert run_cli(command, "--out", out, *FAST, *idx_args, *args) == 1
+        assert not os.path.exists(out)
 
     def test_truncated_idx_is_runtime_failure(self, idx_args, tmp_path):
         images = tmp_path / "train-images"

@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgcf.core import (
-    HONEST,
     GradientReport,
     LengthMismatchError,
     NonFiniteValueError,
-    Provenance,
     RngStream,
     assert_finite,
     param_vector,
@@ -77,14 +75,12 @@ class TestGradientReport:
             GradientReport(gradient=param_vector([1.0]), loss=-0.1)
 
     def test_rejects_nan_loss(self):
-        with pytest.raises(ValueError):
-            GradientReport(gradient=param_vector([1.0]), loss=float("nan"))
-
-    def test_default_provenance_honest(self):
-        r = GradientReport(gradient=param_vector([1.0]), loss=0.5)
-        assert r.provenance == HONEST
-        assert not r.provenance.byzantine
-        assert Provenance(True, "inverse").byzantine
+        # a non-finite loss is a non-finite value at index d, the loss's
+        # coordinate in the filter input, so a run records it as divergence
+        for loss in (float("nan"), float("inf")):
+            with pytest.raises(NonFiniteValueError) as e:
+                GradientReport(gradient=param_vector([1.0, 2.0]), loss=loss)
+            assert e.value.index == 2
 
 
 class TestRngStream:

@@ -156,14 +156,15 @@ class TestShard:
 class TestMinibatch:
     def test_with_replacement_allows_oversampling(self):
         d = small_dataset(n=3)
-        b = sample_minibatch(d, 50, rng(40))
-        assert b.inputs.shape == (50, d.in_dim)
+        inputs, labels = sample_minibatch(d, 50, rng(40))
+        assert inputs.shape == (50, d.in_dim)
+        assert labels.shape == (50,)
 
     def test_rows_come_from_dataset(self):
         d = small_dataset()
-        b = sample_minibatch(d, 8, rng(41))
+        inputs, _ = sample_minibatch(d, 8, rng(41))
         pool = set(map(tuple, d.inputs))
-        assert all(tuple(row) in pool for row in b.inputs)
+        assert all(tuple(row) in pool for row in inputs)
 
     def test_size_validated(self):
         with pytest.raises(ValueError):

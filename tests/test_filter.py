@@ -112,7 +112,7 @@ class TestTrainStep:
             # recover the analytic gradient from the Adam t=1 update direction:
             # step = lr * g / (|g| + eps), so sign and support must match FD
             adam = adam_init(filt.params.shape[0])
-            updated, _, _ = filter_train_step(filt, adam, report, label, 10.0)
+            updated, _, _, _ = filter_train_step(filt, adam, report, label, 10.0)
             h = 1e-6
             base = np.array(filt.params)
             fd = np.empty_like(base)
@@ -130,9 +130,9 @@ class TestTrainStep:
         filt = filter_init(4, r)
         adam = adam_init(filt.params.shape[0], lr=0.01)
         report = self._report(r, 4)
-        _, _, first = filter_train_step(filt, adam, report, 1, 10.0)
+        _, _, first, _ = filter_train_step(filt, adam, report, 1, 10.0)
         for _ in range(50):
-            filt, adam, last = filter_train_step(filt, adam, report, 1, 10.0)
+            filt, adam, last, _ = filter_train_step(filt, adam, report, 1, 10.0)
         assert last < first
 
     def test_returns_pre_update_loss(self):
@@ -141,8 +141,9 @@ class TestTrainStep:
         report = self._report(r, 4)
         pred = filter_forward(filt, report.gradient, report.loss)
         adam = adam_init(filt.params.shape[0])
-        _, _, loss = filter_train_step(filt, adam, report, 0, 10.0)
+        _, _, loss, prob = filter_train_step(filt, adam, report, 0, 10.0)
         assert loss == pytest.approx(filter_loss(pred, 0, 10.0), abs=1e-9)
+        assert prob == pytest.approx(pred, abs=1e-12)
 
 
 class TestTrainFilter:

@@ -7,8 +7,6 @@ from rgcf.core import LengthMismatchError, param_vector
 from rgcf.models import (
     AdamState,
     Architecture,
-    LabeledBatch,
-    ServerModel,
     ShapeMismatchError,
     adam_init,
     adam_step,
@@ -64,31 +62,30 @@ def test_unflatten_rejects_wrong_length():
 class TestForwardLoss:
     def test_uniform_logits_give_log_classes(self):
         arch = logistic(4, 3)
-        model = ServerModel(arch, param_vector(np.zeros(arch.param_count)))
-        batch = LabeledBatch(inputs=rng(1).random((6, 4)), labels=np.array([0, 1, 2, 0, 1, 2]))
-        assert forward_loss(model, batch) == pytest.approx(np.log(3.0), abs=1e-12)
+        params = param_vector(np.zeros(arch.param_count))
+        labels = np.array([0, 1, 2, 0, 1, 2])
+        loss = forward_loss(arch, params, rng(1).random((6, 4)), labels)
+        assert loss == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_hand_computed_binary_example(self):
         # in_dim=1, 2 classes: logits = [w0 x, w1 x] + [b0, b1]
         arch = logistic(1, 2)
         params = param_vector([2.0, -1.0, 0.5, 0.0])  # W=[[2,-1]], b=[0.5,0]
-        model = ServerModel(arch, params)
         x, y = 1.5, 0
         logits = np.array([2.0 * x + 0.5, -1.0 * x])
         expected = -np.log(np.exp(logits[y]) / np.exp(logits).sum())
-        batch = LabeledBatch(inputs=np.array([[x]]), labels=np.array([y]))
-        assert forward_loss(model, batch) == pytest.approx(expected, rel=1e-12)
+        loss = forward_loss(arch, params, np.array([[x]]), np.array([y]))
+        assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_large_logits_stay_finite(self):
         arch = logistic(1, 2)
-        model = ServerModel(arch, param_vector([500.0, -500.0, 0.0, 0.0]))
-        batch = LabeledBatch(inputs=np.array([[2.0]]), labels=np.array([1]))
-        assert np.isfinite(forward_loss(model, batch))
+        params = param_vector([500.0, -500.0, 0.0, 0.0])
+        assert np.isfinite(forward_loss(arch, params, np.array([[2.0]]), np.array([1])))
 
     def test_dim_mismatch(self):
-        model = ServerModel(logistic(3, 2), param_vector(np.zeros(8)))
+        params = param_vector(np.zeros(8))
         with pytest.raises(ShapeMismatchError):
-            forward_loss(model, LabeledBatch(inputs=np.zeros((2, 4)), labels=np.zeros(2, dtype=int)))
+            forward_loss(logistic(3, 2), params, np.zeros((2, 4)), np.zeros(2, dtype=int))
 
 
 class TestBackward:
@@ -98,22 +95,14 @@ class TestBackward:
     def test_matches_finite_differences(self, arch):
         r = rng(2)
         for _ in range(5):
-            model = ServerModel(arch, init_params(arch, r))
-            batch = LabeledBatch(
-                inputs=r.random((7, arch.in_dim)),
-                labels=r.integers(0, arch.classes, size=7),
-            )
-            report = backward(model, batch)
-            fd = finite_diff_gradient(model, batch)
+            params = init_params(arch, r)
+            inputs = r.random((7, arch.in_dim))
+            labels = r.integers(0, arch.classes, size=7)
+            grad, loss = backward(arch, params, inputs, labels)
+            fd = finite_diff_gradient(arch, params, inputs, labels)
             denom = max(1.0, float(np.abs(fd).max()))
-            assert np.abs(report.gradient - fd).max() / denom < 1e-6
-            assert report.loss == pytest.approx(forward_loss(model, batch), rel=1e-12)
-
-    def test_gradient_is_frozen(self, blobs):
-        arch = logistic(blobs.in_dim, blobs.classes)
-        model = ServerModel(arch, init_params(arch, rng(3)))
-        batch = LabeledBatch(inputs=blobs.inputs[:8], labels=blobs.labels[:8])
-        assert not backward(model, batch).gradient.flags.writeable
+            assert np.abs(grad - fd).max() / denom < 1e-6
+            assert loss == pytest.approx(forward_loss(arch, params, inputs, labels), rel=1e-12)
 
 
 def test_mlp_forward_relu():
@@ -196,5 +185,6 @@ class TestAdam:
 
 
 def test_server_model_validates_length():
+    # logistic(3, 2) has 8 parameters; the length is checked on every pass
     with pytest.raises(ShapeMismatchError):
-        ServerModel(logistic(3, 2), param_vector(np.zeros(7)))
+        backward(logistic(3, 2), param_vector(np.zeros(7)), np.zeros((2, 3)), np.zeros(2, dtype=int))

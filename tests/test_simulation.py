@@ -9,7 +9,6 @@ from rgcf.data import sample_minibatch, shard
 from rgcf.filter import FilterNet
 from rgcf.models import (
     Architecture,
-    ServerModel,
     apply_update,
     backward,
     init_params,
@@ -98,7 +97,14 @@ class TestWorkers:
         rb = worker_step(byz, params, arch, rng(2), rng(3))
         assert rb.loss == rh.loss
         assert np.array_equal(rb.gradient, -rh.gradient)
-        assert rb.provenance.byzantine and not rh.provenance.byzantine
+
+    def test_gradient_is_frozen(self, blobs):
+        # the report's gradient is the one frozen copy, honest or attacked
+        arch = logistic(blobs.in_dim, blobs.classes)
+        params = init_params(arch, rng(3))
+        for attack in (None, AttackSpec("inverse")):
+            w = WorkerSpec(id=0, shard=blobs, attack=attack, batch_size=8)
+            assert not worker_step(w, params, arch, rng(2), rng(3)).gradient.flags.writeable
 
     def test_worker_spec_validation(self, blobs):
         # workers take their batch size from the RunConfig, which refuses 0,
@@ -149,10 +155,22 @@ class TestRunRgcf:
         batch_rng = RngStream(cfg.seed, 1000).generator()
         params = init_params(arch, RngStream(cfg.seed, 11).generator())
         for _ in range(20):
-            batch = sample_minibatch(local, cfg.batch_size, batch_rng)
-            report = backward(ServerModel(arch, params), batch)
-            params = apply_update(params, report.gradient, cfg.server_lr, 0)
+            inputs, labels = sample_minibatch(local, cfg.batch_size, batch_rng)
+            grad, _ = backward(arch, params, inputs, labels)
+            params = apply_update(params, grad, cfg.server_lr, 0)
         assert np.array_equal(m.final_params, params)
+
+    def test_ground_truth_is_the_picked_workers_role(self, blobs, blobs_val):
+        # white-box stream replay: each step's ground truth is whether the
+        # worker picked from stream 23 is one of the fixed Byzantine workers
+        arch = logistic(blobs.in_dim, blobs.classes)
+        cfg = run_config()
+        m = run_rgcf(cfg, blobs, blobs_val, arch, reject_all_filter(arch.param_count))
+        workers = build_workers(cfg, blobs)
+        pick_rng = RngStream(cfg.seed, 23).generator()
+        picks = [int(pick_rng.integers(0, cfg.n_workers)) for _ in range(cfg.steps)]
+        assert m.ground_truths == [int(workers[i].byzantine) for i in picks]
+        assert 0 < sum(m.ground_truths) < cfg.steps
 
     def test_confusion_counts_sum_to_steps(self, blobs, blobs_val):
         arch = logistic(blobs.in_dim, blobs.classes)
@@ -198,7 +216,7 @@ class TestRunAggregated:
         params = init_params(arch, RngStream(cfg.seed, 11).generator())
         for _ in range(20):
             grads = [
-                backward(ServerModel(arch, params), sample_minibatch(s, cfg.batch_size, r)).gradient
+                backward(arch, params, *sample_minibatch(s, cfg.batch_size, r))[0]
                 for s, r in zip(shards, batch_rngs)
             ]
             params = params - cfg.server_lr * np.stack(grads).mean(axis=0)
@@ -212,6 +230,16 @@ class TestRunAggregated:
         m = run_aggregated(cfg, blobs, blobs_val, arch)
         assert m.diverged
         assert len(m.steps) < 10
+
+    def test_overflowing_loss_sets_diverged(self, blobs, blobs_val):
+        # once the parameters overflow, a worker can report a finite
+        # gradient with an infinite loss: that is divergence too
+        arch = mlp(blobs.in_dim, (32,), blobs.classes)
+        for kind in ("gradient_shift", "random_gaussian"):
+            cfg = self.agg_config(attack=AttackSpec(kind, 1e156), steps=60)
+            m = run_aggregated(cfg, blobs, blobs_val, arch)
+            assert m.diverged
+            assert len(m.steps) < 60
 
     def test_other_errors_propagate(self, blobs, blobs_val, monkeypatch):
         # only a non-finite value means divergence; any other ValueError
