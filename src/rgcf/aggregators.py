@@ -64,11 +64,9 @@ def agg_mean(grads: list[np.ndarray]) -> np.ndarray:
     return _stack(grads).mean(axis=0)
 
 
-def _krum_scores(g: np.ndarray, f_count: int, squared: bool) -> np.ndarray:
-    """Score each vector by the summed (squared) distances to its
-    n - f - 2 nearest other vectors. Pools too small for that many
-    neighbors (possible inside Bulyan's selection loop) use however many
-    remain, down to zero."""
+def _squared_distances(g: np.ndarray) -> np.ndarray:
+    """The n x n matrix of squared distances between the rows of g, one
+    diff @ diff per pair."""
     n = g.shape[0]
     dist2 = np.empty((n, n))
     for i in range(n):
@@ -76,6 +74,15 @@ def _krum_scores(g: np.ndarray, f_count: int, squared: bool) -> np.ndarray:
         for j in range(i + 1, n):
             diff = g[i] - g[j]
             dist2[i, j] = dist2[j, i] = float(diff @ diff)
+    return dist2
+
+
+def _krum_scores(dist2: np.ndarray, f_count: int, squared: bool) -> np.ndarray:
+    """Score each vector by the summed (squared) distances to its
+    n - f - 2 nearest other vectors, from their squared-distance matrix.
+    Pools too small for that many neighbors (possible inside Bulyan's
+    selection loop) use however many remain, down to zero."""
+    n = dist2.shape[0]
     contrib = dist2 if squared else np.sqrt(dist2)
     k = max(0, min(n - f_count - 2, n - 1))
     scores = np.empty(n)
@@ -95,7 +102,7 @@ def agg_krum(
     g = _stack(grads)
     n = g.shape[0]
     _check_worker_count(KRUM, n, f_count)
-    scores = _krum_scores(g, f_count, squared_distances)
+    scores = _krum_scores(_squared_distances(g), f_count, squared_distances)
     idx = int(np.argmin(scores))
     return idx, grads[idx]
 
@@ -121,16 +128,18 @@ def agg_bulyan(
 ) -> np.ndarray:
     """Two-stage rule: repeated Krum selection of theta = n - 2f vectors,
     then per coordinate the mean of the beta = theta - 2f values closest
-    to the coordinate median of the selected set."""
+    to the coordinate median of the selected set. The pairwise distances
+    are computed once; each selection round scores the vectors still in
+    the pool on their sub-matrix."""
     g = _stack(grads)
     n = g.shape[0]
     _check_worker_count(BULYAN, n, f_count)
     theta = n - 2 * f_count
+    dist2 = _squared_distances(g)
     pool = list(range(n))
     selected = []
     while len(selected) < theta:
-        sub = g[pool]
-        scores = _krum_scores(sub, f_count, squared_distances)
+        scores = _krum_scores(dist2[np.ix_(pool, pool)], f_count, squared_distances)
         best = int(np.argmin(scores))
         selected.append(pool.pop(best))
     sel = g[selected]

@@ -211,10 +211,13 @@ def _write_run_outputs(cfg: ExperimentConfig, m: RunMetrics) -> None:
             )
         ],
     )
-    # Wall time is the one nondeterministic output; kept out of the CSVs so
-    # a rerun from the manifest reproduces them byte-identically.
+    # Wall time, in total and by phase, is the one nondeterministic output;
+    # kept out of the CSVs so a rerun from the manifest reproduces them
+    # byte-identically.
     with open(_outpath(cfg, "timing.txt"), "w") as f:
         f.write(f"wall_time_seconds={m.wall_time:.6f}\n")
+        for phase in ("worker_s", "decision_s", "update_s", "eval_s"):
+            f.write(f"{phase}={getattr(m, phase):.6f}\n")
 
 
 def cmd_train_filter(cfg: ExperimentConfig, specs: Specs) -> int:

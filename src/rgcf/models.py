@@ -63,18 +63,20 @@ def init_params(arch: Architecture, rng: np.random.Generator) -> np.ndarray:
 
 
 def unflatten(params: np.ndarray, layer_sizes: tuple[int, ...]):
-    """Split a flat vector into [(W, b), ...] views in canonical order."""
+    """Split a flat vector, or each row of a stack of them, into
+    [(W, b), ...] views in canonical order."""
     expected = sum(
         fan_in * fan_out + fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:])
     )
-    if params.shape != (expected,):
+    if params.shape[-1:] != (expected,):
         raise ShapeMismatchError(f"flat vector length {params.shape} != expected {expected}")
+    lead = params.shape[:-1]
     layers = []
     off = 0
     for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
-        w = params[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = params[..., off : off + fan_in * fan_out].reshape(lead + (fan_in, fan_out))
         off += fan_in * fan_out
-        b = params[off : off + fan_out]
+        b = params[..., off : off + fan_out]
         off += fan_out
         layers.append((w, b))
     return layers
@@ -101,32 +103,34 @@ def mlp_forward(params: np.ndarray, layer_sizes: tuple[int, ...], x: np.ndarray)
 def mlp_backward(
     params: np.ndarray, layer_sizes: tuple[int, ...], acts: list[np.ndarray], dlogits: np.ndarray
 ) -> np.ndarray:
-    """Backprop dLoss/dlogits through the net; returns the flat gradient."""
+    """Backprop dLoss/dlogits through the net; returns the flat gradient,
+    or a (k, d) stack of them for a (k, b, classes) stack of dlogits."""
     layers = unflatten(params, layer_sizes)
-    grads: list[np.ndarray] = [None] * len(layers)  # type: ignore[list-item]
+    grad = np.empty(dlogits.shape[:-2] + params.shape)
+    grad_layers = unflatten(grad, layer_sizes)
     delta = dlogits
     for i in range(len(layers) - 1, -1, -1):
-        w, _b = layers[i]
-        a = acts[i]
-        gw = a.T @ delta
-        gb = delta.sum(axis=0)
-        grads[i] = np.concatenate([gw.ravel(), gb])
+        # written in place, with no per-layer temporary or concatenation
+        gw, gb = grad_layers[i]
+        np.matmul(np.swapaxes(acts[i], -1, -2), delta, out=gw)
+        delta.sum(axis=-2, out=gb)
         if i > 0:
-            delta = (delta @ w.T) * (acts[i] > 0.0)
-    return np.concatenate(grads)
+            delta = (delta @ layers[i][0].T) * (acts[i] > 0.0)
+    return grad
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def _shifted_exp(logits: np.ndarray, labels: np.ndarray):
+    """For (rows, C) logits: exp of the row-max-shifted logits, its row
+    sums (rows, 1), and each row's cross-entropy under its integer label."""
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    total = e.sum(axis=1, keepdims=True)
+    return e, total, np.log(total[:, 0]) - z[np.arange(len(labels)), labels]
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean softmax cross-entropy of integer class labels under the logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1))
-    return float(np.mean(logsumexp - z[np.arange(len(labels)), labels]))
+    return float(np.mean(_shifted_exp(logits, labels)[2]))
 
 
 def forward_loss(
@@ -139,16 +143,27 @@ def forward_loss(
 
 def backward(
     arch: Architecture, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Gradient of the mean batch loss w.r.t. the flat parameters, and that
-    loss. Neither is checked here: the caller checks what it sends."""
+    loss. Neither is checked here: the caller checks what it sends.
+
+    Inputs (b, in_dim) with labels (b,) give a (d,) gradient and a float.
+    A stack of k batches, inputs (k, b, in_dim) with labels (k, b), gives a
+    (k, d) gradient array and k losses from one pass; row j and loss j are
+    bit-identical to the 2-D call on batch j.
+    """
     logits, acts = mlp_forward(params, arch.layer_sizes, inputs)
-    n = inputs.shape[0]
-    loss = cross_entropy(logits, labels)
-    dlogits = _softmax(logits)
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    return mlp_backward(params, arch.layer_sizes, acts, dlogits), loss
+    b = inputs.shape[-2]
+    rows = logits.reshape(-1, logits.shape[-1])
+    flat_labels = labels.reshape(-1)
+    e, total, nll = _shifted_exp(rows, flat_labels)
+    dlogits = e / total
+    dlogits[np.arange(len(flat_labels)), flat_labels] -= 1.0
+    dlogits /= b
+    grad = mlp_backward(params, arch.layer_sizes, acts, dlogits.reshape(logits.shape))
+    if inputs.ndim == 2:
+        return grad, float(np.mean(nll))
+    return grad, nll.reshape(-1, b).mean(axis=1)
 
 
 def finite_diff_gradient(

@@ -82,6 +82,12 @@ class RunMetrics:
     transferred_gradients: int = 0
     diverged: bool = False
     wall_time: float = 0.0
+    # wall time by phase, summed over the steps: worker turns, decision
+    # (classify / aggregate), update, eval
+    worker_s: float = 0.0
+    decision_s: float = 0.0
+    update_s: float = 0.0
+    eval_s: float = 0.0
     final_params: np.ndarray | None = None
     initial_params: np.ndarray | None = None
 
@@ -102,19 +108,30 @@ BENCH_WARMUP_S = 2.0
 
 
 def worker_step(
-    w: WorkerSpec,
+    workers: list[WorkerSpec],
     params: np.ndarray,
     arch: Architecture,
-    batch_rng: np.random.Generator,
-    attack_rng: np.random.Generator,
-) -> GradientReport:
-    """One worker turn: honest gradient on a fresh mini-batch, attacked if
-    the worker is Byzantine, sent with the honest loss as one report."""
-    inputs, labels = sample_minibatch(w.shard, w.batch_size, batch_rng)
-    grad, loss = models.backward(arch, params, inputs, labels)
-    if w.attack is not None:
-        grad = apply_attack(w.attack, grad, attack_rng)
-    return GradientReport(param_vector(grad), loss)
+    batch_rngs: list[np.random.Generator],
+    attack_rngs: list[np.random.Generator],
+) -> list[GradientReport]:
+    """One turn of the queried workers, in order: each draws a fresh
+    mini-batch from its own stream (batch_rngs[w.id]), one stacked backward
+    pass computes every honest gradient, and each Byzantine worker then
+    attacks its own with attack_rngs[w.id]. Every worker sends one report,
+    its gradient with the honest loss. All workers share one batch size."""
+    batches = [sample_minibatch(w.shard, w.batch_size, batch_rngs[w.id]) for w in workers]
+    if len(batches) == 1:
+        inputs, labels = batches[0][0][None], batches[0][1][None]
+    else:
+        inputs = np.stack([x for x, _ in batches])
+        labels = np.stack([y for _, y in batches])
+    grads, losses = models.backward(arch, params, inputs, labels)
+    reports = []
+    for w, grad, loss in zip(workers, grads, losses.tolist()):
+        if w.attack is not None:
+            grad = apply_attack(w.attack, grad, attack_rngs[w.id])
+        reports.append(GradientReport(param_vector(grad), loss))
+    return reports
 
 
 def build_workers(cfg: RunConfig, train_data: Dataset) -> list[WorkerSpec]:
@@ -204,25 +221,27 @@ def _run(
     params = init_params(arch, RngStream(cfg.seed, SID_SERVER_INIT).generator())
 
     m = RunMetrics(initial_params=params)
-    start = time.perf_counter()
+    clock = time.perf_counter
+    start = clock()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, cfg.steps + 1):
             if filt is None:
                 queried = workers
             else:
                 queried = [workers[int(pick_rng.integers(0, cfg.n_workers))]]
+            t0 = clock()
             try:
-                reports = [
-                    worker_step(w, params, arch, batch_rngs[w.id], attack_rngs[w.id])
-                    for w in queried
-                ]
+                reports = worker_step(queried, params, arch, batch_rngs, attack_rngs)
             except NonFiniteValueError:
                 m.diverged = True
                 break
             m.transferred_gradients += len(reports)
+            t1 = clock()
             if filt is None:
                 agg = aggregate(cfg.aggregator, [r.gradient for r in reports])
+                t2 = clock()
                 params = params - cfg.server_lr * agg
+                t3 = clock()
                 loss = float(np.mean([r.loss for r in reports]))
                 truth = b = None
                 decision = float(np.linalg.norm(agg))
@@ -230,7 +249,9 @@ def _run(
                 report = reports[0]
                 truth = int(queried[0].byzantine)
                 b = truth if ground_truth else classify(filt, report.gradient, report.loss)
+                t2 = clock()
                 params = apply_update(params, report.gradient, cfg.server_lr, b)
+                t3 = clock()
                 if truth == 0 and b == 0:
                     m.accepted_honest += 1
                 elif truth == 0:
@@ -241,17 +262,22 @@ def _run(
                     m.rejected_byz += 1
                 loss = report.loss
                 decision = float(b)
+            m.worker_s += t1 - t0
+            m.decision_s += t2 - t1
+            m.update_s += t3 - t2
             m.steps.append(t)
             m.train_losses.append(loss)
             m.ground_truths.append(truth)
             m.predictions.append(b)
             m.decisions.append(decision)
             if t % cfg.eval_every == 0 or t == cfg.steps:
+                t4 = clock()
                 acc, val_loss = evaluate(arch, params, val_data)
+                m.eval_s += clock() - t4
                 m.eval_steps.append(t)
                 m.val_accuracies.append(acc)
                 m.val_losses.append(val_loss)
-    m.wall_time = time.perf_counter() - start
+    m.wall_time = clock() - start
     m.final_params = params
     return m
 

@@ -134,6 +134,45 @@ class TestAgainstOracles:
             count += 1
 
 
+def textbook_bulyan(grads, f, squared):
+    """Bulyan as first written: every selection round recomputes the
+    pairwise distances of the remaining pool and scores it with Krum, in
+    the same floating-point operations as the rule."""
+    g = np.stack(grads)
+    pool = list(range(len(grads)))
+    selected = []
+    while len(selected) < len(grads) - 2 * f:
+        sub = g[pool]
+        p = len(pool)
+        dist2 = np.zeros((p, p))
+        for i in range(p):
+            for j in range(i + 1, p):
+                diff = sub[i] - sub[j]
+                dist2[i, j] = dist2[j, i] = float(diff @ diff)
+        contrib = dist2 if squared else np.sqrt(dist2)
+        k = max(0, min(p - f - 2, p - 1))
+        scores = [np.sort(np.delete(contrib[i], i))[:k].sum() for i in range(p)]
+        selected.append(pool.pop(int(np.argmin(scores))))
+    sel = g[selected]
+    beta = len(selected) - 2 * f
+    order = np.argsort(np.abs(sel - np.median(sel, axis=0)), axis=0, kind="stable")[:beta]
+    return np.take_along_axis(sel, order, axis=0).mean(axis=0)
+
+
+@pytest.mark.parametrize("squared", [True, False])
+@pytest.mark.parametrize("n,f", [(7, 1), (11, 1), (11, 2), (15, 1), (15, 2), (15, 3)])
+def test_bulyan_equals_per_round_recomputation(n, f, squared):
+    # distances computed once and sliced per round select the same vectors
+    # and give the same output, bit for bit
+    r = rng(104)
+    for _ in range(5):
+        grads = [r.standard_normal(40) for _ in range(n)]
+        grads[3] = grads[1].copy()  # an exact tie
+        for i in range(f):
+            grads[-1 - i] = 30.0 * r.standard_normal(40)  # outliers
+        assert np.array_equal(agg_bulyan(grads, f, squared), textbook_bulyan(grads, f, squared))
+
+
 class TestHandCases:
     def test_krum_tie_breaks_to_lowest_index(self):
         g = [np.array([1.0, 1.0])] * 4

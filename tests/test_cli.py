@@ -82,7 +82,12 @@ class TestRun:
         assert evals[0] == "step,val_accuracy,val_loss"
         summary = open(os.path.join(out, "summary.csv")).read().splitlines()
         assert summary[0].startswith("accepted_honest,")
-        assert os.path.exists(os.path.join(out, "timing.txt"))
+        timing = dict(
+            line.split("=") for line in open(os.path.join(out, "timing.txt")).read().splitlines()
+        )
+        assert list(timing) == ["wall_time_seconds", "worker_s", "decision_s", "update_s", "eval_s"]
+        phases = sum(float(timing[k]) for k in ("worker_s", "decision_s", "update_s", "eval_s"))
+        assert 0.0 < phases <= float(timing["wall_time_seconds"])
 
     def test_aggregator_run(self, tmp_path):
         out = str(tmp_path / "agg")

@@ -52,6 +52,11 @@ def test_unflatten_canonical_order():
     assert np.array_equal(b1, [6, 7, 8])
     assert np.array_equal(w2, [[9], [10], [11]])
     assert np.array_equal(b2, [12])
+    # a stack of flat vectors splits row by row, into views
+    stack = np.stack([np.arange(13.0), -np.arange(13.0)])
+    (sw1, sb1), (sw2, sb2) = unflatten(stack, sizes)
+    assert np.array_equal(sw1[1], -w1) and np.array_equal(sb2[1], -b2)
+    assert np.shares_memory(sw1, stack)
 
 
 def test_unflatten_rejects_wrong_length():
@@ -103,6 +108,26 @@ class TestBackward:
             denom = max(1.0, float(np.abs(fd).max()))
             assert np.abs(grad - fd).max() / denom < 1e-6
             assert loss == pytest.approx(forward_loss(arch, params, inputs, labels), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "arch", [logistic(5, 3), mlp(5, (4,), 3), mlp(3, (4, 3), 2), mlp(20, (32,), 10)], ids=str
+    )
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_stacked_equals_separate_calls(self, arch, k):
+        # k stacked batches give, bit for bit, the gradients and losses of
+        # k separate 2-D calls
+        r = rng(3)
+        for batch in (1, 9, 128):
+            params = init_params(arch, r)
+            inputs = r.random((k, batch, arch.in_dim))
+            labels = r.integers(0, arch.classes, size=(k, batch))
+            grads, losses = backward(arch, params, inputs, labels)
+            assert grads.shape == (k, arch.param_count)
+            assert len(losses) == k
+            for j in range(k):
+                grad, loss = backward(arch, params, inputs[j], labels[j])
+                assert np.array_equal(grads[j], grad)
+                assert losses[j] == loss
 
 
 def test_mlp_forward_relu():

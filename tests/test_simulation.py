@@ -3,7 +3,7 @@ import pytest
 
 from rgcf import simulation
 from rgcf.aggregators import AggregatorSpec
-from rgcf.attacks import AttackSpec
+from rgcf.attacks import AttackSpec, apply_attack
 from rgcf.core import RngStream, param_vector
 from rgcf.data import sample_minibatch, shard
 from rgcf.filter import FilterNet
@@ -93,8 +93,8 @@ class TestWorkers:
         params = init_params(arch, rng(1))
         honest = WorkerSpec(id=0, shard=blobs, attack=None, batch_size=8)
         byz = WorkerSpec(id=0, shard=blobs, attack=AttackSpec("inverse"), batch_size=8)
-        rh = worker_step(honest, params, arch, rng(2), rng(3))
-        rb = worker_step(byz, params, arch, rng(2), rng(3))
+        [rh] = worker_step([honest], params, arch, [rng(2)], [rng(3)])
+        [rb] = worker_step([byz], params, arch, [rng(2)], [rng(3)])
         assert rb.loss == rh.loss
         assert np.array_equal(rb.gradient, -rh.gradient)
 
@@ -104,7 +104,40 @@ class TestWorkers:
         params = init_params(arch, rng(3))
         for attack in (None, AttackSpec("inverse")):
             w = WorkerSpec(id=0, shard=blobs, attack=attack, batch_size=8)
-            assert not worker_step(w, params, arch, rng(2), rng(3)).gradient.flags.writeable
+            assert not worker_step([w], params, arch, [rng(2)], [rng(3)])[0].gradient.flags.writeable
+
+    @pytest.mark.parametrize("hidden", [(), (8,)], ids=["logistic", "mlp"])
+    def test_worker_step_equals_per_worker_replay(self, blobs, hidden):
+        # one stacked turn of a mixed pool (honest workers plus all four
+        # attacks, shards of unequal size) sends, bit for bit, what each
+        # worker sends on its own: its batch from its stream, a 2-D
+        # backward, then its attack from its own attack stream, in order
+        arch = mlp(blobs.in_dim, hidden, blobs.classes)
+        shards = shard(blobs, 7, rng(4))
+        assert len({s.size for s in shards}) == 2
+        attacks = [None, AttackSpec("random_gaussian"), AttackSpec("inverse"), None,
+                   AttackSpec("all_ones"), AttackSpec("gradient_shift"), None]
+        workers = [
+            WorkerSpec(id=i, shard=s, attack=a, batch_size=16)
+            for i, (s, a) in enumerate(zip(shards, attacks))
+        ]
+        params = init_params(arch, rng(5))
+
+        def streams():
+            return [rng(6, 1000 + i) for i in range(7)], [rng(6, 100000 + i) for i in range(7)]
+
+        batch_rngs, attack_rngs = streams()
+        replay_batch_rngs, replay_attack_rngs = streams()
+        for queried in (workers, workers[2:6], [workers[5]], workers):
+            reports = worker_step(queried, params, arch, batch_rngs, attack_rngs)
+            assert len(reports) == len(queried)
+            for w, report in zip(queried, reports):
+                inputs, labels = sample_minibatch(w.shard, w.batch_size, replay_batch_rngs[w.id])
+                grad, loss = backward(arch, params, inputs, labels)
+                if w.attack is not None:
+                    grad = apply_attack(w.attack, grad, replay_attack_rngs[w.id])
+                assert np.array_equal(report.gradient, grad)
+                assert report.loss == loss
 
     def test_worker_spec_validation(self, blobs):
         # workers take their batch size from the RunConfig, which refuses 0,

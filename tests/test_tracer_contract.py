@@ -92,3 +92,22 @@ def test_commands_record_every_layer(tmp_path):
     assert spans["cli.main"] == 3
     for name in REQUIRED_SPANS:
         assert spans[name] >= 1, name
+
+
+def test_aggregator_run_has_one_backward_per_step(tmp_path):
+    # every queried worker's gradient comes from one stacked backward pass:
+    # n minibatches, one models.backward span per step
+    argv = ["run", "--out", str(tmp_path / "krum"), *TINY,
+            "--set", "mode=aggregator", "--set", "aggregator=krum",
+            "--set", "n_workers=5", "--set", "byzantine_fraction=0.4"]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert importlib.import_module("rgcf.cli").main(argv) == 0
+    finally:
+        tracer.uninstall()
+    spans = Counter(tracer.names)
+    assert spans["simulation.worker_step"] == 30
+    assert spans["models.backward"] == 30
+    assert spans["data.sample_minibatch"] == 30 * 5
+    assert spans["attacks.apply_attack"] == 30 * 2
