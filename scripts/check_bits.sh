@@ -1,0 +1,58 @@
+#!/usr/bin/env bash
+# Seed-0 bit check: runs a fixed probe set with the checkout this script
+# lives in and prints a sorted sha256sum of every CSV and filter file it
+# wrote (manifest.txt and timing.txt hold paths and times, so they are
+# skipped). To compare two trees, run each tree's copy of this script into
+# its own fresh OUT and `diff` the two listings. Takes about 10 s on a
+# 2-vCPU Xeon VM.
+#
+#   scripts/check_bits.sh OUT
+#
+# Probes: train-filter (logistic, MLP hidden=32, 784-input wide MLP at 50
+# steps); run in rgcf, krum, bulyan (n=11, f=2), median, trimmed_mean and
+# mean mode; an all-Byzantine attack_scale=1e200 MLP mean run that
+# diverges at its first step; the 80-cell MLP compare grid at steps=25.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUT" >&2
+    exit 1
+fi
+if [ -e "$1" ]; then
+    echo "$1 already exists; give a fresh directory" >&2
+    exit 1
+fi
+OUT="$(realpath -m "$1")"
+cd "$(dirname "$0")/.."
+
+rgcf() {
+    PYTHONPATH="$PWD/src" python3 -m rgcf.cli "$@" >/dev/null
+}
+
+MLP=(--set arch=mlp --set hidden=32)
+WIDE=("${MLP[@]}" --set blobs_in_dim=784 --set blobs_classes=10)
+RUN=(--set byzantine_fraction=0.3 --set steps=300)
+
+rgcf train-filter --seed 0 --out "$OUT/logistic"
+rgcf train-filter --seed 0 --out "$OUT/mlp" "${MLP[@]}"
+rgcf train-filter --seed 0 --out "$OUT/wide" "${WIDE[@]}" --set filter_steps=50
+
+rgcf run --seed 0 --out "$OUT/run/rgcf" "${RUN[@]}" \
+    --set "filter_file=$OUT/logistic/filter.rgcf"
+for agg in krum median trimmed_mean mean; do
+    rgcf run --seed 0 --out "$OUT/run/$agg" "${RUN[@]}" \
+        --set mode=aggregator --set "aggregator=$agg"
+done
+rgcf run --seed 0 --out "$OUT/run/bulyan" "${RUN[@]}" \
+    --set mode=aggregator --set aggregator=bulyan \
+    --set n_workers=11 --set f_count=2
+rgcf run --seed 0 --out "$OUT/run/diverge" "${MLP[@]}" \
+    --set mode=aggregator --set aggregator=mean \
+    --set byzantine_fraction=1.0 --set attack_scale=1e200 --set steps=300
+
+rgcf compare --seed 0 --out "$OUT/compare" "${MLP[@]}" \
+    --set steps=25 --set n_workers=10 \
+    --set "filter_file=$OUT/mlp/filter.rgcf"
+
+cd "$OUT"
+find . -type f \( -name '*.csv' -o -name '*.rgcf' \) | LC_ALL=C sort | xargs sha256sum

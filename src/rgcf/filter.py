@@ -129,10 +129,11 @@ def filter_loss(pred: float, label: int, p: float) -> float:
 
 
 def filter_gradient(
-    filt: FilterNet, report: GradientReport, label: int, p: float
+    filt: FilterNet, report: GradientReport, label: int, p: float, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, float, float]:
     """Gradient of the single-example weighted BCE w.r.t. the filter's own
-    parameters, plus the loss value and the predicted probability."""
+    parameters (written into `out` when given), plus the loss value and the
+    predicted probability."""
     x = _filter_input(filt, report.gradient, report.loss)
     z, acts = mlp_forward(filt.params, filt.layer_sizes, x)
     pred = 1.0 / (1.0 + np.exp(-z[0, 0]))
@@ -141,20 +142,27 @@ def filter_gradient(
     # dL/dq through the clamp, then sigmoid derivative at the raw pred.
     dq = -p / q if label == 1 else 1.0 / (1.0 - q)
     dz = np.array([[dq * pred * (1.0 - pred)]])
-    return mlp_backward(filt.params, filt.layer_sizes, acts, dz), loss, pred
+    return mlp_backward(filt.params, filt.layer_sizes, acts, dz, out), loss, pred
 
 
 def filter_train_step(
-    filt: FilterNet, adam: AdamState, report: GradientReport, label: int, p: float
-) -> tuple[FilterNet, AdamState, float, float]:
-    """One Adam update on the single-example weighted BCE.
+    filt: FilterNet,
+    adam: AdamState,
+    report: GradientReport,
+    label: int,
+    p: float,
+    out: np.ndarray | None = None,
+) -> tuple[float, float]:
+    """One Adam update on the single-example weighted BCE, in place on the
+    filter's writable weights and on `adam`; the filter gradient is written
+    into `out` when given.
 
-    Returns the updated filter and optimizer state, and the pre-update loss
-    value and predicted probability.
+    Returns the pre-update loss value and predicted probability. A weight
+    the update leaves non-finite raises NonFiniteValueError.
     """
-    grad, loss, pred = filter_gradient(filt, report, label, p)
-    adam, new_params = adam_step(adam, filt.params, grad)
-    return replace(filt, params=param_vector(new_params)), adam, loss, pred
+    grad, loss, pred = filter_gradient(filt, report, label, p, out)
+    adam_step(adam, filt.params, grad)
+    return loss, pred
 
 
 @dataclass(frozen=True)
@@ -215,7 +223,11 @@ def train_filter(
         threshold=cfg.threshold,
         normalize=cfg.normalize,
     )
+    # the weights, the Adam moments and the gradient buffer are allocated
+    # once and updated in place; the weights are frozen when training ends
+    filt = replace(filt, params=np.array(filt.params))
     adam = adam_init(filt.params.shape[0], lr=cfg.filter_lr)
+    filter_grad = np.empty_like(filt.params)
     init_rng = RngStream(seed, SID_SERVER_INIT).generator()
     pick_rng = RngStream(seed, _SID_WORKER_PICK).generator()
     batch_rng = RngStream(seed, _SID_BATCH).generator()
@@ -234,7 +246,9 @@ def train_filter(
                 grad = apply_attack(cfg.attack, grad, attack_rng)
             report = GradientReport(param_vector(grad), server_loss)
             params = apply_update(params, report.gradient, cfg.server_lr, byz)
-            filt, adam, loss, pred = filter_train_step(filt, adam, report, byz, cfg.positive_weight)
+            loss, pred = filter_train_step(
+                filt, adam, report, byz, cfg.positive_weight, filter_grad
+            )
             predicted = int(pred >= filt.threshold)
             step += 1
             correct += int(predicted == byz)
@@ -243,7 +257,7 @@ def train_filter(
             log.running_accuracy.append(correct / step)
             log.labels.append(byz)
             log.server_losses.append(report.loss)
-    return filt, log
+    return replace(filt, params=param_vector(filt.params)), log
 
 
 def save_filter(filt: FilterNet, path: str) -> None:

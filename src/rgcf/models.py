@@ -1,8 +1,7 @@
 """From-scratch differentiable models for the parameter server.
 
 Fully-connected nets with ReLU hidden layers and a softmax cross-entropy
-head, manual backprop, the masked SGD update, a finite-difference gradient
-oracle, and Adam.
+head, manual backprop, the masked SGD update, and an in-place Adam.
 
 Canonical parameter flattening order (public contract, shared by gradients,
 attacks and the filter): layer by layer from the input, weight matrix of
@@ -11,11 +10,15 @@ shape (fan_in, fan_out) in row-major order, then its bias vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LengthMismatchError, param_vector
+from .core import LengthMismatchError, NonFiniteValueError, param_vector
+
+# Elements per block of `adam_step`: the block's slices of params, grad, m
+# and v plus two scratch rows (6 x 256 KB) fit in a core's L2 cache.
+ADAM_BLOCK = 1 << 15
 
 
 class ShapeMismatchError(ValueError):
@@ -101,12 +104,17 @@ def mlp_forward(params: np.ndarray, layer_sizes: tuple[int, ...], x: np.ndarray)
 
 
 def mlp_backward(
-    params: np.ndarray, layer_sizes: tuple[int, ...], acts: list[np.ndarray], dlogits: np.ndarray
+    params: np.ndarray,
+    layer_sizes: tuple[int, ...],
+    acts: list[np.ndarray],
+    dlogits: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Backprop dLoss/dlogits through the net; returns the flat gradient,
-    or a (k, d) stack of them for a (k, b, classes) stack of dlogits."""
+    or a (k, d) stack of them for a (k, b, classes) stack of dlogits.
+    Given `out`, the gradient is written there and `out` is returned."""
     layers = unflatten(params, layer_sizes)
-    grad = np.empty(dlogits.shape[:-2] + params.shape)
+    grad = np.empty(dlogits.shape[:-2] + params.shape) if out is None else out
     grad_layers = unflatten(grad, layer_sizes)
     delta = dlogits
     for i in range(len(layers) - 1, -1, -1):
@@ -131,14 +139,6 @@ def _shifted_exp(logits: np.ndarray, labels: np.ndarray):
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean softmax cross-entropy of integer class labels under the logits."""
     return float(np.mean(_shifted_exp(logits, labels)[2]))
-
-
-def forward_loss(
-    arch: Architecture, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray
-) -> float:
-    """Mean softmax cross-entropy of the batch."""
-    logits, _ = mlp_forward(params, arch.layer_sizes, inputs)
-    return cross_entropy(logits, labels)
 
 
 def backward(
@@ -166,25 +166,6 @@ def backward(
     return grad, nll.reshape(-1, b).mean(axis=1)
 
 
-def finite_diff_gradient(
-    arch: Architecture, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray, h: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient oracle: (L(w+h e_j) - L(w-h e_j)) / 2h."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    base = np.array(params)
-    grad = np.empty_like(base)
-    for j in range(base.shape[0]):
-        wp = base.copy()
-        wp[j] += h
-        wm = base.copy()
-        wm[j] -= h
-        lp = forward_loss(arch, wp, inputs, labels)
-        lm = forward_loss(arch, wm, inputs, labels)
-        grad[j] = (lp - lm) / (2.0 * h)
-    return grad
-
-
 def apply_update(params: np.ndarray, grad: np.ndarray, alpha: float, b: int) -> np.ndarray:
     """Masked SGD step: rejected gradients (b=1) leave the parameters bit-identical."""
     if params.shape != grad.shape:
@@ -198,8 +179,11 @@ def apply_update(params: np.ndarray, grad: np.ndarray, alpha: float, b: int) -> 
     return params - alpha * grad
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
+    """Adam's moment estimates and step count, updated in place by
+    `adam_step`."""
+
     m: np.ndarray
     v: np.ndarray
     t: int = 0
@@ -213,16 +197,40 @@ def adam_init(dim: int, lr: float = 0.001) -> AdamState:
     return AdamState(m=np.zeros(dim), v=np.zeros(dim), lr=lr)
 
 
-def adam_step(
-    state: AdamState, params: np.ndarray, grad: np.ndarray
-) -> tuple[AdamState, np.ndarray]:
-    """One Adam update with bias correction."""
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
+    """One Adam update with bias correction, in place on params, m and v.
+
+    It runs block by block in the textbook operation order, so every bit
+    equals the whole-array expressions
+        m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
+        params -= lr*mhat / (sqrt(vhat) + eps).
+    An update that leaves a parameter non-finite raises NonFiniteValueError
+    at the first such coordinate; the blocks before it are already updated.
+    """
     if state.m.shape != params.shape or params.shape != grad.shape:
         raise LengthMismatchError(params.shape[0], grad.shape[0])
-    t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    mhat = m / (1.0 - state.beta1**t)
-    vhat = v / (1.0 - state.beta2**t)
-    new_params = params - state.lr * mhat / (np.sqrt(vhat) + state.eps)
-    return replace(state, m=m, v=v, t=t), new_params
+    state.t += 1
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+    scratch = np.empty((2, min(ADAM_BLOCK, params.shape[0])))
+    for lo in range(0, params.shape[0], ADAM_BLOCK):
+        hi = lo + ADAM_BLOCK
+        p, g, m, v = params[lo:hi], grad[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        s1, s2 = scratch[:, : p.shape[0]]
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1.0 - b1, out=s1)
+        np.add(m, s1, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, 1.0 - b2, out=s1)
+        np.multiply(s1, g, out=s1)
+        np.add(v, s1, out=v)
+        np.divide(v, c2, out=s1)
+        np.sqrt(s1, out=s1)
+        np.add(s1, eps, out=s1)
+        np.divide(m, c1, out=s2)
+        np.multiply(s2, lr, out=s2)
+        np.divide(s2, s1, out=s2)
+        np.subtract(p, s2, out=p)
+        finite = np.isfinite(p)
+        if not finite.all():
+            raise NonFiniteValueError(lo + int(np.argmin(finite)))

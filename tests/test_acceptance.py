@@ -30,7 +30,6 @@ from rgcf.filter import (
 from rgcf.models import (
     apply_update,
     backward,
-    finite_diff_gradient,
     init_params,
     logistic,
     mlp,
@@ -44,6 +43,7 @@ from tests.test_aggregators import (
     oracle_trimmed_mean,
     random_instance,
 )
+from tests.test_models import finite_diff_gradient
 from rgcf.aggregators import agg_bulyan, agg_coord_median, agg_krum, agg_trimmed_mean
 
 _CACHE: dict = {}

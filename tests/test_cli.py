@@ -66,6 +66,20 @@ class TestTrainFilter:
         )
 
 
+    def test_non_finite_filter_weight_is_runtime_failure(self, tmp_path, capsys):
+        # lr=1e308 drives the filter weights past the float range within
+        # a few steps; training stops before any filter file is written
+        out = str(tmp_path / "tf")
+        code = run_cli(
+            "train-filter", "--out", out,
+            "--set", "arch=mlp", "--set", "hidden=32",
+            "--set", "filter_lr=1e308", "--set", "filter_steps=20",
+        )
+        assert code == 2
+        assert "non-finite value" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "filter.rgcf"))
+
+
 class TestRun:
     def test_rgcf_run_outputs(self, trained, tmp_path):
         out = str(tmp_path / "run")

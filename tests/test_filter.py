@@ -1,16 +1,20 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rgcf.attacks import AttackSpec
-from rgcf.core import GradientReport, param_vector
+from rgcf import filter as filter_module
+from rgcf.attacks import AttackSpec, apply_attack
+from rgcf.core import SID_SERVER_INIT, GradientReport, RngStream, param_vector
+from rgcf.data import sample_minibatch, synth_gaussian_blobs
 from rgcf.filter import (
     PRED_CLAMP,
     FilterNet,
     FilterTrainConfig,
     classify,
     filter_forward,
+    filter_gradient,
     filter_init,
     filter_loss,
     filter_train_step,
@@ -18,8 +22,23 @@ from rgcf.filter import (
     save_filter,
     train_filter,
 )
-from rgcf.models import Architecture, adam_init, logistic, mlp_forward
+from rgcf.models import (
+    ADAM_BLOCK,
+    Architecture,
+    adam_init,
+    apply_update,
+    backward,
+    init_params,
+    logistic,
+    mlp_forward,
+)
 from tests.conftest import rng
+from tests.test_models import textbook_adam
+
+
+def writable(filt: FilterNet) -> FilterNet:
+    """The filter with a writable copy of its weights, as training holds it."""
+    return replace(filt, params=np.array(filt.params))
 
 
 def zero_filter(d, hidden=(4, 3), threshold=0.5, normalize=True):
@@ -112,7 +131,8 @@ class TestTrainStep:
             # recover the analytic gradient from the Adam t=1 update direction:
             # step = lr * g / (|g| + eps), so sign and support must match FD
             adam = adam_init(filt.params.shape[0])
-            updated, _, _, _ = filter_train_step(filt, adam, report, label, 10.0)
+            updated = writable(filt)
+            filter_train_step(updated, adam, report, label, 10.0)
             h = 1e-6
             base = np.array(filt.params)
             fd = np.empty_like(base)
@@ -127,13 +147,24 @@ class TestTrainStep:
 
     def test_repeated_steps_reduce_loss(self):
         r = rng(21)
-        filt = filter_init(4, r)
+        filt = writable(filter_init(4, r))
         adam = adam_init(filt.params.shape[0], lr=0.01)
         report = self._report(r, 4)
-        _, _, first, _ = filter_train_step(filt, adam, report, 1, 10.0)
-        for _ in range(50):
-            filt, adam, last, _ = filter_train_step(filt, adam, report, 1, 10.0)
+        first, _ = filter_train_step(filt, adam, report, 1, 10.0)
+        for _ in range(49):
+            last, _ = filter_train_step(filt, adam, report, 1, 10.0)
         assert last < first
+
+    def test_gradient_written_into_given_buffer(self):
+        r = rng(23)
+        filt = filter_init(4, r)
+        report = self._report(r, 4)
+        ref, loss, pred = filter_gradient(filt, report, 1, 10.0)
+        buf = np.full_like(ref, np.nan)
+        grad, loss2, pred2 = filter_gradient(filt, report, 1, 10.0, buf)
+        assert grad is buf
+        assert np.array_equal(buf, ref)
+        assert (loss2, pred2) == (loss, pred)
 
     def test_returns_pre_update_loss(self):
         r = rng(22)
@@ -141,7 +172,7 @@ class TestTrainStep:
         report = self._report(r, 4)
         pred = filter_forward(filt, report.gradient, report.loss)
         adam = adam_init(filt.params.shape[0])
-        _, _, loss, prob = filter_train_step(filt, adam, report, 0, 10.0)
+        loss, prob = filter_train_step(writable(filt), adam, report, 0, 10.0)
         assert loss == pytest.approx(filter_loss(pred, 0, 10.0), abs=1e-9)
         assert prob == pytest.approx(pred, abs=1e-12)
 
@@ -180,11 +211,58 @@ class TestTrainFilter:
         assert la.server_losses == lb.server_losses
         assert la.labels == lb.labels
 
+    def test_equals_textbook_reference_loop(self):
+        # a first filter layer of 64 x 1605 weights spans four Adam blocks;
+        # the in-place, blocked training must give the reference's bytes
+        data = synth_gaussian_blobs(4, 30, 400, 8.0, rng(7, 42))
+        arch = logistic(data.in_dim, data.classes)
+        assert 64 * (arch.param_count + 1) > 3 * ADAM_BLOCK
+        cfg = FilterTrainConfig(episodes=2, steps_per_episode=20, batch_size=16)
+        filt, log = train_filter(cfg, data, arch, seed=3)
+        ref, ref_losses = reference_train_filter(cfg, data, arch, seed=3)
+        assert filt.params.tobytes() == ref.params.tobytes()
+        assert log.losses == ref_losses
+        assert not filt.params.flags.writeable
+
     def test_custom_attack_used(self, blobs):
         arch = logistic(blobs.in_dim, blobs.classes)
         cfg = FilterTrainConfig(steps_per_episode=60, attack=AttackSpec("all_ones"))
         _, log = train_filter(cfg, blobs, arch, seed=8)
         assert 0 < sum(log.labels) < 60
+
+
+def reference_train_filter(cfg, data, server_arch, seed):
+    """train_filter's loop with a fresh frozen filter per step and the
+    textbook whole-array Adam; returns the filter and the filter losses."""
+    filt = filter_init(
+        server_arch.param_count,
+        RngStream(seed, filter_module._SID_FILTER_INIT).generator(),
+        threshold=cfg.threshold,
+        normalize=cfg.normalize,
+    )
+    m = v = np.zeros(filt.params.shape)
+    t = 0
+    init_rng = RngStream(seed, SID_SERVER_INIT).generator()
+    pick_rng = RngStream(seed, filter_module._SID_WORKER_PICK).generator()
+    batch_rng = RngStream(seed, filter_module._SID_BATCH).generator()
+    attack_rng = RngStream(seed, filter_module._SID_ATTACK).generator()
+    losses = []
+    for _episode in range(cfg.episodes):
+        params = init_params(server_arch, init_rng)
+        for _t in range(cfg.steps_per_episode):
+            byz = int(pick_rng.integers(0, 2))
+            inputs, labels = sample_minibatch(data, cfg.batch_size, batch_rng)
+            grad, server_loss = backward(server_arch, params, inputs, labels)
+            if byz:
+                grad = apply_attack(cfg.attack, grad, attack_rng)
+            report = GradientReport(param_vector(grad), server_loss)
+            params = apply_update(params, report.gradient, cfg.server_lr, byz)
+            filter_grad, loss, _ = filter_gradient(filt, report, byz, cfg.positive_weight)
+            t += 1
+            m, v, new = textbook_adam(m, v, t, filt.params, filter_grad, cfg.filter_lr)
+            filt = replace(filt, params=param_vector(new))
+            losses.append(loss)
+    return filt, losses
 
 
 class TestSerialization:

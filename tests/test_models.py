@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgcf.core import LengthMismatchError, param_vector
+from rgcf.core import LengthMismatchError, NonFiniteValueError, param_vector
 from rgcf.models import (
-    AdamState,
+    ADAM_BLOCK,
     Architecture,
     ShapeMismatchError,
     adam_init,
     adam_step,
     apply_update,
     backward,
-    finite_diff_gradient,
-    forward_loss,
+    cross_entropy,
     init_params,
     logistic,
     mlp,
@@ -21,6 +20,43 @@ from rgcf.models import (
     unflatten,
 )
 from tests.conftest import rng
+
+
+def forward_loss(
+    arch: Architecture, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray
+) -> float:
+    """Mean softmax cross-entropy of the batch."""
+    logits, _ = mlp_forward(params, arch.layer_sizes, inputs)
+    return cross_entropy(logits, labels)
+
+
+def finite_diff_gradient(
+    arch: Architecture, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray, h: float = 1e-5
+) -> np.ndarray:
+    """Central-difference gradient oracle: (L(w+h e_j) - L(w-h e_j)) / 2h."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    base = np.array(params)
+    grad = np.empty_like(base)
+    for j in range(base.shape[0]):
+        wp = base.copy()
+        wp[j] += h
+        wm = base.copy()
+        wm[j] -= h
+        lp = forward_loss(arch, wp, inputs, labels)
+        lm = forward_loss(arch, wm, inputs, labels)
+        grad[j] = (lp - lm) / (2.0 * h)
+    return grad
+
+
+def textbook_adam(m, v, t, params, grad, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Kingma & Ba's bias-corrected update as whole-array expressions;
+    returns new (m, v, params) and leaves its arguments alone."""
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    mhat = m / (1.0 - beta1**t)
+    vhat = v / (1.0 - beta2**t)
+    return m, v, params - lr * mhat / (np.sqrt(vhat) + eps)
 
 
 class TestArchitecture:
@@ -173,13 +209,14 @@ class TestApplyUpdate:
 class TestAdam:
     def test_first_step_hand_recurrence(self):
         s = adam_init(2, lr=0.1)
-        p = param_vector([1.0, -1.0])
+        p = np.array([1.0, -1.0])
+        before = p.copy()
         g = param_vector([0.5, 0.2])
-        s1, p1 = adam_step(s, p, g)
+        adam_step(s, p, g)
         # t=1: mhat = g, vhat = g^2, step = lr * g / (|g| + eps)
-        expected = p - 0.1 * g / (np.abs(g) + 1e-8)
-        assert np.allclose(p1, expected, atol=1e-12)
-        assert s1.t == 1
+        expected = before - 0.1 * g / (np.abs(g) + 1e-8)
+        assert np.allclose(p, expected, atol=1e-12)
+        assert s.t == 1
 
     def test_two_steps_match_reference(self):
         # independent reimplementation of the bias-corrected recurrence
@@ -194,19 +231,46 @@ class TestAdam:
             v = b2 * v + (1 - b2) * g * g
             ref -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
         state = adam_init(3, lr=lr)
-        cur = param_vector(p)
+        cur = p.copy()
         for g in grads:
-            state, cur = adam_step(state, cur, param_vector(g))
+            adam_step(state, cur, param_vector(g))
         assert np.allclose(cur, ref, atol=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            adam_step(adam_init(2), param_vector([1.0, 2.0]), param_vector([1.0]))
+            adam_step(adam_init(2), np.array([1.0, 2.0]), param_vector([1.0]))
 
-    def test_state_is_immutable_record(self):
-        s = AdamState(m=np.zeros(1), v=np.zeros(1))
-        with pytest.raises(AttributeError):
-            s.t = 3
+    @pytest.mark.parametrize(
+        "size", [1, ADAM_BLOCK - 1, ADAM_BLOCK, ADAM_BLOCK + 1, 3 * ADAM_BLOCK + 7]
+    )
+    def test_blocked_in_place_equals_textbook(self, size):
+        # every bit of params, m and v after 25 steps, at sizes that end
+        # inside, on and just past a block boundary
+        r = rng(4, size)
+        lr = 0.003
+        params = r.standard_normal(size)
+        ref_m, ref_v, ref_p = np.zeros(size), np.zeros(size), params.copy()
+        state = adam_init(size, lr=lr)
+        for t in range(1, 26):
+            grad = r.standard_normal(size) * np.exp(r.uniform(-20.0, 5.0, size))
+            ref_m, ref_v, ref_p = textbook_adam(ref_m, ref_v, t, ref_p, grad, lr)
+            adam_step(state, params, grad)
+        assert state.t == 25
+        assert np.array_equal(params, ref_p)
+        assert np.array_equal(state.m, ref_m)
+        assert np.array_equal(state.v, ref_v)
+
+    @pytest.mark.parametrize("bad", [1, ADAM_BLOCK + 2])
+    def test_non_finite_weight_raises_at_its_coordinate(self, bad):
+        # 1.7e308 moved by lr=1e308 in its gradient's descent direction
+        # overflows to -inf; every other coordinate stays finite
+        params = np.zeros(ADAM_BLOCK + 5)
+        params[bad] = -1.7e308
+        grad = np.zeros_like(params)
+        grad[bad] = 1.0
+        with pytest.raises(NonFiniteValueError) as err, np.errstate(over="ignore"):
+            adam_step(adam_init(params.shape[0], lr=1e308), params, grad)
+        assert err.value.index == bad
 
 
 def test_server_model_validates_length():
