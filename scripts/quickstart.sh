@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
-# Minimal end-to-end demo (~15 s): train a filter for a logistic model on
-# blobs, deploy it against 50% inverse-attack workers, and compare with an
-# unprotected mean aggregator on the same run.
+# Minimal end-to-end demo (about 2 s on a 2-vCPU Xeon VM): train a filter
+# for a logistic model on blobs, deploy it against 50% inverse-attack
+# workers, and compare with an unprotected mean aggregator on the same run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# The rgcf of this checkout, whether or not a copy is installed.
+rgcf() {
+    PYTHONPATH="$PWD/src" python3 -m rgcf.cli "$@"
+}
 
 OUT="runs/quickstart"
 

@@ -9,6 +9,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The rgcf of this checkout, whether or not a copy is installed.
+rgcf() {
+    PYTHONPATH="$PWD/src" python3 -m rgcf.cli "$@"
+}
+
 SEED="${1:-0}"
 OUT="runs/compare"
 

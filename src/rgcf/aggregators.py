@@ -26,9 +26,6 @@ AGGREGATOR_KINDS = (MEAN, KRUM, COORD_MEDIAN, TRIMMED_MEAN, BULYAN)
 class AggregatorSpec:
     kind: str
     f_count: int = 0
-    # Krum scoring per the original definition uses squared distances; plain
-    # norms are selectable for sensitivity checks.
-    squared_distances: bool = True
 
     def __post_init__(self):
         if self.kind not in AGGREGATOR_KINDS:
@@ -37,17 +34,24 @@ class AggregatorSpec:
             raise ValueError("f_count must be >= 0")
 
     def check_preconditions(self, n: int) -> None:
-        _check_worker_count(self.kind, n, self.f_count)
+        bound = max_f_count(self.kind, n)
+        if bound is not None and self.f_count > bound:
+            raise TooFewWorkersError(
+                f"{self.kind} at n={n} accepts f_count <= {bound}, got {self.f_count}"
+            )
 
 
-def _check_worker_count(kind: str, n: int, f_count: int) -> None:
-    """The minimum worker count of each rule that assumes f_count Byzantine workers."""
-    if kind == KRUM and n < f_count + 3:
-        raise TooFewWorkersError(f"krum needs n >= f+3, got n={n}, f={f_count}")
-    if kind == TRIMMED_MEAN and n - 2 * f_count < 1:
-        raise TooFewWorkersError(f"trimmed mean needs n - 2f >= 1, got n={n}, f={f_count}")
-    if kind == BULYAN and n < 4 * f_count + 3:
-        raise TooFewWorkersError(f"bulyan needs n >= 4f+3, got n={n}, f={f_count}")
+def max_f_count(kind: str, n: int) -> int | None:
+    """The largest f_count the rule accepts at n workers (negative when
+    none fits), or None for rules that take no f_count: Krum needs
+    n >= f+3, trimmed mean n - 2f >= 1 and Bulyan n >= 4f+3."""
+    if kind == KRUM:
+        return n - 3
+    if kind == TRIMMED_MEAN:
+        return (n - 1) // 2
+    if kind == BULYAN:
+        return (n - 3) // 4
+    return None
 
 
 def _stack(grads: list[np.ndarray]) -> np.ndarray:
@@ -77,33 +81,25 @@ def _squared_distances(g: np.ndarray) -> np.ndarray:
     return dist2
 
 
-def _krum_scores(dist2: np.ndarray, f_count: int, squared: bool) -> np.ndarray:
-    """Score each vector by the summed (squared) distances to its
-    n - f - 2 nearest other vectors, from their squared-distance matrix.
-    Pools too small for that many neighbors (possible inside Bulyan's
-    selection loop) use however many remain, down to zero."""
+def _krum_scores(dist2: np.ndarray, f_count: int) -> np.ndarray:
+    """Score each vector by the summed squared distances to its n - f - 2
+    nearest other vectors, from their squared-distance matrix. Each row's
+    zero diagonal sorts first and is skipped. Pools too small for that many
+    neighbors (possible inside Bulyan's selection loop) use however many
+    remain, down to zero."""
     n = dist2.shape[0]
-    contrib = dist2 if squared else np.sqrt(dist2)
     k = max(0, min(n - f_count - 2, n - 1))
-    scores = np.empty(n)
-    for i in range(n):
-        others = np.sort(np.delete(contrib[i], i))
-        scores[i] = others[:k].sum()
-    return scores
+    return np.sort(dist2, axis=1)[:, 1 : k + 1].sum(axis=1)
 
 
-def agg_krum(
-    grads: list[np.ndarray], f_count: int, squared_distances: bool = True
-) -> tuple[int, np.ndarray]:
+def agg_krum(grads: list[np.ndarray], f_count: int) -> tuple[int, np.ndarray]:
     """Return (index, vector) of the input minimizing the Krum score.
 
     Ties break to the lowest index.
     """
     g = _stack(grads)
-    n = g.shape[0]
-    _check_worker_count(KRUM, n, f_count)
-    scores = _krum_scores(_squared_distances(g), f_count, squared_distances)
-    idx = int(np.argmin(scores))
+    AggregatorSpec(KRUM, f_count).check_preconditions(g.shape[0])
+    idx = int(np.argmin(_krum_scores(_squared_distances(g), f_count)))
     return idx, grads[idx]
 
 
@@ -116,16 +112,14 @@ def agg_trimmed_mean(grads: list[np.ndarray], f_count: int) -> np.ndarray:
     """Per coordinate, drop the f_count largest and smallest values, average the rest."""
     g = _stack(grads)
     n = g.shape[0]
-    _check_worker_count(TRIMMED_MEAN, n, f_count)
+    AggregatorSpec(TRIMMED_MEAN, f_count).check_preconditions(n)
     if f_count == 0:
         return g.mean(axis=0)
     s = np.sort(g, axis=0)
     return s[f_count : n - f_count].mean(axis=0)
 
 
-def agg_bulyan(
-    grads: list[np.ndarray], f_count: int, squared_distances: bool = True
-) -> np.ndarray:
+def agg_bulyan(grads: list[np.ndarray], f_count: int) -> np.ndarray:
     """Two-stage rule: repeated Krum selection of theta = n - 2f vectors,
     then per coordinate the mean of the beta = theta - 2f values closest
     to the coordinate median of the selected set. The pairwise distances
@@ -133,13 +127,13 @@ def agg_bulyan(
     the pool on their sub-matrix."""
     g = _stack(grads)
     n = g.shape[0]
-    _check_worker_count(BULYAN, n, f_count)
+    AggregatorSpec(BULYAN, f_count).check_preconditions(n)
     theta = n - 2 * f_count
     dist2 = _squared_distances(g)
     pool = list(range(n))
     selected = []
     while len(selected) < theta:
-        scores = _krum_scores(dist2[np.ix_(pool, pool)], f_count, squared_distances)
+        scores = _krum_scores(dist2[np.ix_(pool, pool)], f_count)
         best = int(np.argmin(scores))
         selected.append(pool.pop(best))
     sel = g[selected]
@@ -151,15 +145,15 @@ def agg_bulyan(
 
 
 def aggregate(spec: AggregatorSpec, grads: list[np.ndarray]) -> np.ndarray:
-    spec.check_preconditions(len(grads))
+    """Dispatch to spec's rule; each bounded rule checks its worker count."""
     if spec.kind == MEAN:
         return agg_mean(grads)
     if spec.kind == KRUM:
-        return agg_krum(grads, spec.f_count, spec.squared_distances)[1]
+        return agg_krum(grads, spec.f_count)[1]
     if spec.kind == COORD_MEDIAN:
         return agg_coord_median(grads)
     if spec.kind == TRIMMED_MEAN:
         return agg_trimmed_mean(grads, spec.f_count)
     if spec.kind == BULYAN:
-        return agg_bulyan(grads, spec.f_count, spec.squared_distances)
+        return agg_bulyan(grads, spec.f_count)
     raise AssertionError(f"unreachable: {spec.kind}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import models
-from .aggregators import BULYAN, COORD_MEDIAN, KRUM, MEAN, TRIMMED_MEAN, AggregatorSpec
+from .aggregators import BULYAN, AggregatorSpec, max_f_count
 from .attacks import INVERSE, AttackSpec
 from .config import ConfigError, ExperimentConfig, build_config, write_manifest
 from .core import RngStream
@@ -98,12 +98,6 @@ def build_arch(cfg: ExperimentConfig, data: Dataset) -> Architecture:
     return models.mlp(data.in_dim, cfg.hidden, data.classes)
 
 
-def resolve_f_count(cfg: ExperimentConfig) -> int:
-    if cfg.f_count >= 0:
-        return cfg.f_count
-    return round(cfg.n_workers * cfg.byzantine_fraction)
-
-
 @dataclass(frozen=True)
 class Specs:
     """Every spec an ExperimentConfig describes."""
@@ -137,9 +131,9 @@ def resolve(cfg: ExperimentConfig) -> Specs:
             eval_every=cfg.eval_every,
             batch_size=cfg.batch_size,
         )
+        f_count = run.byzantine_count if cfg.f_count == -1 else cfg.f_count
+        aggregator = AggregatorSpec(cfg.aggregator, f_count)
         if cfg.mode == AGGREGATOR_MODE:
-            f_count = max(0, resolve_f_count(cfg))
-            aggregator = AggregatorSpec(cfg.aggregator, f_count, cfg.krum_squared)
             aggregator.check_preconditions(run.n_workers)
             run = replace(run, aggregator=aggregator)
         elif cfg.mode != RGCF_MODE:
@@ -167,8 +161,7 @@ def resolve(cfg: ExperimentConfig) -> Specs:
                     cell = replace(base, attack=attack)
                     if method != "rgcf":
                         fc = clamped_f_count(method, base.n_workers, base.byzantine_count)
-                        spec = None if fc is None else AggregatorSpec(method, fc, cfg.krum_squared)
-                        cell = None if spec is None else replace(cell, aggregator=spec)
+                        cell = None if fc is None else replace(cell, aggregator=AggregatorSpec(method, fc))
                     grid.append((method, attack.kind, base.byzantine_fraction, cell))
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -291,18 +284,16 @@ SKIPPED = "–"
 
 
 def clamped_f_count(kind: str, n: int, f_true: int) -> int | None:
-    """The assumed-f an operator would hand a baseline. Krum and trimmed
-    mean cap at their feasible maximum; Bulyan has no sensible cap (its
-    n >= 4f+3 bound is structural), so infeasible cells are skipped."""
-    if kind in (MEAN, COORD_MEDIAN):
+    """The assumed-f an operator would hand a baseline, or None when the
+    cell is skipped. Krum and trimmed mean cap at the largest f_count they
+    accept; Bulyan has no sensible cap (its bound is structural), so
+    infeasible cells are skipped."""
+    bound = max_f_count(kind, n)
+    if bound is None:
         return 0
-    if kind == KRUM:
-        return min(f_true, n - 3) if n >= 3 else None
-    if kind == TRIMMED_MEAN:
-        return min(f_true, (n - 1) // 2)
     if kind == BULYAN:
-        return f_true if n >= 4 * f_true + 3 else None
-    raise ConfigError(f"unknown method {kind!r}")
+        return f_true if f_true <= bound else None
+    return min(f_true, bound) if bound >= 0 else None
 
 
 def convergence_verdict(m: RunMetrics, ref: float) -> tuple[str, float]:

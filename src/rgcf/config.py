@@ -76,7 +76,6 @@ class ExperimentConfig:
     mode: str = "rgcf"  # rgcf | aggregator
     aggregator: str = "mean"
     f_count: int = -1  # -1 = round(n_workers * byzantine_fraction)
-    krum_squared: bool = True
     n_workers: int = 10
     byzantine_fraction: float = 0.0
     attack: str = "inverse"

@@ -4,13 +4,13 @@ The oracles below are deliberately written from the rule definitions with
 plain Python lists/sorts, sharing no code with rgcf.aggregators.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from rgcf.aggregators import (
     AggregatorSpec,
+    _krum_scores,
+    _squared_distances,
     agg_bulyan,
     agg_coord_median,
     agg_krum,
@@ -22,7 +22,7 @@ from rgcf.core import EmptyInputError, LengthMismatchError, TooFewWorkersError
 from tests.conftest import rng
 
 
-def oracle_krum_scores(vectors, f, squared):
+def oracle_krum_scores(vectors, f):
     n = len(vectors)
     k = max(0, min(n - f - 2, n - 1))
     scores = []
@@ -32,14 +32,12 @@ def oracle_krum_scores(vectors, f, squared):
             for j in range(n)
             if j != i
         )
-        if not squared:
-            dists = [math.sqrt(d) for d in dists]
         scores.append(sum(dists[:k]))
     return scores
 
 
-def oracle_krum(vectors, f, squared=True):
-    scores = oracle_krum_scores(vectors, f, squared)
+def oracle_krum(vectors, f):
+    scores = oracle_krum_scores(vectors, f)
     best = min(range(len(vectors)), key=lambda i: (scores[i], i))
     return best
 
@@ -65,13 +63,13 @@ def oracle_trimmed_mean(vectors, f):
     return out
 
 
-def oracle_bulyan(vectors, f, squared=True):
+def oracle_bulyan(vectors, f):
     n = len(vectors)
     theta = n - 2 * f
     pool = list(range(n))
     selected = []
     while len(selected) < theta:
-        scores = oracle_krum_scores([vectors[i] for i in pool], f, squared)
+        scores = oracle_krum_scores([vectors[i] for i in pool], f)
         best = min(range(len(pool)), key=lambda i: (scores[i], i))
         selected.append(pool.pop(best))
     beta = theta - 2 * f
@@ -100,9 +98,8 @@ class TestAgainstOracles:
         for _ in range(200):
             n, _d, grads = random_instance(r)
             f = int(r.integers(0, n - 2))
-            squared = bool(r.integers(0, 2))
-            idx, vec = agg_krum(grads, f, squared)
-            assert idx == oracle_krum([list(g) for g in grads], f, squared)
+            idx, vec = agg_krum(grads, f)
+            assert idx == oracle_krum([list(g) for g in grads], f)
             assert vec is grads[idx]
 
     def test_coord_median_200_instances(self):
@@ -134,7 +131,25 @@ class TestAgainstOracles:
             count += 1
 
 
-def textbook_bulyan(grads, f, squared):
+def textbook_distances(g):
+    p = len(g)
+    dist2 = np.zeros((p, p))
+    for i in range(p):
+        for j in range(i + 1, p):
+            diff = g[i] - g[j]
+            dist2[i, j] = dist2[j, i] = float(diff @ diff)
+    return dist2
+
+
+def textbook_krum_scores(dist2, f):
+    """Krum scores as first written: per row, delete the diagonal, sort,
+    and sum the n - f - 2 smallest."""
+    p = len(dist2)
+    k = max(0, min(p - f - 2, p - 1))
+    return np.array([np.sort(np.delete(dist2[i], i))[:k].sum() for i in range(p)])
+
+
+def textbook_bulyan(grads, f):
     """Bulyan as first written: every selection round recomputes the
     pairwise distances of the remaining pool and scores it with Krum, in
     the same floating-point operations as the rule."""
@@ -142,16 +157,7 @@ def textbook_bulyan(grads, f, squared):
     pool = list(range(len(grads)))
     selected = []
     while len(selected) < len(grads) - 2 * f:
-        sub = g[pool]
-        p = len(pool)
-        dist2 = np.zeros((p, p))
-        for i in range(p):
-            for j in range(i + 1, p):
-                diff = sub[i] - sub[j]
-                dist2[i, j] = dist2[j, i] = float(diff @ diff)
-        contrib = dist2 if squared else np.sqrt(dist2)
-        k = max(0, min(p - f - 2, p - 1))
-        scores = [np.sort(np.delete(contrib[i], i))[:k].sum() for i in range(p)]
+        scores = textbook_krum_scores(textbook_distances(g[pool]), f)
         selected.append(pool.pop(int(np.argmin(scores))))
     sel = g[selected]
     beta = len(selected) - 2 * f
@@ -159,18 +165,37 @@ def textbook_bulyan(grads, f, squared):
     return np.take_along_axis(sel, order, axis=0).mean(axis=0)
 
 
-@pytest.mark.parametrize("squared", [True, False])
-@pytest.mark.parametrize("n,f", [(7, 1), (11, 1), (11, 2), (15, 1), (15, 2), (15, 3)])
-def test_bulyan_equals_per_round_recomputation(n, f, squared):
-    # distances computed once and sliced per round select the same vectors
-    # and give the same output, bit for bit
+def per_round_inputs(n, f, outliers):
     r = rng(104)
     for _ in range(5):
         grads = [r.standard_normal(40) for _ in range(n)]
         grads[3] = grads[1].copy()  # an exact tie
-        for i in range(f):
-            grads[-1 - i] = 30.0 * r.standard_normal(40)  # outliers
-        assert np.array_equal(agg_bulyan(grads, f, squared), textbook_bulyan(grads, f, squared))
+        if outliers:
+            for i in range(f):
+                grads[-1 - i] = 30.0 * r.standard_normal(40)
+        yield grads
+    yield [np.full(40, 0.25)] * n  # every distance is zero
+    grads = [r.standard_normal(40) for _ in range(n)]
+    grads[2], grads[5] = grads[0].copy(), grads[4].copy()  # two duplicate pairs
+    yield grads
+    grads = [r.standard_normal(40) for _ in range(n)]
+    grads[n // 2] = np.full(40, 1e200)  # its squared distances overflow to inf
+    yield grads
+
+
+@pytest.mark.parametrize("outliers", [True, False])
+@pytest.mark.parametrize("n,f", [(7, 1), (11, 1), (11, 2), (15, 1), (15, 2), (15, 3)])
+def test_bulyan_equals_per_round_recomputation(n, f, outliers):
+    # distances computed once and sliced per round select the same vectors
+    # and give the same output, bit for bit; Krum's one-sort scores equal
+    # the per-row ones, bit for bit
+    for grads in per_round_inputs(n, f, outliers):
+        with np.errstate(over="ignore"):
+            assert np.array_equal(agg_bulyan(grads, f), textbook_bulyan(grads, f))
+            g = np.stack(grads)
+            scores = textbook_krum_scores(textbook_distances(g), f)
+            assert np.array_equal(_krum_scores(_squared_distances(g), f), scores)
+            assert agg_krum(grads, f)[0] == int(np.argmin(scores))
 
 
 class TestHandCases:

@@ -3,9 +3,10 @@ import os
 import pytest
 
 from rgcf import cli
-from rgcf.cli import clamped_f_count, fmt, main, resolve_f_count
+from rgcf.aggregators import AGGREGATOR_KINDS, AggregatorSpec, max_f_count
+from rgcf.cli import clamped_f_count, fmt, main, resolve
 from rgcf.config import build_config
-from rgcf.core import RngStream
+from rgcf.core import RngStream, TooFewWorkersError
 from rgcf.data import synth_gaussian_blobs
 from tests.test_data import write_idx
 
@@ -238,6 +239,10 @@ INVALID_CONFIGS = [
     ("run", ["--set", "server_lr=0"]),
     ("run", ["--set", "mode=aggregator", "--set", "server_lr=-1"]),
     ("bench", ["--set", "steps=0"]),  # every command validates the whole config
+    ("train-filter", ["--set", "aggregator=bogus", "--set", "filter_steps=5"]),
+    ("bench", ["--set", "aggregator=bogus"]),
+    ("run", ["--set", "mode=aggregator", "--set", "f_count=-2"]),  # only -1 means the default
+    ("compare", ["--set", "compare_methods=rgcf,fft"]),
 ]
 
 
@@ -321,10 +326,14 @@ class TestArgs:
 
 class TestFCount:
     def test_resolve_default_rounds(self):
-        cfg = build_config(None, {"n_workers": "10", "byzantine_fraction": "0.33"})
-        assert resolve_f_count(cfg) == 3
-        cfg = build_config(None, {"f_count": "2"})
-        assert resolve_f_count(cfg) == 2
+        agg = {"mode": "aggregator", "aggregator": "krum"}
+        cfg = build_config(None, agg | {"n_workers": "10", "byzantine_fraction": "0.33"})
+        assert resolve(cfg).run.aggregator.f_count == 3
+        cfg = build_config(None, agg | {"f_count": "2"})
+        assert resolve(cfg).run.aggregator.f_count == 2
+        # outside aggregator mode the spec is built but its bound not checked
+        cfg = build_config(None, {"aggregator": "bulyan", "f_count": "3"})
+        assert resolve(cfg).run.aggregator is None
 
     def test_clamped_policy(self):
         assert clamped_f_count("median", 10, 9) == 0
@@ -332,3 +341,24 @@ class TestFCount:
         assert clamped_f_count("trimmed_mean", 10, 9) == 4
         assert clamped_f_count("bulyan", 10, 1) == 1
         assert clamped_f_count("bulyan", 10, 2) is None
+
+    @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+    def test_bound_stated_once(self, kind):
+        # the clamp-or-skip policy and the rules' own checks read one bound
+        for n in range(1, 61):
+            bound = max_f_count(kind, n)
+            for f_true in range(n + 1):
+                fc = clamped_f_count(kind, n, f_true)
+                if fc is not None:
+                    AggregatorSpec(kind, fc).check_preconditions(n)
+                if bound is None:
+                    assert fc == 0
+                elif kind == "bulyan":
+                    try:
+                        AggregatorSpec(kind, f_true).check_preconditions(n)
+                        feasible = True
+                    except TooFewWorkersError:
+                        feasible = False
+                    assert (fc is None) == (not feasible)
+                else:
+                    assert fc == (min(f_true, bound) if bound >= 0 else None)

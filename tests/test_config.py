@@ -37,10 +37,10 @@ class TestBuild:
             build_config(None, {"steps": "many"})
 
     def test_bool_parsing(self):
-        assert build_config(None, {"krum_squared": "false"}).krum_squared is False
-        assert build_config(None, {"krum_squared": "YES"}).krum_squared is True
+        assert build_config(None, {"normalize": "false"}).normalize is False
+        assert build_config(None, {"normalize": "YES"}).normalize is True
         with pytest.raises(ConfigError):
-            build_config(None, {"krum_squared": "maybe"})
+            build_config(None, {"normalize": "maybe"})
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -65,7 +65,7 @@ class TestManifest:
             {
                 "seed": "42",
                 "arch": "mlp",
-                "krum_squared": "false",
+                "normalize": "false",
                 "hidden": "64,32",
                 "bench_n": "10,20,40",
                 "bench_methods": "rgcf,krum",
