@@ -10,8 +10,9 @@
 #
 # Probes: train-filter (logistic, MLP hidden=32, 784-input wide MLP at 50
 # steps); run in rgcf, krum, bulyan (n=11, f=2), median, trimmed_mean and
-# mean mode; an all-Byzantine attack_scale=1e200 MLP mean run that
-# diverges at its first step; the 80-cell MLP compare grid at steps=25.
+# mean mode; MLP median and bulyan (n=11, f=2) runs under the inverse
+# attack; an all-Byzantine attack_scale=1e200 MLP mean run that diverges
+# at its first step; the 80-cell MLP compare grid at steps=25.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -45,6 +46,14 @@ for agg in krum median trimmed_mean mean; do
 done
 rgcf run --seed 0 --out "$OUT/run/bulyan" "${RUN[@]}" \
     --set mode=aggregator --set aggregator=bulyan \
+    --set n_workers=11 --set f_count=2
+# MLP runs under the inverse attack put zeros of both signs in the columns
+# the medians sort, so these two check that a zero's sign never reaches the
+# parameters.
+rgcf run --seed 0 --out "$OUT/run/mlp-median" "${MLP[@]}" "${RUN[@]}" \
+    --set attack=inverse --set mode=aggregator --set aggregator=median
+rgcf run --seed 0 --out "$OUT/run/mlp-bulyan" "${MLP[@]}" "${RUN[@]}" \
+    --set attack=inverse --set mode=aggregator --set aggregator=bulyan \
     --set n_workers=11 --set f_count=2
 rgcf run --seed 0 --out "$OUT/run/diverge" "${MLP[@]}" \
     --set mode=aggregator --set aggregator=mean \

@@ -103,9 +103,23 @@ def agg_krum(grads: list[np.ndarray], f_count: int) -> tuple[int, np.ndarray]:
     return idx, grads[idx]
 
 
+def _coord_median(g: np.ndarray) -> np.ndarray:
+    """Median of each column of g from one sort down the columns: the middle
+    row for odd n, the mean of the two middle rows for even n, and NaN in
+    any column holding a NaN (the sort puts it in the last row). It equals
+    np.median(g, axis=0) in value; only the sign of a zero median may
+    differ."""
+    n = g.shape[0]
+    h = n // 2
+    s = np.sort(g, axis=0)
+    med = s[h].copy() if n % 2 else (s[h - 1] + s[h]) / 2
+    med[np.isnan(s[-1])] = np.nan
+    return med
+
+
 def agg_coord_median(grads: list[np.ndarray]) -> np.ndarray:
     """Per-coordinate median; even n averages the two middle order statistics."""
-    return np.median(_stack(grads), axis=0)
+    return _coord_median(_stack(grads))
 
 
 def agg_trimmed_mean(grads: list[np.ndarray], f_count: int) -> np.ndarray:
@@ -138,7 +152,7 @@ def agg_bulyan(grads: list[np.ndarray], f_count: int) -> np.ndarray:
         selected.append(pool.pop(best))
     sel = g[selected]
     beta = theta - 2 * f_count
-    med = np.median(sel, axis=0)
+    med = _coord_median(sel)
     # Stable argsort keeps selection order among equidistant values.
     order = np.argsort(np.abs(sel - med), axis=0, kind="stable")[:beta]
     return np.take_along_axis(sel, order, axis=0).mean(axis=0)

@@ -58,27 +58,28 @@ def _head(data: Dataset, n: int) -> Dataset:
     return Dataset(inputs=data.inputs[:n], labels=data.labels[:n], classes=data.classes)
 
 
-def load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """Returns (train, val). Settings the data cannot satisfy are a
-    ConfigError; a corrupt IDX file is a runtime failure."""
+def _blobs(cfg: ExperimentConfig, per_class: int, sid: int) -> Dataset:
+    try:
+        return synth_gaussian_blobs(
+            cfg.blobs_classes,
+            per_class,
+            cfg.blobs_in_dim,
+            cfg.blobs_separation,
+            RngStream(cfg.seed, sid).generator(),
+        )
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+def load_train(cfg: ExperimentConfig) -> Dataset:
+    """The training set. Settings the data cannot satisfy, the validation
+    set's included, are a ConfigError, so a command that builds no
+    validation set rejects the same configs; a corrupt IDX file is a
+    runtime failure."""
     if cfg.task == "blobs":
-        try:
-            train = synth_gaussian_blobs(
-                cfg.blobs_classes,
-                cfg.blobs_per_class,
-                cfg.blobs_in_dim,
-                cfg.blobs_separation,
-                RngStream(cfg.seed, _SID_BLOBS_TRAIN).generator(),
-            )
-            val = synth_gaussian_blobs(
-                cfg.blobs_classes,
-                cfg.blobs_val_per_class,
-                cfg.blobs_in_dim,
-                cfg.blobs_separation,
-                RngStream(cfg.seed, _SID_BLOBS_VAL).generator(),
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        if cfg.blobs_val_per_class < 1:
+            raise ConfigError("blobs_val_per_class must be >= 1")
+        train = _blobs(cfg, cfg.blobs_per_class, _SID_BLOBS_TRAIN)
     else:
         for path in (cfg.train_images, cfg.train_labels, cfg.val_images, cfg.val_labels):
             if not path:
@@ -86,10 +87,16 @@ def load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
             if not os.path.exists(path):
                 raise ConfigError(f"dataset file not found: {path}")
         train = load_idx(cfg.train_images, cfg.train_labels)
-        val = _head(load_idx(cfg.val_images, cfg.val_labels), cfg.val_subset)
     if cfg.n_workers > train.size:
         raise ConfigError(f"n_workers={cfg.n_workers} exceeds the {train.size} training examples")
-    return train, val
+    return train
+
+
+def load_val(cfg: ExperimentConfig) -> Dataset:
+    """The validation set, for settings that load_train has checked."""
+    if cfg.task == "blobs":
+        return _blobs(cfg, cfg.blobs_val_per_class, _SID_BLOBS_VAL)
+    return _head(load_idx(cfg.val_images, cfg.val_labels), cfg.val_subset)
 
 
 def build_arch(cfg: ExperimentConfig, data: Dataset) -> Architecture:
@@ -214,7 +221,7 @@ def _write_run_outputs(cfg: ExperimentConfig, m: RunMetrics) -> None:
 
 
 def cmd_train_filter(cfg: ExperimentConfig, specs: Specs) -> int:
-    train_data, _val = load_datasets(cfg)
+    train_data = load_train(cfg)
     if cfg.task == "idx":
         train_data = _head(train_data, cfg.train_subset)
     arch = build_arch(cfg, train_data)
@@ -244,7 +251,7 @@ def _load_filter(cfg: ExperimentConfig, arch: Architecture) -> FilterNet:
 
 
 def cmd_run(cfg: ExperimentConfig, specs: Specs) -> int:
-    train_data, val_data = load_datasets(cfg)
+    train_data, val_data = load_train(cfg), load_val(cfg)
     arch = build_arch(cfg, train_data)
     filt = _load_filter(cfg, arch) if cfg.mode == RGCF_MODE else None
     os.makedirs(cfg.out, exist_ok=True)
@@ -311,7 +318,7 @@ def convergence_verdict(m: RunMetrics, ref: float) -> tuple[str, float]:
 
 
 def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
-    train_data, val_data = load_datasets(cfg)
+    train_data, val_data = load_train(cfg), load_val(cfg)
     arch = build_arch(cfg, train_data)
     filt = _load_filter(cfg, arch) if "rgcf" in cfg.compare_methods else None
     os.makedirs(cfg.out, exist_ok=True)

@@ -120,10 +120,19 @@ def shard(data: Dataset, n: int, rng: np.random.Generator) -> list[Dataset]:
 
 
 def sample_minibatch(
-    data: Dataset, size: int, rng: np.random.Generator
+    data: Dataset,
+    size: int,
+    rng: np.random.Generator,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform with-replacement sample: (inputs, labels)."""
+    """Uniform with-replacement sample: (inputs, labels), gathered into the
+    (size, in_dim) and (size,) arrays of out when it is given."""
     if size < 1:
         raise ValueError("size must be >= 1")
     idx = rng.integers(0, data.size, size=size)
-    return data.inputs[idx], data.labels[idx]
+    if out is None:
+        return data.inputs[idx], data.labels[idx]
+    # Every index is in range, so "clip" moves none; unlike the default
+    # "raise", it gathers straight into out without a buffer.
+    inputs = np.take(data.inputs, idx, axis=0, out=out[0], mode="clip")
+    return inputs, np.take(data.labels, idx, out=out[1], mode="clip")

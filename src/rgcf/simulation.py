@@ -115,16 +115,16 @@ def worker_step(
     attack_rngs: list[np.random.Generator],
 ) -> list[GradientReport]:
     """One turn of the queried workers, in order: each draws a fresh
-    mini-batch from its own stream (batch_rngs[w.id]), one stacked backward
-    pass computes every honest gradient, and each Byzantine worker then
-    attacks its own with attack_rngs[w.id]. Every worker sends one report,
-    its gradient with the honest loss. All workers share one batch size."""
-    batches = [sample_minibatch(w.shard, w.batch_size, batch_rngs[w.id]) for w in workers]
-    if len(batches) == 1:
-        inputs, labels = batches[0][0][None], batches[0][1][None]
-    else:
-        inputs = np.stack([x for x, _ in batches])
-        labels = np.stack([y for _, y in batches])
+    mini-batch from its own stream (batch_rngs[w.id]) into its row of one
+    (k, batch, in_dim) array, one stacked backward pass computes every
+    honest gradient, and each Byzantine worker then attacks its own with
+    attack_rngs[w.id]. Every worker sends one report, its gradient with the
+    honest loss. All workers share one batch size."""
+    data = workers[0].shard
+    inputs = np.empty((len(workers), workers[0].batch_size, data.in_dim), data.inputs.dtype)
+    labels = np.empty(inputs.shape[:2], data.labels.dtype)
+    for w, x, y in zip(workers, inputs, labels):
+        sample_minibatch(w.shard, w.batch_size, batch_rngs[w.id], out=(x, y))
     grads, losses = models.backward(arch, params, inputs, labels)
     reports = []
     for w, grad, loss in zip(workers, grads, losses.tolist()):

@@ -9,6 +9,7 @@ import pytest
 
 from rgcf.aggregators import (
     AggregatorSpec,
+    _coord_median,
     _krum_scores,
     _squared_distances,
     agg_bulyan,
@@ -196,6 +197,36 @@ def test_bulyan_equals_per_round_recomputation(n, f, outliers):
             scores = textbook_krum_scores(textbook_distances(g), f)
             assert np.array_equal(_krum_scores(_squared_distances(g), f), scores)
             assert agg_krum(grads, f)[0] == int(np.argmin(scores))
+
+
+def median_cases():
+    """n in 1..13 at random d, rounded to halves so columns hold ties, with
+    +-inf, NaN, -0.0 and an all-equal first column mixed in."""
+    r = rng(105)
+    for _ in range(1000):
+        n, d = int(r.integers(1, 14)), int(r.integers(1, 40))
+        g = np.round(2 * r.standard_normal((n, d))) / 2
+        u = r.random((n, d))
+        g[u < 0.05] = np.inf
+        g[(u >= 0.05) & (u < 0.1)] = -np.inf
+        g[(u >= 0.1) & (u < 0.13)] = np.nan
+        g[(u >= 0.13) & (u < 0.2)] = -0.0
+        g[:, 0] = g[0, 0]
+        yield g
+
+
+def test_coord_median_equals_np_median():
+    # the median from one column sort has np.median's values and NaN
+    # positions; where the bits differ, both are zeros of opposite sign
+    with np.errstate(invalid="ignore"):
+        for g in median_cases():
+            got, want = _coord_median(g), np.median(g, axis=0)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            num = ~np.isnan(want)
+            assert (got[num] == want[num]).all()
+            differ = num & (got.view(np.uint64) != want.view(np.uint64))
+            assert (want[differ] == 0).all()
+            assert (np.signbit(got[differ]) != np.signbit(want[differ])).all()
 
 
 class TestHandCases:

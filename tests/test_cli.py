@@ -243,6 +243,7 @@ INVALID_CONFIGS = [
     ("bench", ["--set", "aggregator=bogus"]),
     ("run", ["--set", "mode=aggregator", "--set", "f_count=-2"]),  # only -1 means the default
     ("compare", ["--set", "compare_methods=rgcf,fft"]),
+    ("train-filter", ["--set", "blobs_val_per_class=0"]),  # checked though not built
 ]
 
 
