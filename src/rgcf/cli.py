@@ -72,13 +72,9 @@ def _blobs(cfg: ExperimentConfig, per_class: int, sid: int) -> Dataset:
 
 
 def load_train(cfg: ExperimentConfig) -> Dataset:
-    """The training set. Settings the data cannot satisfy, the validation
-    set's included, are a ConfigError, so a command that builds no
-    validation set rejects the same configs; a corrupt IDX file is a
-    runtime failure."""
+    """The training set. Settings the data cannot satisfy are a
+    ConfigError; a corrupt IDX file is a runtime failure."""
     if cfg.task == "blobs":
-        if cfg.blobs_val_per_class < 1:
-            raise ConfigError("blobs_val_per_class must be >= 1")
         train = _blobs(cfg, cfg.blobs_per_class, _SID_BLOBS_TRAIN)
     else:
         for path in (cfg.train_images, cfg.train_labels, cfg.val_images, cfg.val_labels):
@@ -93,7 +89,7 @@ def load_train(cfg: ExperimentConfig) -> Dataset:
 
 
 def load_val(cfg: ExperimentConfig) -> Dataset:
-    """The validation set, for settings that load_train has checked."""
+    """The validation set, for settings that resolve and load_train have checked."""
     if cfg.task == "blobs":
         return _blobs(cfg, cfg.blobs_val_per_class, _SID_BLOBS_VAL)
     return _head(load_idx(cfg.val_images, cfg.val_labels), cfg.val_subset)
@@ -128,6 +124,8 @@ def resolve(cfg: ExperimentConfig) -> Specs:
             raise ConfigError("mlp arch requires nonempty, positive hidden dims")
         if min(cfg.train_subset, cfg.val_subset) < 0:
             raise ConfigError("train_subset and val_subset must be >= 0")
+        if cfg.task == "blobs" and cfg.blobs_val_per_class < 1:
+            raise ConfigError("blobs_val_per_class must be >= 1")
         run = RunConfig(
             n_workers=cfg.n_workers,
             byzantine_fraction=cfg.byzantine_fraction,

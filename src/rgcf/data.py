@@ -130,9 +130,10 @@ def sample_minibatch(
     if size < 1:
         raise ValueError("size must be >= 1")
     idx = rng.integers(0, data.size, size=size)
-    if out is None:
-        return data.inputs[idx], data.labels[idx]
+    inputs, labels = out if out is not None else (None, None)
     # Every index is in range, so "clip" moves none; unlike the default
     # "raise", it gathers straight into out without a buffer.
-    inputs = np.take(data.inputs, idx, axis=0, out=out[0], mode="clip")
-    return inputs, np.take(data.labels, idx, out=out[1], mode="clip")
+    return (
+        np.take(data.inputs, idx, axis=0, out=inputs, mode="clip"),
+        np.take(data.labels, idx, out=labels, mode="clip"),
+    )
