@@ -9,7 +9,9 @@
 #   scripts/check_bits.sh OUT
 #
 # Probes: train-filter (logistic, MLP hidden=32, 784-input wide MLP at 50
-# steps); run in rgcf, krum, bulyan (n=11, f=2), median, trimmed_mean and
+# steps, MLP over two episodes under the inverse attack, so Adam state
+# crosses an episode boundary and the attack depends on the server's
+# parameters); run in rgcf, krum, bulyan (n=11, f=2), median, trimmed_mean and
 # mean mode; MLP median and bulyan (n=11, f=2) runs under the inverse
 # attack; an all-Byzantine attack_scale=1e200 MLP mean run that diverges
 # at its first step; the 80-cell MLP compare grid at steps=25.
@@ -37,6 +39,8 @@ RUN=(--set byzantine_fraction=0.3 --set steps=300)
 rgcf train-filter --seed 0 --out "$OUT/logistic"
 rgcf train-filter --seed 0 --out "$OUT/mlp" "${MLP[@]}"
 rgcf train-filter --seed 0 --out "$OUT/wide" "${WIDE[@]}" --set filter_steps=50
+rgcf train-filter --seed 0 --out "$OUT/mlp-inverse" "${MLP[@]}" \
+    --set episodes=2 --set train_attack=inverse
 
 rgcf run --seed 0 --out "$OUT/run/rgcf" "${RUN[@]}" \
     --set "filter_file=$OUT/logistic/filter.rgcf"

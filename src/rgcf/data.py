@@ -98,7 +98,11 @@ def synth_gaussian_blobs(
     labels = np.repeat(np.arange(classes), per_class)
     inputs[np.arange(n), labels] += separation
     lo, hi = inputs.min(), inputs.max()
-    inputs = (inputs - lo) / (hi - lo) if hi > lo else np.zeros_like(inputs)
+    if hi > lo:
+        inputs -= lo
+        inputs /= hi - lo
+    else:
+        inputs[...] = 0.0
     perm = rng.permutation(n)
     return Dataset(inputs=inputs[perm], labels=labels[perm], classes=classes)
 

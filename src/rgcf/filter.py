@@ -23,6 +23,7 @@ from .data import Dataset, read_exact, sample_minibatch
 from .models import (
     AdamState,
     Architecture,
+    FactoredGradient,
     ShapeMismatchError,
     adam_init,
     adam_step,
@@ -129,11 +130,12 @@ def filter_loss(pred: float, label: int, p: float) -> float:
 
 
 def filter_gradient(
-    filt: FilterNet, report: GradientReport, label: int, p: float, out: np.ndarray | None = None
-) -> tuple[np.ndarray, float, float]:
+    filt: FilterNet, report: GradientReport, label: int, p: float
+) -> tuple[FactoredGradient, float, float]:
     """Gradient of the single-example weighted BCE w.r.t. the filter's own
-    parameters (written into `out` when given), plus the loss value and the
-    predicted probability."""
+    parameters, plus the loss value and the predicted probability. The
+    first weight matrix's gradient is kept as its two factors, the input
+    row and the first layer's delta."""
     x = _filter_input(filt, report.gradient, report.loss)
     z, acts = mlp_forward(filt.params, filt.layer_sizes, x)
     pred = 1.0 / (1.0 + np.exp(-z[0, 0]))
@@ -142,25 +144,21 @@ def filter_gradient(
     # dL/dq through the clamp, then sigmoid derivative at the raw pred.
     dq = -p / q if label == 1 else 1.0 / (1.0 - q)
     dz = np.array([[dq * pred * (1.0 - pred)]])
-    return mlp_backward(filt.params, filt.layer_sizes, acts, dz, out), loss, pred
+    rest = np.empty(filt.params.shape[0] - x.shape[1] * filt.layer_sizes[1])
+    delta = mlp_backward(filt.params, filt.layer_sizes, acts, dz, rest)
+    return FactoredGradient(x[0], delta[0], rest), loss, pred
 
 
 def filter_train_step(
-    filt: FilterNet,
-    adam: AdamState,
-    report: GradientReport,
-    label: int,
-    p: float,
-    out: np.ndarray | None = None,
+    filt: FilterNet, adam: AdamState, report: GradientReport, label: int, p: float
 ) -> tuple[float, float]:
     """One Adam update on the single-example weighted BCE, in place on the
-    filter's writable weights and on `adam`; the filter gradient is written
-    into `out` when given.
+    filter's writable weights and on `adam`.
 
     Returns the pre-update loss value and predicted probability. A weight
     the update leaves non-finite raises NonFiniteValueError.
     """
-    grad, loss, pred = filter_gradient(filt, report, label, p, out)
+    grad, loss, pred = filter_gradient(filt, report, label, p)
     adam_step(adam, filt.params, grad)
     return loss, pred
 
@@ -223,11 +221,10 @@ def train_filter(
         threshold=cfg.threshold,
         normalize=cfg.normalize,
     )
-    # the weights, the Adam moments and the gradient buffer are allocated
-    # once and updated in place; the weights are frozen when training ends
+    # the weights and the Adam moments are allocated once and updated in
+    # place; the weights are frozen when training ends
     filt = replace(filt, params=np.array(filt.params))
     adam = adam_init(filt.params.shape[0], lr=cfg.filter_lr)
-    filter_grad = np.empty_like(filt.params)
     init_rng = RngStream(seed, SID_SERVER_INIT).generator()
     pick_rng = RngStream(seed, _SID_WORKER_PICK).generator()
     batch_rng = RngStream(seed, _SID_BATCH).generator()
@@ -246,9 +243,7 @@ def train_filter(
                 grad = apply_attack(cfg.attack, grad, attack_rng)
             report = GradientReport(param_vector(grad), server_loss)
             params = apply_update(params, report.gradient, cfg.server_lr, byz)
-            loss, pred = filter_train_step(
-                filt, adam, report, byz, cfg.positive_weight, filter_grad
-            )
+            loss, pred = filter_train_step(filt, adam, report, byz, cfg.positive_weight)
             predicted = int(pred >= filt.threshold)
             step += 1
             correct += int(predicted == byz)

@@ -44,6 +44,7 @@ from tests.test_aggregators import (
     random_instance,
 )
 from tests.test_models import finite_diff_gradient
+from tests.test_filter import assembled
 from rgcf.aggregators import agg_bulyan, agg_coord_median, agg_krum, agg_trimmed_mean
 
 _CACHE: dict = {}
@@ -116,7 +117,7 @@ def test_criterion_1_gradient_oracle():
             if _relu_margin(filt, rep) > 1e-3:
                 break
         label = int(r.integers(0, 2))
-        ana, _, _ = filter_gradient(filt, rep, label, 10.0)
+        ana = assembled(filter_gradient(filt, rep, label, 10.0)[0])
         from rgcf.filter import _filter_input
 
         x = _filter_input(filt, rep.gradient, rep.loss)

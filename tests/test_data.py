@@ -130,6 +130,25 @@ class TestBlobs:
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.labels, b.labels)
 
+    @pytest.mark.parametrize(
+        "args", [(3, 10, 5, 4.0), (10, 40, 784, 10.0), (1, 1, 1, 0.0), (2, 3, 4, float("nan"))]
+    )
+    def test_in_place_scaling_equals_expression(self, args):
+        # the rescale into [0, 1] runs in place; its bytes equal the
+        # whole-array expression, also when all inputs are equal or NaN
+        data = synth_gaussian_blobs(*args, rng(37))
+        classes, per_class, in_dim, separation = args
+        r = rng(37)
+        n = classes * per_class
+        inputs = r.standard_normal((n, in_dim))
+        labels = np.repeat(np.arange(classes), per_class)
+        inputs[np.arange(n), labels] += separation
+        lo, hi = inputs.min(), inputs.max()
+        inputs = (inputs - lo) / (hi - lo) if hi > lo else np.zeros_like(inputs)
+        perm = r.permutation(n)
+        assert data.inputs.tobytes() == inputs[perm].tobytes()
+        assert data.labels.tobytes() == labels[perm].tobytes()
+
     def test_classes_must_fit_in_dim(self):
         with pytest.raises(ValueError):
             synth_gaussian_blobs(6, 10, 5, 4.0, rng(35))

@@ -6,12 +6,13 @@ import pytest
 
 from rgcf import filter as filter_module
 from rgcf.attacks import AttackSpec, apply_attack
-from rgcf.core import SID_SERVER_INIT, GradientReport, RngStream, param_vector
+from rgcf.core import SID_SERVER_INIT, GradientReport, NonFiniteValueError, RngStream, param_vector
 from rgcf.data import sample_minibatch, synth_gaussian_blobs
 from rgcf.filter import (
     PRED_CLAMP,
     FilterNet,
     FilterTrainConfig,
+    _filter_input,
     classify,
     filter_forward,
     filter_gradient,
@@ -33,12 +34,31 @@ from rgcf.models import (
     mlp_forward,
 )
 from tests.conftest import rng
-from tests.test_models import textbook_adam
+from tests.test_models import textbook_adam, textbook_backprop
 
 
 def writable(filt: FilterNet) -> FilterNet:
     """The filter with a writable copy of its weights, as training holds it."""
     return replace(filt, params=np.array(filt.params))
+
+
+def dense_filter_gradient(filt, report, label, p):
+    """filter_gradient's value with the gradient as one written-out vector,
+    backpropagated by textbook whole-array expressions (the first weight
+    gradient a K=1 matmul of the input row and delta)."""
+    x = _filter_input(filt, report.gradient, report.loss)
+    z, acts = mlp_forward(filt.params, filt.layer_sizes, x)
+    pred = 1.0 / (1.0 + np.exp(-z[0, 0]))
+    q = min(max(pred, PRED_CLAMP), 1.0 - PRED_CLAMP)
+    dq = -p / q if label == 1 else 1.0 / (1.0 - q)
+    dz = np.array([[dq * pred * (1.0 - pred)]])
+    grad = textbook_backprop(filt.params, filt.layer_sizes, acts, dz)
+    return grad, filter_loss(pred, label, p), pred
+
+
+def assembled(grad):
+    """The flat gradient a FactoredGradient stands for."""
+    return np.concatenate([np.outer(grad.x, grad.delta).ravel(), grad.rest])
 
 
 def zero_filter(d, hidden=(4, 3), threshold=0.5, normalize=True):
@@ -66,8 +86,6 @@ class TestForward:
         r = rng(11)
         filt = filter_init(8, r, hidden=(6, 4))
         g = r.standard_normal(8)
-        from rgcf.filter import _filter_input
-
         z, _ = mlp_forward(filt.params, filt.layer_sizes, _filter_input(filt, g, 0.3))
         ref = float(1.0 / (1.0 + np.exp(-z[0, 0])))
         assert filter_forward(filt, g, 0.3) == pytest.approx(ref, abs=1e-12)
@@ -114,8 +132,6 @@ class TestTrainStep:
         return GradientReport(gradient=param_vector(r.standard_normal(d)), loss=0.4)
 
     def test_backprop_matches_finite_differences(self):
-        from rgcf.filter import _filter_input
-
         r = rng(20)
         d = 6
         filt = filter_init(d, r, hidden=(5, 3))
@@ -155,16 +171,41 @@ class TestTrainStep:
             last, _ = filter_train_step(filt, adam, report, 1, 10.0)
         assert last < first
 
-    def test_gradient_written_into_given_buffer(self):
+    @pytest.mark.parametrize("hidden", [(64, 32), (48, 16), (5, 3)])
+    def test_factored_gradient_equals_dense_textbook(self, hidden):
+        # [outer(x, delta), rest] is the textbook gradient: byte-equal,
+        # except that a BLAS product writes +0 where np.outer keeps a
+        # zero's sign (which adam_step never lets reach the weights)
         r = rng(23)
-        filt = filter_init(4, r)
-        report = self._report(r, 4)
-        ref, loss, pred = filter_gradient(filt, report, 1, 10.0)
-        buf = np.full_like(ref, np.nan)
-        grad, loss2, pred2 = filter_gradient(filt, report, 1, 10.0, buf)
-        assert grad is buf
-        assert np.array_equal(buf, ref)
-        assert (loss2, pred2) == (loss, pred)
+        for d in (4, 300):
+            filt = filter_init(d, r, hidden=hidden)
+            jitter = 0.1 * r.standard_normal(filt.params.shape)
+            filt = replace(filt, params=param_vector(filt.params + jitter))
+            report = self._report(r, d)
+            for label in (0, 1):
+                grad, loss, pred = filter_gradient(filt, report, label, 10.0)
+                assert grad.x.shape == (d + 1,) and grad.delta.shape == (hidden[0],)
+                ref, ref_loss, ref_pred = dense_filter_gradient(filt, report, label, 10.0)
+                assert (assembled(grad) + 0.0).tobytes() == (ref + 0.0).tobytes()
+                assert (loss, pred) == (ref_loss, ref_pred)
+
+    @pytest.mark.parametrize("bad", [341, 40_000, 1605 * 48 + 500])
+    def test_non_finite_weight_raises_at_textbook_coordinate(self, bad):
+        # hidden width 48 does not divide ADAM_BLOCK (682 rows per block),
+        # and the 1605 x 48 first layer ends partway through its third
+        # block; a huge first moment sends one weight to -inf, in the first
+        # or second block of the first layer or in the weights after it
+        r = rng(24)
+        filt = writable(filter_init(1604, r, hidden=(48, 16)))
+        report = self._report(r, 1604)
+        adam = adam_init(filt.params.shape[0])
+        adam.m[bad] = 1e308
+        grad, _, _ = dense_filter_gradient(filt, report, 1, 10.0)
+        with np.errstate(over="ignore"):
+            _, _, ref = textbook_adam(adam.m, adam.v, 1, filt.params, grad, adam.lr)
+            with pytest.raises(NonFiniteValueError) as err:
+                filter_train_step(filt, adam, report, 1, 10.0)
+        assert err.value.index == int(np.argmin(np.isfinite(ref))) == bad
 
     def test_returns_pre_update_loss(self):
         r = rng(22)
@@ -257,7 +298,7 @@ def reference_train_filter(cfg, data, server_arch, seed):
                 grad = apply_attack(cfg.attack, grad, attack_rng)
             report = GradientReport(param_vector(grad), server_loss)
             params = apply_update(params, report.gradient, cfg.server_lr, byz)
-            filter_grad, loss, _ = filter_gradient(filt, report, byz, cfg.positive_weight)
+            filter_grad, loss, _ = dense_filter_gradient(filt, report, byz, cfg.positive_weight)
             t += 1
             m, v, new = textbook_adam(m, v, t, filt.params, filter_grad, cfg.filter_lr)
             filt = replace(filt, params=param_vector(new))

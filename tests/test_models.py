@@ -7,7 +7,9 @@ from rgcf.core import LengthMismatchError, NonFiniteValueError, param_vector
 from rgcf.models import (
     ADAM_BLOCK,
     Architecture,
+    FactoredGradient,
     ShapeMismatchError,
+    _shifted_exp,
     adam_init,
     adam_step,
     apply_update,
@@ -47,6 +49,25 @@ def finite_diff_gradient(
         lm = forward_loss(arch, wm, inputs, labels)
         grad[j] = (lp - lm) / (2.0 * h)
     return grad
+
+
+def textbook_backprop(params, layer_sizes, acts, dlogits):
+    """The flat gradient of one batch, backpropagated as whole-array
+    expressions: each layer's weight gradient is one matmul of its input
+    activations and delta, then the parts are concatenated."""
+    layers = unflatten(params, layer_sizes)
+    parts = []
+    delta = dlogits
+    for i in range(len(layers) - 1, -1, -1):
+        parts[:0] = [(acts[i].T @ delta).ravel(), delta.sum(axis=0)]
+        if i > 0:
+            delta = (delta @ layers[i][0].T) * (acts[i] > 0.0)
+    return np.concatenate(parts)
+
+
+def dense(grad):
+    """A dense gradient as adam_step takes it: no outer-product part."""
+    return FactoredGradient(np.empty(0), np.empty(0), grad)
 
 
 def textbook_adam(m, v, t, params, grad, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -165,6 +186,23 @@ class TestBackward:
                 assert np.array_equal(grads[j], grad)
                 assert losses[j] == loss
 
+    @pytest.mark.parametrize(
+        "arch", [logistic(5, 3), mlp(5, (4,), 3), mlp(3, (4, 3), 2), mlp(20, (32,), 10)], ids=str
+    )
+    def test_equals_textbook_backprop(self, arch):
+        r = rng(4)
+        for batch in (1, 9):
+            params = init_params(arch, r)
+            inputs = r.random((batch, arch.in_dim))
+            labels = r.integers(0, arch.classes, size=batch)
+            logits, acts = mlp_forward(params, arch.layer_sizes, inputs)
+            e, total, _ = _shifted_exp(logits, labels)
+            dlogits = e / total
+            dlogits[np.arange(batch), labels] -= 1.0
+            dlogits /= batch
+            ref = textbook_backprop(params, arch.layer_sizes, acts, dlogits)
+            assert backward(arch, params, inputs, labels)[0].tobytes() == ref.tobytes()
+
 
 def test_mlp_forward_relu():
     # 1 -> 1 -> 1 with W=1, b per layer: hidden = relu(x + b1)
@@ -212,7 +250,7 @@ class TestAdam:
         p = np.array([1.0, -1.0])
         before = p.copy()
         g = param_vector([0.5, 0.2])
-        adam_step(s, p, g)
+        adam_step(s, p, dense(g))
         # t=1: mhat = g, vhat = g^2, step = lr * g / (|g| + eps)
         expected = before - 0.1 * g / (np.abs(g) + 1e-8)
         assert np.allclose(p, expected, atol=1e-12)
@@ -233,12 +271,15 @@ class TestAdam:
         state = adam_init(3, lr=lr)
         cur = p.copy()
         for g in grads:
-            adam_step(state, cur, param_vector(g))
+            adam_step(state, cur, dense(param_vector(g)))
         assert np.allclose(cur, ref, atol=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            adam_step(adam_init(2), np.array([1.0, 2.0]), param_vector([1.0]))
+            adam_step(adam_init(2), np.array([1.0, 2.0]), dense(param_vector([1.0])))
+        with pytest.raises(LengthMismatchError):
+            factored = FactoredGradient(np.ones(2), np.ones(3), np.ones(1))
+            adam_step(adam_init(8), np.zeros(8), factored)
 
     @pytest.mark.parametrize(
         "size", [1, ADAM_BLOCK - 1, ADAM_BLOCK, ADAM_BLOCK + 1, 3 * ADAM_BLOCK + 7]
@@ -254,7 +295,7 @@ class TestAdam:
         for t in range(1, 26):
             grad = r.standard_normal(size) * np.exp(r.uniform(-20.0, 5.0, size))
             ref_m, ref_v, ref_p = textbook_adam(ref_m, ref_v, t, ref_p, grad, lr)
-            adam_step(state, params, grad)
+            adam_step(state, params, dense(grad))
         assert state.t == 25
         assert np.array_equal(params, ref_p)
         assert np.array_equal(state.m, ref_m)
@@ -269,8 +310,56 @@ class TestAdam:
         grad = np.zeros_like(params)
         grad[bad] = 1.0
         with pytest.raises(NonFiniteValueError) as err, np.errstate(over="ignore"):
-            adam_step(adam_init(params.shape[0], lr=1e308), params, grad)
+            adam_step(adam_init(params.shape[0], lr=1e308), params, dense(grad))
         assert err.value.index == bad
+
+    @pytest.mark.parametrize(
+        "rows, width, rest",
+        [
+            (1, 64, 5),  # less than one block
+            (25451, 64, 2177),  # the wide filter: 512 rows per block, last one partial
+            (1605, 48, 801),  # 48 does not divide ADAM_BLOCK: 682 rows per block
+            (3, 1 << 16, 7),  # one row is wider than a block
+        ],
+    )
+    def test_fused_outer_product_equals_textbook(self, rows, width, rest):
+        # every bit of params, m and v after 4 steps equals textbook Adam
+        # on the written-out gradient [outer(x, delta), rest]
+        r = rng(5, rows)
+        lr = 0.003
+        size = rows * width + rest
+        params = r.standard_normal(size)
+        ref_m, ref_v, ref_p = np.zeros(size), np.zeros(size), params.copy()
+        state = adam_init(size, lr=lr)
+        for t in range(1, 5):
+            x = r.standard_normal(rows) * np.exp(r.uniform(-10.0, 3.0, rows))
+            delta = r.standard_normal(width)
+            delta[::3] = 0.0  # a ReLU layer's delta has zeros
+            grad = FactoredGradient(x, delta, r.standard_normal(rest))
+            flat = np.concatenate([np.outer(x, delta).ravel(), grad.rest])
+            ref_m, ref_v, ref_p = textbook_adam(ref_m, ref_v, t, ref_p, flat, lr)
+            adam_step(state, params, grad)
+        assert params.tobytes() == ref_p.tobytes()
+        assert state.m.tobytes() == ref_m.tobytes()
+        assert state.v.tobytes() == ref_v.tobytes()
+
+    def test_sign_of_a_zero_gradient_never_reaches_the_weights(self):
+        # np.multiply keeps a zero's sign where a BLAS product gives +0: the
+        # same gradient with every zero's sign flipped leaves the same bytes
+        r = rng(7)
+        size = 2 * ADAM_BLOCK + 9
+        params = r.standard_normal(size)
+        params[::7] = -0.0
+        flipped = params.copy()
+        a, b = adam_init(size, lr=0.01), adam_init(size, lr=0.01)
+        for t in range(6):
+            grad = r.standard_normal(size)
+            grad[r.random(size) < 0.5] = 0.0
+            grad[: 100 * t] = 0.0  # zeros where m is already non-zero
+            adam_step(a, params, dense(grad))
+            adam_step(b, flipped, dense(np.where(grad == 0.0, -grad, grad)))
+        assert params.tobytes() == flipped.tobytes()
+        assert a.m.tobytes() == b.m.tobytes() and a.v.tobytes() == b.v.tobytes()
 
 
 def test_server_model_validates_length():
