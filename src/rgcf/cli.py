@@ -18,18 +18,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import models
+from . import core, models
 from .aggregators import BULYAN, AggregatorSpec, max_f_count
 from .attacks import INVERSE, AttackSpec
 from .config import ConfigError, ExperimentConfig, build_config, write_manifest
-from .core import RngStream
+from .core import stream
 from .data import Dataset, load_idx, synth_gaussian_blobs
 from .filter import FilterNet, FilterTrainConfig, load_filter, save_filter, train_filter
 from .models import Architecture
 from .simulation import RunConfig, RunMetrics, bench_filtering, bench_spec, run_aggregated, run_rgcf
-
-_SID_BLOBS_TRAIN = 40
-_SID_BLOBS_VAL = 41
 
 RGCF_MODE = "rgcf"
 AGGREGATOR_MODE = "aggregator"
@@ -65,7 +62,7 @@ def _blobs(cfg: ExperimentConfig, per_class: int, sid: int) -> Dataset:
             per_class,
             cfg.blobs_in_dim,
             cfg.blobs_separation,
-            RngStream(cfg.seed, sid).generator(),
+            stream(cfg.seed, sid),
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -75,7 +72,7 @@ def load_train(cfg: ExperimentConfig) -> Dataset:
     """The training set. Settings the data cannot satisfy are a
     ConfigError; a corrupt IDX file is a runtime failure."""
     if cfg.task == "blobs":
-        train = _blobs(cfg, cfg.blobs_per_class, _SID_BLOBS_TRAIN)
+        train = _blobs(cfg, cfg.blobs_per_class, core.SID_BLOBS_TRAIN)
     else:
         for path in (cfg.train_images, cfg.train_labels, cfg.val_images, cfg.val_labels):
             if not path:
@@ -91,7 +88,7 @@ def load_train(cfg: ExperimentConfig) -> Dataset:
 def load_val(cfg: ExperimentConfig) -> Dataset:
     """The validation set, for settings that resolve and load_train have checked."""
     if cfg.task == "blobs":
-        return _blobs(cfg, cfg.blobs_val_per_class, _SID_BLOBS_VAL)
+        return _blobs(cfg, cfg.blobs_val_per_class, core.SID_BLOBS_VAL)
     return _head(load_idx(cfg.val_images, cfg.val_labels), cfg.val_subset)
 
 
@@ -259,8 +256,7 @@ def cmd_run(cfg: ExperimentConfig, specs: Specs) -> int:
     else:
         m = run_aggregated(specs.run, train_data, val_data, arch)
     _write_run_outputs(cfg, m)
-    acc = m.val_accuracies[-1] if m.val_accuracies else float("nan")
-    print(f"run finished: final val accuracy {acc:.4f}, diverged={m.diverged}")
+    print(f"run finished: final val accuracy {m.final_accuracy:.4f}, diverged={m.diverged}")
     return 0
 
 
@@ -306,7 +302,7 @@ def convergence_verdict(m: RunMetrics, ref: float) -> tuple[str, float]:
     validation accuracy is finite and within 3 points of the reference, ✗
     otherwise. The reference is the Byzantine-free twin of the run, so both
     sides have spent the same accepted-update budget."""
-    acc = m.val_accuracies[-1] if m.val_accuracies else float("nan")
+    acc = m.final_accuracy
     loss = m.val_losses[-1] if m.val_losses else float("nan")
     if m.diverged or not np.isfinite(loss) or not np.isfinite(acc):
         return FAILED, acc
@@ -333,7 +329,7 @@ def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
         if spec not in agg_refs:
             clean = replace(cell, byzantine_fraction=0.0, attack=AttackSpec(INVERSE, 1.0))
             m = run_aggregated(clean, train_data, val_data, arch)
-            agg_refs[spec] = m.val_accuracies[-1] if m.val_accuracies else float("nan")
+            agg_refs[spec] = m.final_accuracy
         return agg_refs[spec]
 
     path = _outpath(cfg, "convergence_matrix.csv")
@@ -345,8 +341,7 @@ def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
             if cell is None:
                 row = (method, attack_kind, fraction, None, None, None, SKIPPED)
             elif cell.aggregator is None:
-                oracle = run_rgcf(cell, train_data, val_data, arch, filt, ground_truth=True)
-                ref = oracle.val_accuracies[-1] if oracle.val_accuracies else float("nan")
+                ref = run_rgcf(cell, train_data, val_data, arch, filt, ground_truth=True).final_accuracy
                 m = run_rgcf(cell, train_data, val_data, arch, filt)
                 verdict, acc = convergence_verdict(m, ref)
                 row = (method, attack_kind, fraction, None, acc, ref, verdict)

@@ -66,25 +66,34 @@ class GradientReport:
             raise ValueError(f"loss must be non-negative, got {self.loss}")
 
 
-# Stream id shared by the filter-training simulation and deployment runs:
-# with one experiment seed, the simulated server episode starts from the
-# same initialization the deployment server will use, which is what the
-# simulation is modelling.
+# Every RNG stream id, split off one experiment seed. Each id keeps its
+# value forever, so adding a stream never perturbs an existing one and every
+# output stays byte-reproducible. The server init stream is shared by filter
+# training and deployment runs: with one experiment seed, the simulated
+# server episode starts from the same initialization the deployment server
+# will use, which is what the simulation is modelling.
+SID_FILTER_INIT = 10
 SID_SERVER_INIT = 11
+SID_FILTER_PICK = 12  # filter training: honest or Byzantine worker
+SID_FILTER_BATCH = 13
+SID_FILTER_ATTACK = 14
+SID_BYZ_PICK = 21
+SID_SHARD = 22
+SID_WORKER_PICK = 23  # filter mode: the one worker queried per step
+SID_BENCH = 30
+SID_BLOBS_TRAIN = 40
+SID_BLOBS_VAL = 41
+# Worker i owns SID_WORKER_BATCH + i and SID_WORKER_ATTACK + i; the two
+# ranges stay apart while i < MAX_WORKERS.
+SID_WORKER_BATCH = 1000
+SID_WORKER_ATTACK = 100000
+MAX_WORKERS = SID_WORKER_ATTACK - SID_WORKER_BATCH
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Counter-based, splittable random stream.
+def stream(seed: int, stream_id: int) -> np.random.Generator:
+    """The counter-based random stream keyed (seed << 64) | stream_id.
 
-    Same (seed, stream_id) yields an identical sequence on every platform.
-    Distinct stream_ids derived from one experiment seed are independent,
-    so e.g. changing the number of workers never perturbs other streams.
+    The same key yields an identical sequence on every platform, and
+    distinct stream ids under one seed are independent streams.
     """
-
-    seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        key = (int(self.seed) << 64) | int(self.stream_id)
-        return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(stream_id)))

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import models
+from . import core, models
 from .attacks import RANDOM_GAUSSIAN, AttackSpec, apply_attack
-from .core import SID_SERVER_INIT, GradientReport, RngStream, param_vector
+from .core import GradientReport, param_vector, stream
 from .data import Dataset, read_exact, sample_minibatch
 from .models import (
     AdamState,
@@ -195,14 +195,6 @@ class FilterTrainLog:
     server_losses: list[float] = field(default_factory=list)
 
 
-# Stream ids split off the experiment seed; fixed so adding streams never
-# perturbs existing ones.
-_SID_FILTER_INIT = 10
-_SID_WORKER_PICK = 12
-_SID_BATCH = 13
-_SID_ATTACK = 14
-
-
 def train_filter(
     cfg: FilterTrainConfig,
     local_data: Dataset,
@@ -216,42 +208,42 @@ def train_filter(
     server trajectory it learns from."""
     d = server_arch.param_count
     filt = filter_init(
-        d,
-        RngStream(seed, _SID_FILTER_INIT).generator(),
-        threshold=cfg.threshold,
-        normalize=cfg.normalize,
+        d, stream(seed, core.SID_FILTER_INIT), threshold=cfg.threshold, normalize=cfg.normalize
     )
     # the weights and the Adam moments are allocated once and updated in
     # place; the weights are frozen when training ends
     filt = replace(filt, params=np.array(filt.params))
     adam = adam_init(filt.params.shape[0], lr=cfg.filter_lr)
-    init_rng = RngStream(seed, SID_SERVER_INIT).generator()
-    pick_rng = RngStream(seed, _SID_WORKER_PICK).generator()
-    batch_rng = RngStream(seed, _SID_BATCH).generator()
-    attack_rng = RngStream(seed, _SID_ATTACK).generator()
+    init_rng = stream(seed, core.SID_SERVER_INIT)
+    pick_rng = stream(seed, core.SID_FILTER_PICK)
+    batch_rng = stream(seed, core.SID_FILTER_BATCH)
+    attack_rng = stream(seed, core.SID_FILTER_ATTACK)
 
     log = FilterTrainLog()
     correct = 0
     step = 0
-    for _episode in range(cfg.episodes):
-        params = init_params(server_arch, init_rng)
-        for _t in range(cfg.steps_per_episode):
-            byz = int(pick_rng.integers(0, 2))
-            inputs, labels = sample_minibatch(local_data, cfg.batch_size, batch_rng)
-            grad, server_loss = models.backward(server_arch, params, inputs, labels)
-            if byz:
-                grad = apply_attack(cfg.attack, grad, attack_rng)
-            report = GradientReport(param_vector(grad), server_loss)
-            params = apply_update(params, report.gradient, cfg.server_lr, byz)
-            loss, pred = filter_train_step(filt, adam, report, byz, cfg.positive_weight)
-            predicted = int(pred >= filt.threshold)
-            step += 1
-            correct += int(predicted == byz)
-            log.steps.append(step)
-            log.losses.append(loss)
-            log.running_accuracy.append(correct / step)
-            log.labels.append(byz)
-            log.server_losses.append(report.loss)
+    # a weight driven past the float range is reported by adam_step's own
+    # check, not by numpy's overflow warnings on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _episode in range(cfg.episodes):
+            params = init_params(server_arch, init_rng)
+            for _t in range(cfg.steps_per_episode):
+                byz = int(pick_rng.integers(0, 2))
+                inputs, labels = sample_minibatch(local_data, cfg.batch_size, batch_rng)
+                grad, server_loss = models.backward(server_arch, params, inputs, labels)
+                if byz:
+                    grad = apply_attack(cfg.attack, grad, attack_rng)
+                report = GradientReport(param_vector(grad), server_loss)
+                params = apply_update(params, report.gradient, cfg.server_lr, byz)
+                loss, pred = filter_train_step(filt, adam, report, byz, cfg.positive_weight)
+                predicted = int(pred >= filt.threshold)
+                step += 1
+                correct += int(predicted == byz)
+                log.steps.append(step)
+                log.losses.append(loss)
+                log.running_accuracy.append(correct / step)
+                log.labels.append(byz)
+                log.server_losses.append(report.loss)
     return replace(filt, params=param_vector(filt.params)), log
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import models
+from . import core, models
 from .aggregators import AggregatorSpec, aggregate
 from .attacks import AttackSpec, apply_attack
-from .core import SID_SERVER_INIT, GradientReport, NonFiniteValueError, RngStream, param_vector
+from .core import GradientReport, NonFiniteValueError, param_vector, stream
 from .data import Dataset, sample_minibatch, shard
 from .filter import FilterNet, classify, filter_forward, filter_init
 from .models import Architecture, ShapeMismatchError, apply_update, init_params
@@ -25,10 +25,13 @@ from .models import Architecture, ShapeMismatchError, apply_update, init_params
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    id: int
+    """One worker: its shard, its attack (None = honest), and the two
+    streams it owns, for its mini-batches and for its attack's noise."""
+
     shard: Dataset
-    attack: AttackSpec | None = None  # None = honest
-    batch_size: int = 128
+    attack: AttackSpec | None
+    batch_rng: np.random.Generator
+    attack_rng: np.random.Generator
 
     @property
     def byzantine(self) -> bool:
@@ -52,6 +55,8 @@ class RunConfig:
             raise ValueError("byzantine_fraction must lie in [0,1]")
         if min(self.steps, self.n_workers, self.eval_every, self.batch_size) < 1:
             raise ValueError("steps, n_workers, eval_every and batch_size must be >= 1")
+        if self.n_workers > core.MAX_WORKERS:
+            raise ValueError(f"n_workers must be <= {core.MAX_WORKERS}, so worker streams stay apart")
         if not self.server_lr > 0:
             raise ValueError("server_lr must be positive")
         if not 0 <= self.seed < 2**64:
@@ -95,14 +100,11 @@ class RunMetrics:
     def accepted_updates(self) -> int:
         return self.accepted_honest + self.accepted_byz
 
+    @property
+    def final_accuracy(self) -> float:
+        """The last validation accuracy, NaN when no evaluation ran."""
+        return self.val_accuracies[-1] if self.val_accuracies else float("nan")
 
-# Stream ids; worker i owns 1000+i (batches) and 100000+i (attack noise).
-# The server init stream is shared with filter training (see core).
-_SID_BYZ_PICK = 21
-_SID_SHARD = 22
-_SID_WORKER_PICK = 23
-_SID_BATCH_BASE = 1000
-_SID_ATTACK_BASE = 100000
 
 BENCH_WARMUP_S = 2.0
 
@@ -111,54 +113,44 @@ def worker_step(
     workers: list[WorkerSpec],
     params: np.ndarray,
     arch: Architecture,
-    batch_rngs: list[np.random.Generator],
-    attack_rngs: list[np.random.Generator],
+    batch_size: int,
 ) -> list[GradientReport]:
     """One turn of the queried workers, in order: each draws a fresh
-    mini-batch from its own stream (batch_rngs[w.id]) into its row of one
-    (k, batch, in_dim) array, one stacked backward pass computes every
-    honest gradient, and each Byzantine worker then attacks its own with
-    attack_rngs[w.id]. Every worker sends one report, its gradient with the
-    honest loss. All workers share one batch size."""
+    mini-batch of batch_size from its own batch stream into its row of one
+    (k, batch_size, in_dim) array, one stacked backward pass computes every
+    honest gradient, and each Byzantine worker then attacks its own with its
+    own attack stream. Every worker sends one report, its gradient with the
+    honest loss."""
     data = workers[0].shard
-    inputs = np.empty((len(workers), workers[0].batch_size, data.in_dim), data.inputs.dtype)
+    inputs = np.empty((len(workers), batch_size, data.in_dim), data.inputs.dtype)
     labels = np.empty(inputs.shape[:2], data.labels.dtype)
     for w, x, y in zip(workers, inputs, labels):
-        sample_minibatch(w.shard, w.batch_size, batch_rngs[w.id], out=(x, y))
+        sample_minibatch(w.shard, batch_size, w.batch_rng, out=(x, y))
     grads, losses = models.backward(arch, params, inputs, labels)
     reports = []
     for w, grad, loss in zip(workers, grads, losses.tolist()):
         if w.attack is not None:
-            grad = apply_attack(w.attack, grad, attack_rngs[w.id])
+            grad = apply_attack(w.attack, grad, w.attack_rng)
         reports.append(GradientReport(param_vector(grad), loss))
     return reports
 
 
 def build_workers(cfg: RunConfig, train_data: Dataset) -> list[WorkerSpec]:
-    """Shard the training set i.i.d. and fix the Byzantine subset by seeded
-    sampling; the subset does not change during the run."""
-    shards = shard(train_data, cfg.n_workers, RngStream(cfg.seed, _SID_SHARD).generator())
-    byz_ids = set(
-        RngStream(cfg.seed, _SID_BYZ_PICK)
-        .generator()
-        .choice(cfg.n_workers, size=cfg.byzantine_count, replace=False)
-        .tolist()
-    )
+    """Shard the training set i.i.d., fix the Byzantine subset by seeded
+    sampling (it does not change during the run), and give worker i its
+    streams SID_WORKER_BATCH + i and SID_WORKER_ATTACK + i."""
+    shards = shard(train_data, cfg.n_workers, stream(cfg.seed, core.SID_SHARD))
+    byz_pick = stream(cfg.seed, core.SID_BYZ_PICK)
+    byz_ids = set(byz_pick.choice(cfg.n_workers, size=cfg.byzantine_count, replace=False).tolist())
     return [
         WorkerSpec(
-            id=i,
-            shard=shards[i],
-            attack=cfg.attack if i in byz_ids else None,
-            batch_size=cfg.batch_size,
+            shards[i],
+            cfg.attack if i in byz_ids else None,
+            stream(cfg.seed, core.SID_WORKER_BATCH + i),
+            stream(cfg.seed, core.SID_WORKER_ATTACK + i),
         )
         for i in range(cfg.n_workers)
     ]
-
-
-def _make_rngs(cfg: RunConfig):
-    batch = [RngStream(cfg.seed, _SID_BATCH_BASE + i).generator() for i in range(cfg.n_workers)]
-    attack = [RngStream(cfg.seed, _SID_ATTACK_BASE + i).generator() for i in range(cfg.n_workers)]
-    return batch, attack
 
 
 def evaluate(arch: Architecture, params: np.ndarray, dataset: Dataset) -> tuple[float, float]:
@@ -216,9 +208,8 @@ def _run(
     with cfg.aggregator. A non-finite gradient or loss in a report ends the
     run as diverged."""
     workers = build_workers(cfg, train_data)
-    batch_rngs, attack_rngs = _make_rngs(cfg)
-    pick_rng = RngStream(cfg.seed, _SID_WORKER_PICK).generator()
-    params = init_params(arch, RngStream(cfg.seed, SID_SERVER_INIT).generator())
+    pick_rng = stream(cfg.seed, core.SID_WORKER_PICK)
+    params = init_params(arch, stream(cfg.seed, core.SID_SERVER_INIT))
 
     m = RunMetrics(initial_params=params)
     clock = time.perf_counter
@@ -231,7 +222,7 @@ def _run(
                 queried = [workers[int(pick_rng.integers(0, cfg.n_workers))]]
             t0 = clock()
             try:
-                reports = worker_step(queried, params, arch, batch_rngs, attack_rngs)
+                reports = worker_step(queried, params, arch, cfg.batch_size)
             except NonFiniteValueError:
                 m.diverged = True
                 break
@@ -308,7 +299,7 @@ def bench_filtering(
     (on a 2-vCPU VM the first ~60 d=10^5 filter decisions took 15 ms, not 2).
     """
     spec = bench_spec(method, n, d, reps, f_count)
-    rng = RngStream(seed, 30).generator()
+    rng = stream(seed, core.SID_BENCH)
     filt = filter_init(d, rng) if spec is None else None
 
     def decision() -> float:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from rgcf.core import RngStream
+from rgcf.core import stream
 from rgcf.data import synth_gaussian_blobs
 
 
-def rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return RngStream(seed, stream).generator()
+def rng(seed: int, sid: int = 0) -> np.random.Generator:
+    return stream(seed, sid)
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import numpy as np
 from rgcf import models
 from rgcf.attacks import ATTACK_KINDS, AttackSpec, apply_attack
 from rgcf.cli import main as cli_main
-from rgcf.core import SID_SERVER_INIT, GradientReport, RngStream, param_vector
+from rgcf.core import SID_SERVER_INIT, GradientReport, param_vector, stream
 from rgcf.data import synth_gaussian_blobs, sample_minibatch
 from rgcf.filter import (
     FilterTrainConfig,
@@ -55,8 +55,8 @@ def report(n: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {n}: {detail}"
 
 
-def rng(seed, stream=0):
-    return RngStream(seed, stream).generator()
+def rng(seed, sid=0):
+    return stream(seed, sid)
 
 
 def _kink_margin(params, layer_sizes, x) -> float:

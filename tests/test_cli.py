@@ -6,7 +6,7 @@ from rgcf import cli
 from rgcf.aggregators import AGGREGATOR_KINDS, AggregatorSpec, max_f_count
 from rgcf.cli import clamped_f_count, fmt, main, resolve
 from rgcf.config import build_config
-from rgcf.core import RngStream, TooFewWorkersError
+from rgcf.core import MAX_WORKERS, TooFewWorkersError, stream
 from rgcf.data import synth_gaussian_blobs
 from tests.test_data import write_idx
 
@@ -77,7 +77,8 @@ class TestTrainFilter:
             "--set", "filter_lr=1e308", "--set", "filter_steps=20",
         )
         assert code == 2
-        assert "non-finite value" in capsys.readouterr().err
+        # adam_step's check is the one report: no numpy overflow warnings
+        assert capsys.readouterr().err == "runtime failure: non-finite value at coordinate 0\n"
         assert not os.path.exists(os.path.join(out, "filter.rgcf"))
 
 
@@ -244,6 +245,8 @@ INVALID_CONFIGS = [
     ("run", ["--set", "mode=aggregator", "--set", "f_count=-2"]),  # only -1 means the default
     ("compare", ["--set", "compare_methods=rgcf,fft"]),
     ("train-filter", ["--set", "blobs_val_per_class=0"]),  # checked though not built
+    # 120,000 examples, but worker 99,000's batch stream would be worker 0's attack stream
+    ("run", ["--set", "blobs_per_class=40000", "--set", f"n_workers={MAX_WORKERS + 1}"]),
 ]
 
 
@@ -261,7 +264,7 @@ class TestIdx:
         """A 30-example training and a 12-example validation IDX pair."""
         args = ["--set", "task=idx"]
         for split, per_class in (("train", 10), ("val", 4)):
-            data = synth_gaussian_blobs(3, per_class, 4, 8.0, RngStream(0, 40).generator())
+            data = synth_gaussian_blobs(3, per_class, 4, 8.0, stream(0, 40))
             images, labels = str(tmp_path / f"{split}-images"), str(tmp_path / f"{split}-labels")
             write_idx(data, images, labels, 2, 2)
             args += ["--set", f"{split}_images={images}", "--set", f"{split}_labels={labels}"]

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rgcf import core
 from rgcf.core import (
     GradientReport,
     LengthMismatchError,
     NonFiniteValueError,
-    RngStream,
     assert_finite,
     param_vector,
+    stream,
 )
 
 
@@ -87,7 +88,7 @@ class TestRngStream:
     def test_pinned_prefix(self):
         # Philox is counter-based, so this sequence is a platform-independent
         # contract; a change here silently breaks every seeded experiment.
-        g = RngStream(12345, 7).generator()
+        g = stream(12345, 7)
         assert list(g.integers(0, 2**63, size=4)) == [
             7704093830898093416,
             2951364761412220749,
@@ -96,20 +97,57 @@ class TestRngStream:
         ]
 
     def test_same_key_same_sequence(self):
-        a = RngStream(3, 9).generator().random(16)
-        b = RngStream(3, 9).generator().random(16)
+        a = stream(3, 9).random(16)
+        b = stream(3, 9).random(16)
         assert np.array_equal(a, b)
 
     def test_streams_differ(self):
-        a = RngStream(3, 9).generator().random(16)
-        b = RngStream(3, 10).generator().random(16)
-        c = RngStream(4, 9).generator().random(16)
+        a = stream(3, 9).random(16)
+        b = stream(3, 10).random(16)
+        c = stream(4, 9).random(16)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_seed_stream_no_collision(self):
         # (seed, stream) pairs map to distinct 128-bit keys, so a stream id
         # can never collide with another seed's stream 0.
-        a = RngStream(1, 0).generator().random(8)
-        b = RngStream(0, 1).generator().random(8)
+        a = stream(1, 0).random(8)
+        b = stream(0, 1).random(8)
         assert not np.array_equal(a, b)
+
+
+WORKER_BASES = {"SID_WORKER_BATCH": core.SID_WORKER_BATCH, "SID_WORKER_ATTACK": core.SID_WORKER_ATTACK}
+FIXED_IDS = {
+    name: v for name, v in vars(core).items() if name.startswith("SID_") and name not in WORKER_BASES
+}
+
+
+class TestStreamTable:
+    """core holds every stream id: the fixed ids and the two per-worker
+    ranges [base, base + MAX_WORKERS) must never meet."""
+
+    def test_ids_keep_their_values(self):
+        # every seeded output depends on these; changing one changes bits
+        assert FIXED_IDS == {
+            "SID_FILTER_INIT": 10, "SID_SERVER_INIT": 11, "SID_FILTER_PICK": 12,
+            "SID_FILTER_BATCH": 13, "SID_FILTER_ATTACK": 14, "SID_BYZ_PICK": 21,
+            "SID_SHARD": 22, "SID_WORKER_PICK": 23, "SID_BENCH": 30,
+            "SID_BLOBS_TRAIN": 40, "SID_BLOBS_VAL": 41,
+        }
+        assert WORKER_BASES == {"SID_WORKER_BATCH": 1000, "SID_WORKER_ATTACK": 100000}
+        assert core.MAX_WORKERS == 99000
+
+    def test_fixed_ids_distinct(self):
+        assert len(set(FIXED_IDS.values())) == len(FIXED_IDS)
+
+    def test_fixed_ids_outside_worker_ranges(self):
+        for name, v in FIXED_IDS.items():
+            for base in WORKER_BASES.values():
+                assert not base <= v < base + core.MAX_WORKERS, name
+
+    def test_worker_ranges_disjoint(self):
+        batch, attack = (range(b, b + core.MAX_WORKERS) for b in WORKER_BASES.values())
+        assert batch.stop <= attack.start or attack.stop <= batch.start
+        # the last worker's batch stream is not the first worker's attack stream
+        last = stream(0, core.SID_WORKER_BATCH + core.MAX_WORKERS - 1).random(4)
+        assert not np.array_equal(last, stream(0, core.SID_WORKER_ATTACK).random(4))

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rgcf import filter as filter_module
+from rgcf import core
 from rgcf.attacks import AttackSpec, apply_attack
-from rgcf.core import SID_SERVER_INIT, GradientReport, NonFiniteValueError, RngStream, param_vector
+from rgcf.core import GradientReport, NonFiniteValueError, param_vector, stream
 from rgcf.data import sample_minibatch, synth_gaussian_blobs
 from rgcf.filter import (
     PRED_CLAMP,
@@ -277,16 +277,16 @@ def reference_train_filter(cfg, data, server_arch, seed):
     textbook whole-array Adam; returns the filter and the filter losses."""
     filt = filter_init(
         server_arch.param_count,
-        RngStream(seed, filter_module._SID_FILTER_INIT).generator(),
+        stream(seed, core.SID_FILTER_INIT),
         threshold=cfg.threshold,
         normalize=cfg.normalize,
     )
     m = v = np.zeros(filt.params.shape)
     t = 0
-    init_rng = RngStream(seed, SID_SERVER_INIT).generator()
-    pick_rng = RngStream(seed, filter_module._SID_WORKER_PICK).generator()
-    batch_rng = RngStream(seed, filter_module._SID_BATCH).generator()
-    attack_rng = RngStream(seed, filter_module._SID_ATTACK).generator()
+    init_rng = stream(seed, core.SID_SERVER_INIT)
+    pick_rng = stream(seed, core.SID_FILTER_PICK)
+    batch_rng = stream(seed, core.SID_FILTER_BATCH)
+    attack_rng = stream(seed, core.SID_FILTER_ATTACK)
     losses = []
     for _episode in range(cfg.episodes):
         params = init_params(server_arch, init_rng)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from rgcf import simulation
+from rgcf import core, simulation
 from rgcf.aggregators import AggregatorSpec
 from rgcf.attacks import AttackSpec, apply_attack
-from rgcf.core import RngStream, param_vector
+from rgcf.core import param_vector, stream
 from rgcf.data import sample_minibatch, shard
 from rgcf.filter import FilterNet
 from rgcf.models import (
@@ -91,10 +91,10 @@ class TestWorkers:
     def test_worker_step_keeps_loss_honest(self, blobs):
         arch = logistic(blobs.in_dim, blobs.classes)
         params = init_params(arch, rng(1))
-        honest = WorkerSpec(id=0, shard=blobs, attack=None, batch_size=8)
-        byz = WorkerSpec(id=0, shard=blobs, attack=AttackSpec("inverse"), batch_size=8)
-        [rh] = worker_step([honest], params, arch, [rng(2)], [rng(3)])
-        [rb] = worker_step([byz], params, arch, [rng(2)], [rng(3)])
+        honest = WorkerSpec(blobs, None, rng(2), rng(3))
+        byz = WorkerSpec(blobs, AttackSpec("inverse"), rng(2), rng(3))
+        [rh] = worker_step([honest], params, arch, 8)
+        [rb] = worker_step([byz], params, arch, 8)
         assert rb.loss == rh.loss
         assert np.array_equal(rb.gradient, -rh.gradient)
 
@@ -103,8 +103,8 @@ class TestWorkers:
         arch = logistic(blobs.in_dim, blobs.classes)
         params = init_params(arch, rng(3))
         for attack in (None, AttackSpec("inverse")):
-            w = WorkerSpec(id=0, shard=blobs, attack=attack, batch_size=8)
-            assert not worker_step([w], params, arch, [rng(2)], [rng(3)])[0].gradient.flags.writeable
+            w = WorkerSpec(blobs, attack, rng(2), rng(3))
+            assert not worker_step([w], params, arch, 8)[0].gradient.flags.writeable
 
     @pytest.mark.parametrize("hidden", [(), (8,)], ids=["logistic", "mlp"])
     def test_worker_step_equals_per_worker_replay(self, blobs, hidden):
@@ -117,34 +117,38 @@ class TestWorkers:
         assert len({s.size for s in shards}) == 2
         attacks = [None, AttackSpec("random_gaussian"), AttackSpec("inverse"), None,
                    AttackSpec("all_ones"), AttackSpec("gradient_shift"), None]
-        workers = [
-            WorkerSpec(id=i, shard=s, attack=a, batch_size=16)
-            for i, (s, a) in enumerate(zip(shards, attacks))
-        ]
+
+        def streams(i):
+            return rng(6, core.SID_WORKER_BATCH + i), rng(6, core.SID_WORKER_ATTACK + i)
+
+        workers = [WorkerSpec(s, a, *streams(i)) for i, (s, a) in enumerate(zip(shards, attacks))]
+        replays = [streams(i) for i in range(7)]
         params = init_params(arch, rng(5))
-
-        def streams():
-            return [rng(6, 1000 + i) for i in range(7)], [rng(6, 100000 + i) for i in range(7)]
-
-        batch_rngs, attack_rngs = streams()
-        replay_batch_rngs, replay_attack_rngs = streams()
-        for queried in (workers, workers[2:6], [workers[5]], workers):
-            reports = worker_step(queried, params, arch, batch_rngs, attack_rngs)
-            assert len(reports) == len(queried)
-            for w, report in zip(queried, reports):
-                inputs, labels = sample_minibatch(w.shard, w.batch_size, replay_batch_rngs[w.id])
+        for picked in (range(7), range(2, 6), [5], range(7)):
+            reports = worker_step([workers[i] for i in picked], params, arch, 16)
+            assert len(reports) == len(picked)
+            for i, report in zip(picked, reports):
+                w, (batch_rng, attack_rng) = workers[i], replays[i]
+                inputs, labels = sample_minibatch(w.shard, 16, batch_rng)
                 grad, loss = backward(arch, params, inputs, labels)
                 if w.attack is not None:
-                    grad = apply_attack(w.attack, grad, replay_attack_rngs[w.id])
+                    grad = apply_attack(w.attack, grad, attack_rng)
                 assert np.array_equal(report.gradient, grad)
                 assert report.loss == loss
 
     def test_worker_spec_validation(self, blobs):
-        # workers take their batch size from the RunConfig, which refuses 0,
-        # so no worker with an empty batch can be built
-        assert {w.batch_size for w in build_workers(run_config(batch_size=5), blobs)} == {5}
+        # every worker owns its two streams from the table in core, and the
+        # RunConfig refuses an empty batch and a worker count whose stream
+        # ranges would meet
+        workers = build_workers(run_config(seed=3), blobs)
+        for i, w in enumerate(workers):
+            assert np.array_equal(w.batch_rng.random(4), rng(3, core.SID_WORKER_BATCH + i).random(4))
+            assert np.array_equal(w.attack_rng.random(4), rng(3, core.SID_WORKER_ATTACK + i).random(4))
         with pytest.raises(ValueError, match="batch_size"):
             build_workers(run_config(batch_size=0), blobs)
+        run_config(n_workers=core.MAX_WORKERS)
+        with pytest.raises(ValueError, match="n_workers"):
+            run_config(n_workers=core.MAX_WORKERS + 1)
 
 
 class TestRunRgcf:
@@ -184,9 +188,9 @@ class TestRunRgcf:
         arch = logistic(blobs.in_dim, blobs.classes)
         cfg = run_config(n_workers=1, byzantine_fraction=0.0, steps=20)
         m = run_rgcf(cfg, blobs, blobs_val, arch, accept_all_filter(arch.param_count))
-        local = shard(blobs, 1, RngStream(cfg.seed, 22).generator())[0]
-        batch_rng = RngStream(cfg.seed, 1000).generator()
-        params = init_params(arch, RngStream(cfg.seed, 11).generator())
+        local = shard(blobs, 1, stream(cfg.seed, core.SID_SHARD))[0]
+        batch_rng = stream(cfg.seed, core.SID_WORKER_BATCH)
+        params = init_params(arch, stream(cfg.seed, core.SID_SERVER_INIT))
         for _ in range(20):
             inputs, labels = sample_minibatch(local, cfg.batch_size, batch_rng)
             grad, _ = backward(arch, params, inputs, labels)
@@ -195,12 +199,12 @@ class TestRunRgcf:
 
     def test_ground_truth_is_the_picked_workers_role(self, blobs, blobs_val):
         # white-box stream replay: each step's ground truth is whether the
-        # worker picked from stream 23 is one of the fixed Byzantine workers
+        # worker picked from its stream is one of the fixed Byzantine workers
         arch = logistic(blobs.in_dim, blobs.classes)
         cfg = run_config()
         m = run_rgcf(cfg, blobs, blobs_val, arch, reject_all_filter(arch.param_count))
         workers = build_workers(cfg, blobs)
-        pick_rng = RngStream(cfg.seed, 23).generator()
+        pick_rng = stream(cfg.seed, core.SID_WORKER_PICK)
         picks = [int(pick_rng.integers(0, cfg.n_workers)) for _ in range(cfg.steps)]
         assert m.ground_truths == [int(workers[i].byzantine) for i in picks]
         assert 0 < sum(m.ground_truths) < cfg.steps
@@ -244,9 +248,9 @@ class TestRunAggregated:
         arch = logistic(blobs.in_dim, blobs.classes)
         cfg = self.agg_config(n_workers=3, byzantine_fraction=0.0, steps=20)
         m = run_aggregated(cfg, blobs, blobs_val, arch)
-        shards = shard(blobs, 3, RngStream(cfg.seed, 22).generator())
-        batch_rngs = [RngStream(cfg.seed, 1000 + i).generator() for i in range(3)]
-        params = init_params(arch, RngStream(cfg.seed, 11).generator())
+        shards = shard(blobs, 3, stream(cfg.seed, core.SID_SHARD))
+        batch_rngs = [stream(cfg.seed, core.SID_WORKER_BATCH + i) for i in range(3)]
+        params = init_params(arch, stream(cfg.seed, core.SID_SERVER_INIT))
         for _ in range(20):
             grads = [
                 backward(arch, params, *sample_minibatch(s, cfg.batch_size, r))[0]
