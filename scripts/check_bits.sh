@@ -15,7 +15,14 @@
 # mean mode; MLP median and bulyan (n=11, f=2) runs under the inverse
 # attack; an all-Byzantine attack_scale=1e200 MLP mean run that diverges
 # at its first step; the 80-cell MLP compare grid at steps=25.
+#
+# The probes run on one BLAS thread. Byte-reproducibility holds at a fixed
+# BLAS thread count, not across counts: with OpenBLAS, the wide probe's
+# filter.rgcf differs between one and two threads (its filter_train.csv
+# does not). Pinning the count keeps two trees' listings comparable
+# whatever the calling shell sets. perfbench runs on one BLAS thread too.
 set -euo pipefail
+export OPENBLAS_NUM_THREADS=1
 
 if [ $# -ne 1 ]; then
     echo "usage: $0 OUT" >&2

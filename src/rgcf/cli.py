@@ -149,7 +149,6 @@ def resolve(cfg: ExperimentConfig) -> Specs:
             batch_size=cfg.batch_size,
             attack=AttackSpec(cfg.train_attack, cfg.train_attack_scale),
             threshold=cfg.threshold,
-            normalize=cfg.normalize,
         )
         for method in cfg.bench_methods:
             for n in cfg.bench_n:

@@ -18,14 +18,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _bool(s: str) -> bool:
-    if s.lower() in ("1", "true", "yes"):
-        return True
-    if s.lower() in ("0", "false", "no"):
-        return False
-    raise ConfigError(f"not a boolean: {s!r}")
-
-
 def _optional(parse):
     """An empty value is None (the consumer's default)."""
     return lambda s: parse(s) if s.strip() else None
@@ -69,7 +61,6 @@ class ExperimentConfig:
     train_attack: str = "random_gaussian"
     train_attack_scale: float | None = None  # empty = attack default
     threshold: float = 0.5
-    normalize: bool = True  # direction-only filter input
     filter_file: str = "filter.rgcf"
 
     # deployment run
@@ -97,7 +88,7 @@ class ExperimentConfig:
 
 
 _FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
-_PARSERS = {"int": int, "float": float, "str": str, "bool": _bool}
+_PARSERS = {"int": int, "float": float, "str": str}
 _PARSERS |= {f"tuple[{t}, ...]": _tuple(_PARSERS[t]) for t in ("int", "float", "str")}
 _PARSERS["float | None"] = _optional(float)
 
@@ -133,7 +124,7 @@ def build_config(
         parser = _PARSERS[_FIELDS[key]]
         try:
             setattr(cfg, key, parser(value))
-        except (ValueError, ConfigError) as e:
+        except ValueError as e:
             raise ConfigError(f"bad value for {key}: {value!r} ({e})") from e
     return cfg
 
@@ -143,9 +134,7 @@ def write_manifest(cfg: ExperimentConfig, path: str) -> None:
         f.write("# resolved experiment configuration; rerunnable via --config\n")
         for field in sorted(_FIELDS):
             value = getattr(cfg, field)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, tuple):
+            if isinstance(value, tuple):
                 value = ",".join(map(str, value))
             elif value is None:
                 value = ""

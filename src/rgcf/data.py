@@ -107,33 +107,28 @@ def synth_gaussian_blobs(
     return Dataset(inputs=inputs[perm], labels=labels[perm], classes=classes)
 
 
-def shard(data: Dataset, n: int, rng: np.random.Generator) -> list[Dataset]:
-    """Disjoint near-equal random partition; larger shards come first."""
-    if n > data.size:
-        raise TooManyShardsError(f"cannot split {data.size} examples into {n} shards")
-    perm = rng.permutation(data.size)
-    base, extra = divmod(data.size, n)
-    shards = []
-    off = 0
-    for i in range(n):
-        size = base + (1 if i < extra else 0)
-        idx = perm[off : off + size]
-        off += size
-        shards.append(Dataset(inputs=data.inputs[idx], labels=data.labels[idx], classes=data.classes))
-    return shards
+def shard(size: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """A disjoint near-equal random partition of range(size) into n row-index
+    arrays, larger shards first. A worker's shard is its rows of the run's
+    one training set, not a copy of them."""
+    if n > size:
+        raise TooManyShardsError(f"cannot split {size} examples into {n} shards")
+    return np.array_split(rng.permutation(size), n)
 
 
 def sample_minibatch(
     data: Dataset,
+    rows: np.ndarray,
     size: int,
     rng: np.random.Generator,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform with-replacement sample: (inputs, labels), gathered into the
-    (size, in_dim) and (size,) arrays of out when it is given."""
+    """Uniform with-replacement sample of data's given rows: (inputs, labels),
+    gathered into the (size, in_dim) and (size,) arrays of out when it is
+    given."""
     if size < 1:
         raise ValueError("size must be >= 1")
-    idx = rng.integers(0, data.size, size=size)
+    idx = rows[rng.integers(0, len(rows), size=size)]
     inputs, labels = out if out is not None else (None, None)
     # Every index is in range, so "clip" moves none; unlike the default
     # "raise", it gathers straight into out without a buffer.

@@ -43,24 +43,23 @@ FORMAT_VERSION = 1
 class FilterNet:
     """Classifier over (gradient, loss) inputs: (d+1) -> 64 -> 32 -> 1.
 
-    With normalize=True (the default) the gradient block of the input is
-    rescaled to norm sqrt(d) before the net sees it, so classification
-    depends on the gradient's direction rather than its magnitude; the
-    scalar loss passes through unscaled. normalize=False feeds the raw
-    gradient.
+    The gradient block of the input is rescaled to norm sqrt(d) before the
+    net sees it, so classification depends on the gradient's direction
+    alone, not its magnitude; the scalar loss passes through unscaled.
     """
 
     d: int
     params: np.ndarray
     hidden: tuple[int, ...] = (64, 32)
     threshold: float = 0.5
-    normalize: bool = True
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.d + 1, *self.hidden, 1)
 
     def __post_init__(self):
+        if min(self.hidden, default=1) < 1:
+            raise ValueError(f"layer sizes {self.layer_sizes}: every hidden width must be >= 1")
         expected = Architecture(self.d + 1, self.hidden, 1).param_count
         if self.params.shape != (expected,):
             raise ShapeMismatchError(f"filter params {self.params.shape} != expected ({expected},)")
@@ -73,28 +72,21 @@ def filter_init(
     rng: np.random.Generator,
     hidden: tuple[int, ...] = (64, 32),
     threshold: float = 0.5,
-    normalize: bool = True,
 ) -> FilterNet:
     params = init_params(Architecture(d + 1, hidden, 1), rng)
-    return FilterNet(
-        d=d,
-        params=params,
-        hidden=hidden,
-        threshold=threshold,
-        normalize=normalize,
-    )
+    return FilterNet(d=d, params=params, hidden=hidden, threshold=threshold)
 
 
 def _filter_input(filt: FilterNet, grad: np.ndarray, loss: float) -> np.ndarray:
     """The net's input as a (1, d+1) batch: the gradient, rescaled to norm
-    sqrt(d) when the filter normalizes, then the loss. Built in place, since
-    every transferred gradient passes through here."""
+    sqrt(d) unless it is zero, then the loss. Built in place, since every
+    transferred gradient passes through here."""
     if grad.shape != (filt.d,):
         raise ShapeMismatchError(f"gradient length {grad.shape} != filter d {filt.d}")
     if not np.isfinite(loss):
         raise ValueError("loss must be finite")
     x = np.empty((1, filt.d + 1))
-    norm = np.linalg.norm(grad) if filt.normalize else 0.0
+    norm = np.linalg.norm(grad)
     if norm > 0:
         np.multiply(grad, np.sqrt(filt.d) / norm, out=x[0, : filt.d])
     else:
@@ -173,7 +165,6 @@ class FilterTrainConfig:
     batch_size: int = 128
     attack: AttackSpec = field(default_factory=lambda: AttackSpec(RANDOM_GAUSSIAN, 1.0))
     threshold: float = 0.5
-    normalize: bool = True
 
     def __post_init__(self):
         if min(self.episodes, self.steps_per_episode) < 0:
@@ -207,9 +198,7 @@ def train_filter(
     not the filter's prediction, so filter quality cannot disturb the
     server trajectory it learns from."""
     d = server_arch.param_count
-    filt = filter_init(
-        d, stream(seed, core.SID_FILTER_INIT), threshold=cfg.threshold, normalize=cfg.normalize
-    )
+    filt = filter_init(d, stream(seed, core.SID_FILTER_INIT), threshold=cfg.threshold)
     # the weights and the Adam moments are allocated once and updated in
     # place; the weights are frozen when training ends
     filt = replace(filt, params=np.array(filt.params))
@@ -218,6 +207,7 @@ def train_filter(
     pick_rng = stream(seed, core.SID_FILTER_PICK)
     batch_rng = stream(seed, core.SID_FILTER_BATCH)
     attack_rng = stream(seed, core.SID_FILTER_ATTACK)
+    rows = np.arange(local_data.size)
 
     log = FilterTrainLog()
     correct = 0
@@ -229,7 +219,7 @@ def train_filter(
             params = init_params(server_arch, init_rng)
             for _t in range(cfg.steps_per_episode):
                 byz = int(pick_rng.integers(0, 2))
-                inputs, labels = sample_minibatch(local_data, cfg.batch_size, batch_rng)
+                inputs, labels = sample_minibatch(local_data, rows, cfg.batch_size, batch_rng)
                 grad, server_loss = models.backward(server_arch, params, inputs, labels)
                 if byz:
                     grad = apply_attack(cfg.attack, grad, attack_rng)
@@ -249,7 +239,8 @@ def train_filter(
 
 def save_filter(filt: FilterNet, path: str) -> None:
     """Versioned binary format: magic, version, d, layer sizes, threshold,
-    then little-endian float64 weights in canonical flattening order."""
+    the normalize byte (always 1: the input is direction-only), then
+    little-endian float64 weights in canonical flattening order."""
     sizes = filt.layer_sizes
     with open(path, "wb") as f:
         f.write(MAGIC)
@@ -257,14 +248,15 @@ def save_filter(filt: FilterNet, path: str) -> None:
         f.write(struct.pack("<I", len(sizes)))
         f.write(struct.pack(f"<{len(sizes)}I", *sizes))
         f.write(struct.pack("<d", filt.threshold))
-        f.write(struct.pack("<B", int(filt.normalize)))
+        f.write(struct.pack("<B", 1))
         f.write(np.asarray(filt.params, dtype="<f8").tobytes())
 
 
 def load_filter(path: str) -> FilterNet:
     """Parse a file written by save_filter. Every field must be complete,
-    the layer sizes must run from d+1 to 1, and nothing may follow the
-    weights; anything else raises ValueError."""
+    the layer sizes must run from d+1 to 1 with no hidden width below 1,
+    the normalize byte must be 1, and nothing may follow the weights;
+    anything else raises ValueError."""
     with open(path, "rb") as f:
 
         def unpack(fmt: str) -> tuple:
@@ -281,14 +273,10 @@ def load_filter(path: str) -> FilterNet:
             raise ValueError(f"{path}: layer sizes {sizes} do not run from d+1={d + 1} to 1")
         (threshold,) = unpack("<d")
         (normalize,) = unpack("<B")
+        if normalize != 1:
+            raise ValueError(f"{path}: normalize byte {normalize}, expected 1")
         count = Architecture(sizes[0], sizes[1:-1], sizes[-1]).param_count
         params = np.frombuffer(read_exact(f, 8 * count, path), dtype="<f8")
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the weight block")
-    return FilterNet(
-        d=d,
-        params=param_vector(params),
-        hidden=tuple(sizes[1:-1]),
-        threshold=threshold,
-        normalize=bool(normalize),
-    )
+    return FilterNet(d, param_vector(params), tuple(sizes[1:-1]), threshold)

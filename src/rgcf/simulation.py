@@ -25,10 +25,11 @@ from .models import Architecture, ShapeMismatchError, apply_update, init_params
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """One worker: its shard, its attack (None = honest), and the two
-    streams it owns, for its mini-batches and for its attack's noise."""
+    """One worker: its shard (row indices into the run's one training set),
+    its attack (None = honest), and the two streams it owns, for its
+    mini-batches and for its attack's noise."""
 
-    shard: Dataset
+    rows: np.ndarray
     attack: AttackSpec | None
     batch_rng: np.random.Generator
     attack_rng: np.random.Generator
@@ -111,21 +112,21 @@ BENCH_WARMUP_S = 2.0
 
 def worker_step(
     workers: list[WorkerSpec],
+    data: Dataset,
     params: np.ndarray,
     arch: Architecture,
     batch_size: int,
 ) -> list[GradientReport]:
     """One turn of the queried workers, in order: each draws a fresh
-    mini-batch of batch_size from its own batch stream into its row of one
-    (k, batch_size, in_dim) array, one stacked backward pass computes every
-    honest gradient, and each Byzantine worker then attacks its own with its
-    own attack stream. Every worker sends one report, its gradient with the
-    honest loss."""
-    data = workers[0].shard
+    mini-batch of batch_size from its own rows of data with its own batch
+    stream, into its row of one (k, batch_size, in_dim) array, one stacked
+    backward pass computes every honest gradient, and each Byzantine worker
+    then attacks its own with its own attack stream. Every worker sends one
+    report, its gradient with the honest loss."""
     inputs = np.empty((len(workers), batch_size, data.in_dim), data.inputs.dtype)
     labels = np.empty(inputs.shape[:2], data.labels.dtype)
     for w, x, y in zip(workers, inputs, labels):
-        sample_minibatch(w.shard, batch_size, w.batch_rng, out=(x, y))
+        sample_minibatch(data, w.rows, batch_size, w.batch_rng, out=(x, y))
     grads, losses = models.backward(arch, params, inputs, labels)
     reports = []
     for w, grad, loss in zip(workers, grads, losses.tolist()):
@@ -136,10 +137,10 @@ def worker_step(
 
 
 def build_workers(cfg: RunConfig, train_data: Dataset) -> list[WorkerSpec]:
-    """Shard the training set i.i.d., fix the Byzantine subset by seeded
-    sampling (it does not change during the run), and give worker i its
-    streams SID_WORKER_BATCH + i and SID_WORKER_ATTACK + i."""
-    shards = shard(train_data, cfg.n_workers, stream(cfg.seed, core.SID_SHARD))
+    """Shard the training set's rows i.i.d., fix the Byzantine subset by
+    seeded sampling (it does not change during the run), and give worker i
+    its streams SID_WORKER_BATCH + i and SID_WORKER_ATTACK + i."""
+    shards = shard(train_data.size, cfg.n_workers, stream(cfg.seed, core.SID_SHARD))
     byz_pick = stream(cfg.seed, core.SID_BYZ_PICK)
     byz_ids = set(byz_pick.choice(cfg.n_workers, size=cfg.byzantine_count, replace=False).tolist())
     return [
@@ -222,7 +223,7 @@ def _run(
                 queried = [workers[int(pick_rng.integers(0, cfg.n_workers))]]
             t0 = clock()
             try:
-                reports = worker_step(queried, params, arch, cfg.batch_size)
+                reports = worker_step(queried, train_data, params, arch, cfg.batch_size)
             except NonFiniteValueError:
                 m.diverged = True
                 break

@@ -196,7 +196,7 @@ def _heldout_accuracy(attack_kind):
     spec = AttackSpec(attack_kind)
     correct = 0
     for _ in range(100):  # 100 honest + 100 attacked = 200 fresh reports
-        grad, loss = backward(arch, params, *sample_minibatch(data, 128, batch_rng))
+        grad, loss = backward(arch, params, *sample_minibatch(data, np.arange(data.size), 128, batch_rng))
         attacked = param_vector(apply_attack(spec, grad, attack_rng))
         correct += int(classify(filt, grad, loss) == 0)
         correct += int(classify(filt, attacked, loss) == 1)

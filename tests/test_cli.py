@@ -247,6 +247,7 @@ INVALID_CONFIGS = [
     ("train-filter", ["--set", "blobs_val_per_class=0"]),  # checked though not built
     # 120,000 examples, but worker 99,000's batch stream would be worker 0's attack stream
     ("run", ["--set", "blobs_per_class=40000", "--set", f"n_workers={MAX_WORKERS + 1}"]),
+    ("run", ["--set", "normalize=true"]),  # the filter input is always direction-only
 ]
 
 

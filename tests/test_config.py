@@ -19,7 +19,6 @@ class TestBuild:
         assert cfg.seed == 0
         assert cfg.n_workers == 10
         assert cfg.filter_lr == 0.002
-        assert cfg.normalize is True
 
     def test_overrides_win_over_file(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -35,12 +34,6 @@ class TestBuild:
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
             build_config(None, {"steps": "many"})
-
-    def test_bool_parsing(self):
-        assert build_config(None, {"normalize": "false"}).normalize is False
-        assert build_config(None, {"normalize": "YES"}).normalize is True
-        with pytest.raises(ConfigError):
-            build_config(None, {"normalize": "maybe"})
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -65,7 +58,6 @@ class TestManifest:
             {
                 "seed": "42",
                 "arch": "mlp",
-                "normalize": "false",
                 "hidden": "64,32",
                 "bench_n": "10,20,40",
                 "bench_methods": "rgcf,krum",

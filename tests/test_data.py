@@ -156,35 +156,34 @@ class TestBlobs:
 
 class TestShard:
     def test_disjoint_cover(self):
-        d = synth_gaussian_blobs(2, 20, 4, 5.0, rng(36))
-        shards = shard(d, 4, rng(37))
-        rows = np.concatenate([s.inputs for s in shards])
-        assert rows.shape == d.inputs.shape
-        assert sorted(map(tuple, rows)) == sorted(map(tuple, d.inputs))
+        # index arrays whose union is range(size), each index once
+        shards = shard(40, 4, rng(37))
+        assert all(s.ndim == 1 and s.dtype.kind == "i" for s in shards)
+        assert np.array_equal(np.sort(np.concatenate(shards)), np.arange(40))
 
     def test_remainder_sizes_descending(self):
-        d = small_dataset(n=10)
-        sizes = [s.size for s in shard(d, 3, rng(38))]
-        assert sizes == [4, 3, 3]
+        assert [len(s) for s in shard(10, 3, rng(38))] == [4, 3, 3]
+        assert [len(s) for s in shard(3, 3, rng(38))] == [1, 1, 1]
 
     def test_too_many_shards(self):
         with pytest.raises(TooManyShardsError):
-            shard(small_dataset(n=3), 4, rng(39))
+            shard(3, 4, rng(39))
 
 
 class TestMinibatch:
     def test_with_replacement_allows_oversampling(self):
         d = small_dataset(n=3)
-        inputs, labels = sample_minibatch(d, 50, rng(40))
+        inputs, labels = sample_minibatch(d, np.arange(3), 50, rng(40))
         assert inputs.shape == (50, d.in_dim)
         assert labels.shape == (50,)
 
     def test_rows_come_from_dataset(self):
         d = small_dataset()
-        inputs, _ = sample_minibatch(d, 8, rng(41))
-        pool = set(map(tuple, d.inputs))
+        rows = np.array([1, 4, 7])
+        inputs, _ = sample_minibatch(d, rows, 8, rng(41))
+        pool = set(map(tuple, d.inputs[rows]))
         assert all(tuple(row) in pool for row in inputs)
 
     def test_size_validated(self):
         with pytest.raises(ValueError):
-            sample_minibatch(small_dataset(), 0, rng(42))
+            sample_minibatch(small_dataset(), np.arange(12), 0, rng(42))

@@ -61,15 +61,9 @@ def assembled(grad):
     return np.concatenate([np.outer(grad.x, grad.delta).ravel(), grad.rest])
 
 
-def zero_filter(d, hidden=(4, 3), threshold=0.5, normalize=True):
+def zero_filter(d, hidden=(4, 3), threshold=0.5):
     count = Architecture(d + 1, hidden, 1).param_count
-    return FilterNet(
-        d=d,
-        params=param_vector(np.zeros(count)),
-        hidden=hidden,
-        threshold=threshold,
-        normalize=normalize,
-    )
+    return FilterNet(d=d, params=param_vector(np.zeros(count)), hidden=hidden, threshold=threshold)
 
 
 class TestForward:
@@ -95,8 +89,9 @@ class TestForward:
         filt = filter_init(8, r)
         g = r.standard_normal(8)
         assert filter_forward(filt, g, 0.3) == filter_forward(filt, 100.0 * g, 0.3)
-        raw = filter_init(8, rng(12), normalize=False)
-        assert filter_forward(raw, g, 0.3) != filter_forward(raw, 100.0 * g, 0.3)
+        x = _filter_input(filt, 100.0 * g, 0.3)[0]
+        assert np.linalg.norm(x[:8]) == pytest.approx(np.sqrt(8))
+        assert x[8] == 0.3
 
     def test_zero_gradient_passes_through(self):
         filt = filter_init(4, rng(13))
@@ -275,12 +270,7 @@ class TestTrainFilter:
 def reference_train_filter(cfg, data, server_arch, seed):
     """train_filter's loop with a fresh frozen filter per step and the
     textbook whole-array Adam; returns the filter and the filter losses."""
-    filt = filter_init(
-        server_arch.param_count,
-        stream(seed, core.SID_FILTER_INIT),
-        threshold=cfg.threshold,
-        normalize=cfg.normalize,
-    )
+    filt = filter_init(server_arch.param_count, stream(seed, core.SID_FILTER_INIT), threshold=cfg.threshold)
     m = v = np.zeros(filt.params.shape)
     t = 0
     init_rng = stream(seed, core.SID_SERVER_INIT)
@@ -292,7 +282,7 @@ def reference_train_filter(cfg, data, server_arch, seed):
         params = init_params(server_arch, init_rng)
         for _t in range(cfg.steps_per_episode):
             byz = int(pick_rng.integers(0, 2))
-            inputs, labels = sample_minibatch(data, cfg.batch_size, batch_rng)
+            inputs, labels = sample_minibatch(data, np.arange(data.size), cfg.batch_size, batch_rng)
             grad, server_loss = backward(server_arch, params, inputs, labels)
             if byz:
                 grad = apply_attack(cfg.attack, grad, attack_rng)
@@ -317,15 +307,21 @@ class TestSerialization:
         assert loaded.d == filt.d
         assert loaded.hidden == filt.hidden
         assert loaded.threshold == filt.threshold
-        assert loaded.normalize == filt.normalize
         g = rng(1).standard_normal(filt.d)
         assert filter_forward(loaded, g, 0.2) == filter_forward(filt, g, 0.2)
 
-    def test_normalize_flag_round_trips_off(self, tmp_path):
-        filt = zero_filter(4, normalize=False)
-        path = str(tmp_path / "f.rgcf")
-        save_filter(filt, path)
-        assert load_filter(path).normalize is False
+    def test_normalize_byte_must_be_one(self, tmp_path):
+        # the byte after the threshold is always 1 (direction-only input);
+        # a file with 0 there asks for a raw input mode that does not exist
+        path = tmp_path / "f.rgcf"
+        save_filter(zero_filter(4), str(path))
+        blob = bytearray(path.read_bytes())
+        # magic, version, d, size count, four sizes, threshold: 40 bytes
+        assert blob[40] == 1
+        blob[40] = 0
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="normalize byte 0"):
+            load_filter(str(path))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rgcf"
@@ -367,6 +363,12 @@ class TestSerialization:
             path.write_bytes(bytes(bad))
             with pytest.raises(ValueError, match="layer sizes"):
                 load_filter(str(path))
+        # a zero-width hidden layer: sizes (5, 0, 1) hold one weight, an
+        # output bias, so the net would score every gradient alike
+        header = struct.pack("<4sIII3Id", b"RGCF", 1, 4, 3, 5, 0, 1, 0.5)
+        path.write_bytes(header + struct.pack("<Bd", 1, 3.0))
+        with pytest.raises(ValueError, match="layer sizes"):
+            load_filter(str(path))
 
 
 def test_config_validation():

@@ -5,7 +5,7 @@ from rgcf import core, simulation
 from rgcf.aggregators import AggregatorSpec
 from rgcf.attacks import AttackSpec, apply_attack
 from rgcf.core import param_vector, stream
-from rgcf.data import sample_minibatch, shard
+from rgcf.data import Dataset, sample_minibatch, shard
 from rgcf.filter import FilterNet
 from rgcf.models import (
     Architecture,
@@ -85,16 +85,19 @@ class TestWorkers:
         assert [w.byzantine for w in workers] == [w.byzantine for w in again]
 
     def test_shards_cover_data(self, blobs):
+        # the workers' rows cover the one training set exactly once
         workers = build_workers(run_config(), blobs)
-        assert sum(w.shard.size for w in workers) == blobs.size
+        rows = np.concatenate([w.rows for w in workers])
+        assert np.array_equal(np.sort(rows), np.arange(blobs.size))
 
     def test_worker_step_keeps_loss_honest(self, blobs):
         arch = logistic(blobs.in_dim, blobs.classes)
         params = init_params(arch, rng(1))
-        honest = WorkerSpec(blobs, None, rng(2), rng(3))
-        byz = WorkerSpec(blobs, AttackSpec("inverse"), rng(2), rng(3))
-        [rh] = worker_step([honest], params, arch, 8)
-        [rb] = worker_step([byz], params, arch, 8)
+        rows = np.arange(blobs.size)
+        honest = WorkerSpec(rows, None, rng(2), rng(3))
+        byz = WorkerSpec(rows, AttackSpec("inverse"), rng(2), rng(3))
+        [rh] = worker_step([honest], blobs, params, arch, 8)
+        [rb] = worker_step([byz], blobs, params, arch, 8)
         assert rb.loss == rh.loss
         assert np.array_equal(rb.gradient, -rh.gradient)
 
@@ -103,18 +106,20 @@ class TestWorkers:
         arch = logistic(blobs.in_dim, blobs.classes)
         params = init_params(arch, rng(3))
         for attack in (None, AttackSpec("inverse")):
-            w = WorkerSpec(blobs, attack, rng(2), rng(3))
-            assert not worker_step([w], params, arch, 8)[0].gradient.flags.writeable
+            w = WorkerSpec(np.arange(blobs.size), attack, rng(2), rng(3))
+            assert not worker_step([w], blobs, params, arch, 8)[0].gradient.flags.writeable
 
     @pytest.mark.parametrize("hidden", [(), (8,)], ids=["logistic", "mlp"])
     def test_worker_step_equals_per_worker_replay(self, blobs, hidden):
         # one stacked turn of a mixed pool (honest workers plus all four
         # attacks, shards of unequal size) sends, bit for bit, what each
-        # worker sends on its own: its batch from its stream, a 2-D
-        # backward, then its attack from its own attack stream, in order
+        # worker sends on its own: its batch from its stream, drawn from a
+        # copy of its shard, a 2-D backward, then its attack from its own
+        # attack stream, in order
         arch = mlp(blobs.in_dim, hidden, blobs.classes)
-        shards = shard(blobs, 7, rng(4))
-        assert len({s.size for s in shards}) == 2
+        shards = shard(blobs.size, 7, rng(4))
+        assert len({len(s) for s in shards}) == 2
+        copies = [Dataset(blobs.inputs[rows], blobs.labels[rows], blobs.classes) for rows in shards]
         attacks = [None, AttackSpec("random_gaussian"), AttackSpec("inverse"), None,
                    AttackSpec("all_ones"), AttackSpec("gradient_shift"), None]
 
@@ -125,11 +130,12 @@ class TestWorkers:
         replays = [streams(i) for i in range(7)]
         params = init_params(arch, rng(5))
         for picked in (range(7), range(2, 6), [5], range(7)):
-            reports = worker_step([workers[i] for i in picked], params, arch, 16)
+            reports = worker_step([workers[i] for i in picked], blobs, params, arch, 16)
             assert len(reports) == len(picked)
             for i, report in zip(picked, reports):
                 w, (batch_rng, attack_rng) = workers[i], replays[i]
-                inputs, labels = sample_minibatch(w.shard, 16, batch_rng)
+                copy = copies[i]
+                inputs, labels = sample_minibatch(copy, np.arange(copy.size), 16, batch_rng)
                 grad, loss = backward(arch, params, inputs, labels)
                 if w.attack is not None:
                     grad = apply_attack(w.attack, grad, attack_rng)
@@ -188,11 +194,11 @@ class TestRunRgcf:
         arch = logistic(blobs.in_dim, blobs.classes)
         cfg = run_config(n_workers=1, byzantine_fraction=0.0, steps=20)
         m = run_rgcf(cfg, blobs, blobs_val, arch, accept_all_filter(arch.param_count))
-        local = shard(blobs, 1, stream(cfg.seed, core.SID_SHARD))[0]
+        [local] = shard(blobs.size, 1, stream(cfg.seed, core.SID_SHARD))
         batch_rng = stream(cfg.seed, core.SID_WORKER_BATCH)
         params = init_params(arch, stream(cfg.seed, core.SID_SERVER_INIT))
         for _ in range(20):
-            inputs, labels = sample_minibatch(local, cfg.batch_size, batch_rng)
+            inputs, labels = sample_minibatch(blobs, local, cfg.batch_size, batch_rng)
             grad, _ = backward(arch, params, inputs, labels)
             params = apply_update(params, grad, cfg.server_lr, 0)
         assert np.array_equal(m.final_params, params)
@@ -248,12 +254,12 @@ class TestRunAggregated:
         arch = logistic(blobs.in_dim, blobs.classes)
         cfg = self.agg_config(n_workers=3, byzantine_fraction=0.0, steps=20)
         m = run_aggregated(cfg, blobs, blobs_val, arch)
-        shards = shard(blobs, 3, stream(cfg.seed, core.SID_SHARD))
+        shards = shard(blobs.size, 3, stream(cfg.seed, core.SID_SHARD))
         batch_rngs = [stream(cfg.seed, core.SID_WORKER_BATCH + i) for i in range(3)]
         params = init_params(arch, stream(cfg.seed, core.SID_SERVER_INIT))
         for _ in range(20):
             grads = [
-                backward(arch, params, *sample_minibatch(s, cfg.batch_size, r))[0]
+                backward(arch, params, *sample_minibatch(blobs, s, cfg.batch_size, r))[0]
                 for s, r in zip(shards, batch_rngs)
             ]
             params = params - cfg.server_lr * np.stack(grads).mean(axis=0)
