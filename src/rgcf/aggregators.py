@@ -1,8 +1,9 @@
 """Robust aggregation baselines: mean, Krum, coordinate median, trimmed mean, Bulyan.
 
-All rules take the n worker gradients of one step and return a single
-estimate of the true gradient. Krum/trimmed-mean/Bulyan additionally need
-f_count, the operator's assumed number of Byzantine workers.
+All rules take the n worker gradients of one step, as a list of rows or
+one (n, d) array, and return a single estimate of the true gradient.
+Krum/trimmed-mean/Bulyan additionally need f_count, the operator's assumed
+number of Byzantine workers.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ TRIMMED_MEAN = "trimmed_mean"
 BULYAN = "bulyan"
 
 AGGREGATOR_KINDS = (MEAN, KRUM, COORD_MEDIAN, TRIMMED_MEAN, BULYAN)
+
+Gradients = list[np.ndarray] | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,9 +57,13 @@ def max_f_count(kind: str, n: int) -> int | None:
     return None
 
 
-def _stack(grads: list[np.ndarray]) -> np.ndarray:
+def _stack(grads: Gradients) -> np.ndarray:
+    """The gradients as one (n, d) array: a 2-D array as it is (no rule
+    writes to its input), a list of rows stacked."""
     if len(grads) == 0:
         raise EmptyInputError("no gradients to aggregate")
+    if isinstance(grads, np.ndarray) and grads.ndim == 2:
+        return grads
     d = grads[0].shape[0]
     for g in grads[1:]:
         if g.shape[0] != d:
@@ -64,7 +71,7 @@ def _stack(grads: list[np.ndarray]) -> np.ndarray:
     return np.stack(grads)
 
 
-def agg_mean(grads: list[np.ndarray]) -> np.ndarray:
+def agg_mean(grads: Gradients) -> np.ndarray:
     return _stack(grads).mean(axis=0)
 
 
@@ -92,7 +99,7 @@ def _krum_scores(dist2: np.ndarray, f_count: int) -> np.ndarray:
     return np.sort(dist2, axis=1)[:, 1 : k + 1].sum(axis=1)
 
 
-def agg_krum(grads: list[np.ndarray], f_count: int) -> tuple[int, np.ndarray]:
+def agg_krum(grads: Gradients, f_count: int) -> tuple[int, np.ndarray]:
     """Return (index, vector) of the input minimizing the Krum score.
 
     Ties break to the lowest index.
@@ -117,12 +124,12 @@ def _coord_median(g: np.ndarray) -> np.ndarray:
     return med
 
 
-def agg_coord_median(grads: list[np.ndarray]) -> np.ndarray:
+def agg_coord_median(grads: Gradients) -> np.ndarray:
     """Per-coordinate median; even n averages the two middle order statistics."""
     return _coord_median(_stack(grads))
 
 
-def agg_trimmed_mean(grads: list[np.ndarray], f_count: int) -> np.ndarray:
+def agg_trimmed_mean(grads: Gradients, f_count: int) -> np.ndarray:
     """Per coordinate, drop the f_count largest and smallest values, average the rest."""
     g = _stack(grads)
     n = g.shape[0]
@@ -133,7 +140,7 @@ def agg_trimmed_mean(grads: list[np.ndarray], f_count: int) -> np.ndarray:
     return s[f_count : n - f_count].mean(axis=0)
 
 
-def agg_bulyan(grads: list[np.ndarray], f_count: int) -> np.ndarray:
+def agg_bulyan(grads: Gradients, f_count: int) -> np.ndarray:
     """Two-stage rule: repeated Krum selection of theta = n - 2f vectors,
     then per coordinate the mean of the beta = theta - 2f values closest
     to the coordinate median of the selected set. The pairwise distances
@@ -158,7 +165,7 @@ def agg_bulyan(grads: list[np.ndarray], f_count: int) -> np.ndarray:
     return np.take_along_axis(sel, order, axis=0).mean(axis=0)
 
 
-def aggregate(spec: AggregatorSpec, grads: list[np.ndarray]) -> np.ndarray:
+def aggregate(spec: AggregatorSpec, grads: Gradients) -> np.ndarray:
     """Dispatch to spec's rule; each bounded rule checks its worker count."""
     if spec.kind == MEAN:
         return agg_mean(grads)

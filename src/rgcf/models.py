@@ -95,9 +95,10 @@ def mlp_forward(params: np.ndarray, layer_sizes: tuple[int, ...], x: np.ndarray)
     acts = [x]
     a = x
     for i, (w, b) in enumerate(layers):
-        z = a @ w + b
+        z = a @ w
+        z += b
         if i < len(layers) - 1:
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=z)
             acts.append(a)
         else:
             return z, acts
@@ -112,7 +113,9 @@ def mlp_backward(
     rest: np.ndarray,
 ) -> np.ndarray:
     """Backprop dLoss/dlogits through the net, for one batch or a
-    (k, b, classes) stack of them.
+    (k, b, classes) stack of them. Each hidden layer's delta is written
+    over its activations in acts, which are spent once their weight
+    gradient is formed: one buffer fewer per layer to allocate and fault in.
 
     Writes into `rest` the gradient of every parameter after the first
     weight matrix, flat in canonical order (a (k, ...) stack for a stack),
@@ -128,18 +131,28 @@ def mlp_backward(
         gw, gb = grad_layers[i - 1]
         np.matmul(np.swapaxes(acts[i], -1, -2), delta, out=gw)
         delta.sum(axis=-2, out=gb)
-        delta = (delta @ layers[i][0].T) * (acts[i] > 0.0)
+        mask = acts[i] > 0.0
+        delta = np.matmul(delta, layers[i][0].T, out=acts[i])
+        delta *= mask
     delta.sum(axis=-2, out=rest[..., :h1])
     return delta
 
 
 def _shifted_exp(logits: np.ndarray, labels: np.ndarray):
     """For (rows, C) logits: exp of the row-max-shifted logits, its row
-    sums (rows, 1), and each row's cross-entropy under its integer label."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    sums (rows, 1), each row's cross-entropy under its integer label, and
+    the flat index of each row's label entry. The row max is C-1 column
+    maxima: the bits of max(axis=1), up to a NaN's sign, at a fraction of
+    its cost for a few columns."""
+    rows, classes = logits.shape
+    top = logits[:, 0].copy()
+    for c in range(1, classes):
+        np.maximum(top, logits[:, c], out=top)
+    z = logits - top[:, None]
     e = np.exp(z)
     total = e.sum(axis=1, keepdims=True)
-    return e, total, np.log(total[:, 0]) - z[np.arange(len(labels)), labels]
+    at = np.arange(0, rows * classes, classes) + labels
+    return e, total, np.log(total[:, 0]) - z.reshape(-1)[at], at
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -162,9 +175,9 @@ def backward(
     b = inputs.shape[-2]
     rows = logits.reshape(-1, logits.shape[-1])
     flat_labels = labels.reshape(-1)
-    e, total, nll = _shifted_exp(rows, flat_labels)
-    dlogits = e / total
-    dlogits[np.arange(len(flat_labels)), flat_labels] -= 1.0
+    dlogits, total, nll, at = _shifted_exp(rows, flat_labels)
+    dlogits /= total
+    dlogits.reshape(-1)[at] -= 1.0
     dlogits /= b
     grad = np.empty(logits.shape[:-2] + params.shape)
     first_w = unflatten(grad, arch.layer_sizes)[0][0]

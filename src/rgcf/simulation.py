@@ -116,24 +116,32 @@ def worker_step(
     params: np.ndarray,
     arch: Architecture,
     batch_size: int,
-) -> list[GradientReport]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One turn of the queried workers, in order: each draws a fresh
     mini-batch of batch_size from its own rows of data with its own batch
     stream, into its row of one (k, batch_size, in_dim) array, one stacked
     backward pass computes every honest gradient, and each Byzantine worker
-    then attacks its own with its own attack stream. Every worker sends one
-    report, its gradient with the honest loss."""
+    then overwrites its row with its attack, from its own attack stream.
+
+    Returns the (k, d) gradients the workers send, read-only, and their
+    honest losses. A turn is checked once; only a failed check replays the
+    per-worker checks in order, so the first bad worker raises as its own
+    GradientReport would: NonFiniteValueError at its gradient's first
+    non-finite coordinate or at d for its loss, ValueError for a negative
+    loss."""
     inputs = np.empty((len(workers), batch_size, data.in_dim), data.inputs.dtype)
     labels = np.empty(inputs.shape[:2], data.labels.dtype)
     for w, x, y in zip(workers, inputs, labels):
         sample_minibatch(data, w.rows, batch_size, w.batch_rng, out=(x, y))
     grads, losses = models.backward(arch, params, inputs, labels)
-    reports = []
-    for w, grad, loss in zip(workers, grads, losses.tolist()):
+    for i, w in enumerate(workers):
         if w.attack is not None:
-            grad = apply_attack(w.attack, grad, w.attack_rng)
-        reports.append(GradientReport(param_vector(grad), loss))
-    return reports
+            grads[i] = apply_attack(w.attack, grads[i], w.attack_rng)
+    if not (np.isfinite(grads).all() and np.isfinite(losses).all() and (losses >= 0).all()):
+        for grad, loss in zip(grads, losses.tolist()):
+            GradientReport(param_vector(grad), loss)
+    grads.flags.writeable = False
+    return grads, losses
 
 
 def build_workers(cfg: RunConfig, train_data: Dataset) -> list[WorkerSpec]:
@@ -206,8 +214,8 @@ def _run(
 ) -> RunMetrics:
     """The server loop. With a filter, each step decides on one random
     worker's gradient; without one, it aggregates all n workers' gradients
-    with cfg.aggregator. A non-finite gradient or loss in a report ends the
-    run as diverged."""
+    with cfg.aggregator. A non-finite gradient or loss from a worker ends
+    the run as diverged."""
     workers = build_workers(cfg, train_data)
     pick_rng = stream(cfg.seed, core.SID_WORKER_PICK)
     params = init_params(arch, stream(cfg.seed, core.SID_SERVER_INIT))
@@ -223,26 +231,26 @@ def _run(
                 queried = [workers[int(pick_rng.integers(0, cfg.n_workers))]]
             t0 = clock()
             try:
-                reports = worker_step(queried, train_data, params, arch, cfg.batch_size)
+                grads, losses = worker_step(queried, train_data, params, arch, cfg.batch_size)
             except NonFiniteValueError:
                 m.diverged = True
                 break
-            m.transferred_gradients += len(reports)
+            m.transferred_gradients += len(grads)
             t1 = clock()
             if filt is None:
-                agg = aggregate(cfg.aggregator, [r.gradient for r in reports])
+                agg = aggregate(cfg.aggregator, grads)
                 t2 = clock()
                 params = params - cfg.server_lr * agg
                 t3 = clock()
-                loss = float(np.mean([r.loss for r in reports]))
+                loss = float(np.mean(losses))
                 truth = b = None
                 decision = float(np.linalg.norm(agg))
             else:
-                report = reports[0]
+                grad, loss = grads[0], float(losses[0])
                 truth = int(queried[0].byzantine)
-                b = truth if ground_truth else classify(filt, report.gradient, report.loss)
+                b = truth if ground_truth else classify(filt, grad, loss)
                 t2 = clock()
-                params = apply_update(params, report.gradient, cfg.server_lr, b)
+                params = apply_update(params, grad, cfg.server_lr, b)
                 t3 = clock()
                 if truth == 0 and b == 0:
                     m.accepted_honest += 1
@@ -252,7 +260,6 @@ def _run(
                     m.accepted_byz += 1
                 else:
                     m.rejected_byz += 1
-                loss = report.loss
                 decision = float(b)
             m.worker_s += t1 - t0
             m.decision_s += t2 - t1

@@ -309,3 +309,20 @@ def test_aggregate_dispatch_matches_direct():
     assert np.array_equal(aggregate(AggregatorSpec("median"), grads), agg_coord_median(grads))
     assert np.array_equal(aggregate(AggregatorSpec("trimmed_mean", 2), grads), agg_trimmed_mean(grads, 2))
     assert np.array_equal(aggregate(AggregatorSpec("bulyan", 1), grads), agg_bulyan(grads, 1))
+
+
+@pytest.mark.parametrize("kind", ["mean", "krum", "median", "trimmed_mean", "bulyan"])
+def test_array_input_equals_list_of_rows(kind):
+    # a read-only (n, d) array is aggregated as it is, to the bytes of the
+    # list of its rows, and neither input is written to
+    r = rng(61)
+    g = r.standard_normal((11, 40))
+    g[:, :5] = r.choice([0.0, -0.0, 1.0, -1.0], size=(11, 5))
+    g[3] = g[7]
+    g.flags.writeable = False
+    before = g.tobytes()
+    rows = [row.copy() for row in g]
+    spec = AggregatorSpec(kind, 0 if kind in ("mean", "median") else 2)
+    assert aggregate(spec, g).tobytes() == aggregate(spec, rows).tobytes()
+    assert g.tobytes() == before
+    assert np.stack(rows).tobytes() == before

@@ -144,6 +144,52 @@ class TestForwardLoss:
         params = param_vector([500.0, -500.0, 0.0, 0.0])
         assert np.isfinite(forward_loss(arch, params, np.array([[2.0]]), np.array([1])))
 
+    @pytest.mark.parametrize("classes", [1, 2, 5, 8, 10, 12])
+    def test_shifted_exp_equals_textbook(self, classes):
+        # the column-wise row max and the flat label index give the bytes of
+        # the textbook max(axis=1) and z[arange, labels], on rows holding
+        # NaN, +-inf, tied maxima and zeros of both signs
+        def textbook(logits, labels):
+            z = logits - logits.max(axis=1, keepdims=True)
+            e = np.exp(z)
+            total = e.sum(axis=1, keepdims=True)
+            return e, total, np.log(total[:, 0]) - z[np.arange(len(labels)), labels]
+
+        r = rng(9)
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 1.0, -3.0, 1e308, -1e308])
+        for rows in (1, 7, 640):
+            logits = r.standard_normal((rows, classes))
+            mask = r.random((rows, classes)) < 0.4
+            logits[mask] = r.choice(special, size=int(mask.sum()))
+            logits[: rows // 2] = r.choice(special, size=(rows // 2, classes))
+            labels = r.integers(0, classes, size=rows)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = textbook(logits, labels)
+                got = _shifted_exp(logits, labels)
+            for a, b in zip(want, got):
+                assert a.tobytes() == b.tobytes()
+            assert np.array_equal(got[3], np.ravel_multi_index((np.arange(rows), labels), logits.shape))
+
+    def test_shifted_exp_nan_sign(self):
+        # inf - inf gives a NaN with its sign bit set on x86; max(axis=1) may
+        # drop that bit, by a path that depends on the SIMD width, where the
+        # column maxima keep it. Only a NaN's sign may differ, and no output
+        # shows one: a NaN gradient or loss ends a run, and both print "nan".
+        def canonical(a):
+            return np.where(np.isnan(a), np.nan, a).tobytes()
+
+        logits = np.array([[np.inf, 1.0, 2.0], [2.0, 1.0, np.inf], [2.0, -0.0, 0.0]])
+        with np.errstate(invalid="ignore"):
+            logits[:2] -= np.inf
+            z = logits - logits.max(axis=1, keepdims=True)
+            got = _shifted_exp(logits, np.array([1, 2, 0]))
+        e = np.exp(z)
+        total = e.sum(axis=1, keepdims=True)
+        want = (e, total, np.log(total[:, 0]) - z[[0, 1, 2], [1, 2, 0]])
+        for a, b in zip(want, got):
+            assert canonical(a) == canonical(b)
+        assert np.isnan(got[2][:2]).all() and np.isfinite(got[2][2])
+
     def test_dim_mismatch(self):
         params = param_vector(np.zeros(8))
         with pytest.raises(ShapeMismatchError):
@@ -187,6 +233,28 @@ class TestBackward:
                 assert losses[j] == loss
 
     @pytest.mark.parametrize(
+        "arch, k",
+        [(arch, k) for arch in (logistic(20, 5), mlp(20, (32,), 5), mlp(20, (64, 32), 5))
+         for k in (1, 10, 40)]
+        # one (40*128, 784) product over the merged batches gives other bits
+        # than these per-batch products here, though not at every shape
+        + [(mlp(784, (64, 32), 10), 40)],
+        ids=str,
+    )
+    def test_stacked_bytes_equal_per_batch_calls(self, arch, k):
+        # every product stays per batch, so each row of a stack of 128-row
+        # batches has the bytes of its own 2-D call
+        r = rng(8)
+        params = init_params(arch, r)
+        inputs = r.random((k, 128, arch.in_dim))
+        labels = r.integers(0, arch.classes, size=(k, 128))
+        grads, losses = backward(arch, params, inputs, labels)
+        for j in range(k):
+            grad, loss = backward(arch, params, inputs[j], labels[j])
+            assert grads[j].tobytes() == grad.tobytes()
+            assert losses[j:j + 1].tobytes() == np.float64(loss).tobytes()
+
+    @pytest.mark.parametrize(
         "arch", [logistic(5, 3), mlp(5, (4,), 3), mlp(3, (4, 3), 2), mlp(20, (32,), 10)], ids=str
     )
     def test_equals_textbook_backprop(self, arch):
@@ -196,7 +264,7 @@ class TestBackward:
             inputs = r.random((batch, arch.in_dim))
             labels = r.integers(0, arch.classes, size=batch)
             logits, acts = mlp_forward(params, arch.layer_sizes, inputs)
-            e, total, _ = _shifted_exp(logits, labels)
+            e, total, _, _ = _shifted_exp(logits, labels)
             dlogits = e / total
             dlogits[np.arange(batch), labels] -= 1.0
             dlogits /= batch

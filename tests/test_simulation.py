@@ -4,7 +4,7 @@ import pytest
 from rgcf import core, simulation
 from rgcf.aggregators import AggregatorSpec
 from rgcf.attacks import AttackSpec, apply_attack
-from rgcf.core import param_vector, stream
+from rgcf.core import NonFiniteValueError, param_vector, stream
 from rgcf.data import Dataset, sample_minibatch, shard
 from rgcf.filter import FilterNet
 from rgcf.models import (
@@ -96,18 +96,20 @@ class TestWorkers:
         rows = np.arange(blobs.size)
         honest = WorkerSpec(rows, None, rng(2), rng(3))
         byz = WorkerSpec(rows, AttackSpec("inverse"), rng(2), rng(3))
-        [rh] = worker_step([honest], blobs, params, arch, 8)
-        [rb] = worker_step([byz], blobs, params, arch, 8)
-        assert rb.loss == rh.loss
-        assert np.array_equal(rb.gradient, -rh.gradient)
+        [gh], [lh] = worker_step([honest], blobs, params, arch, 8)
+        [gb], [lb] = worker_step([byz], blobs, params, arch, 8)
+        assert lb == lh
+        assert np.array_equal(gb, -gh)
 
     def test_gradient_is_frozen(self, blobs):
-        # the report's gradient is the one frozen copy, honest or attacked
+        # the sent gradients are the one frozen array, honest or attacked
         arch = logistic(blobs.in_dim, blobs.classes)
         params = init_params(arch, rng(3))
         for attack in (None, AttackSpec("inverse")):
             w = WorkerSpec(np.arange(blobs.size), attack, rng(2), rng(3))
-            assert not worker_step([w], blobs, params, arch, 8)[0].gradient.flags.writeable
+            grads, _ = worker_step([w], blobs, params, arch, 8)
+            assert not grads.flags.writeable
+            assert not grads[0].flags.writeable
 
     @pytest.mark.parametrize("hidden", [(), (8,)], ids=["logistic", "mlp"])
     def test_worker_step_equals_per_worker_replay(self, blobs, hidden):
@@ -130,17 +132,49 @@ class TestWorkers:
         replays = [streams(i) for i in range(7)]
         params = init_params(arch, rng(5))
         for picked in (range(7), range(2, 6), [5], range(7)):
-            reports = worker_step([workers[i] for i in picked], blobs, params, arch, 16)
-            assert len(reports) == len(picked)
-            for i, report in zip(picked, reports):
+            grads, losses = worker_step([workers[i] for i in picked], blobs, params, arch, 16)
+            assert grads.shape == (len(picked), arch.param_count)
+            assert losses.shape == (len(picked),)
+            for i, sent, sent_loss in zip(picked, grads, losses.tolist()):
                 w, (batch_rng, attack_rng) = workers[i], replays[i]
                 copy = copies[i]
                 inputs, labels = sample_minibatch(copy, np.arange(copy.size), 16, batch_rng)
                 grad, loss = backward(arch, params, inputs, labels)
                 if w.attack is not None:
                     grad = apply_attack(w.attack, grad, attack_rng)
-                assert np.array_equal(report.gradient, grad)
-                assert report.loss == loss
+                assert sent.tobytes() == grad.tobytes()
+                assert sent_loss == loss
+
+    def test_worker_step_error_order(self):
+        # a turn raises where the first bad worker's own report would: its
+        # gradient's first non-finite coordinate, else its loss at index d.
+        # Logistic, 2 inputs, 2 classes, d=6. Row 0, x=(1, 0) with label 1
+        # under W[0]=(1e308, -1e308): a finite gradient and an infinite
+        # loss. Row 1, x=(0, 1e150) with label 0 under W[1]=0: a finite
+        # honest gradient whose W[1] entries, inverted at scale 1e200,
+        # overflow from coordinate 2 on.
+        data = Dataset(np.array([[1.0, 0.0], [0.0, 1e150]]), np.array([1, 0]), 2)
+        arch = logistic(2, 2)
+        params = param_vector([1e308, -1e308, 0.0, 0.0, 0.0, 0.0])
+        inverse = AttackSpec("inverse", 1e200)
+
+        def turn(*workers):
+            picked = [WorkerSpec(np.array([row]), attack, rng(2), rng(3)) for row, attack in workers]
+            with np.errstate(over="ignore", invalid="ignore"):
+                return worker_step(picked, data, params, arch, 4)
+
+        for workers, index in [
+            (((0, None), (1, inverse)), 6),  # the earlier loss wins
+            (((1, inverse), (0, None)), 2),
+            (((1, None), (1, inverse)), 2),
+        ]:
+            with pytest.raises(NonFiniteValueError) as err:
+                turn(*workers)
+            assert err.value.index == index
+        grads, losses = turn((1, None), (1, None))
+        assert not grads.flags.writeable
+        assert grads[:, 2:4].tolist() == [[-5e149, 5e149]] * 2
+        assert losses.tolist() == [np.log(2.0)] * 2
 
     def test_worker_spec_validation(self, blobs):
         # every worker owns its two streams from the table in core, and the
