@@ -24,9 +24,10 @@ from .attacks import INVERSE, AttackSpec
 from .config import ConfigError, ExperimentConfig, build_config, write_manifest
 from .core import stream
 from .data import Dataset, load_idx, synth_gaussian_blobs
-from .filter import FilterNet, FilterTrainConfig, load_filter, save_filter, train_filter
+from .filter import FilterNet, load_filter, save_filter
 from .models import Architecture
-from .simulation import RunConfig, RunMetrics, bench_filtering, bench_spec, run_aggregated, run_rgcf
+from .simulation import FilterTrainConfig, RunConfig, RunMetrics, bench_filtering, bench_spec
+from .simulation import run_aggregated, run_rgcf, train_filter
 
 RGCF_MODE = "rgcf"
 AGGREGATOR_MODE = "aggregator"

@@ -2,36 +2,38 @@
 
 A small ReLU net with a sigmoid head takes a flat gradient with the scalar
 training loss appended as the final input coordinate and outputs the
-probability that the gradient is Byzantine. It is trained online, one
-(gradient, loss) example per step, inside a simulated parameter-server run
-with one honest and one Byzantine worker; the simulated server applies only
-the ground-truth-honest gradients, so the filter learns from an optimally
-trained trajectory.
+probability that the gradient is Byzantine. This module holds the net, its
+input, its weighted-BCE loss and gradient, one Adam training step on one
+(gradient, loss) example, and the filter file format. The simulated server
+that trains it, one honest and one Byzantine worker over the deployment's
+worker turn, is `simulation.train_filter`.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, models
-from .attacks import RANDOM_GAUSSIAN, AttackSpec, apply_attack
-from .core import GradientReport, param_vector, stream
-from .data import Dataset, read_exact, sample_minibatch
+from .core import param_vector
+from .data import read_exact
 from .models import (
     AdamState,
     Architecture,
     FactoredGradient,
     ShapeMismatchError,
-    adam_init,
     adam_step,
-    apply_update,
     init_params,
     mlp_backward,
     mlp_forward,
 )
+
+# Not called here: the benchmark tracer (perfbench/tracing.py) wraps these
+# three names in this module, so they stay importable from it.
+from .attacks import apply_attack  # noqa: F401
+from .data import sample_minibatch  # noqa: F401
+from .models import apply_update  # noqa: F401
 
 PRED_CLAMP = 1e-7
 
@@ -122,119 +124,37 @@ def filter_loss(pred: float, label: int, p: float) -> float:
 
 
 def filter_gradient(
-    filt: FilterNet, report: GradientReport, label: int, p: float
+    filt: FilterNet, grad: np.ndarray, loss: float, label: int, p: float
 ) -> tuple[FactoredGradient, float, float]:
-    """Gradient of the single-example weighted BCE w.r.t. the filter's own
-    parameters, plus the loss value and the predicted probability. The
-    first weight matrix's gradient is kept as its two factors, the input
-    row and the first layer's delta."""
-    x = _filter_input(filt, report.gradient, report.loss)
+    """Gradient of the weighted BCE on one (grad, loss) example w.r.t. the
+    filter's own parameters, plus the BCE value and the predicted
+    probability. The first weight matrix's gradient is kept as its two
+    factors, the input row and the first layer's delta."""
+    x = _filter_input(filt, grad, loss)
     z, acts = mlp_forward(filt.params, filt.layer_sizes, x)
     pred = 1.0 / (1.0 + np.exp(-z[0, 0]))
-    loss = filter_loss(pred, label, p)
+    bce = filter_loss(pred, label, p)
     q = min(max(pred, PRED_CLAMP), 1.0 - PRED_CLAMP)
     # dL/dq through the clamp, then sigmoid derivative at the raw pred.
     dq = -p / q if label == 1 else 1.0 / (1.0 - q)
     dz = np.array([[dq * pred * (1.0 - pred)]])
     rest = np.empty(filt.params.shape[0] - x.shape[1] * filt.layer_sizes[1])
     delta = mlp_backward(filt.params, filt.layer_sizes, acts, dz, rest)
-    return FactoredGradient(x[0], delta[0], rest), loss, pred
+    return FactoredGradient(x[0], delta[0], rest), bce, pred
 
 
 def filter_train_step(
-    filt: FilterNet, adam: AdamState, report: GradientReport, label: int, p: float
+    filt: FilterNet, adam: AdamState, grad: np.ndarray, loss: float, label: int, p: float
 ) -> tuple[float, float]:
-    """One Adam update on the single-example weighted BCE, in place on the
-    filter's writable weights and on `adam`.
+    """One Adam update on the weighted BCE of one (grad, loss) example, in
+    place on the filter's writable weights and on `adam`.
 
-    Returns the pre-update loss value and predicted probability. A weight
+    Returns the pre-update BCE value and predicted probability. A weight
     the update leaves non-finite raises NonFiniteValueError.
     """
-    grad, loss, pred = filter_gradient(filt, report, label, p)
-    adam_step(adam, filt.params, grad)
-    return loss, pred
-
-
-@dataclass(frozen=True)
-class FilterTrainConfig:
-    episodes: int = 1
-    steps_per_episode: int = 500
-    positive_weight: float = 10.0
-    filter_lr: float = 0.002
-    server_lr: float = 0.01
-    batch_size: int = 128
-    attack: AttackSpec = field(default_factory=lambda: AttackSpec(RANDOM_GAUSSIAN, 1.0))
-    threshold: float = 0.5
-
-    def __post_init__(self):
-        if min(self.episodes, self.steps_per_episode) < 0:
-            raise ValueError("episodes/steps must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if min(self.positive_weight, self.filter_lr, self.server_lr) <= 0:
-            raise ValueError("positive_weight and learning rates must be positive")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie in (0,1)")
-
-
-@dataclass
-class FilterTrainLog:
-    steps: list[int] = field(default_factory=list)
-    losses: list[float] = field(default_factory=list)
-    running_accuracy: list[float] = field(default_factory=list)
-    labels: list[int] = field(default_factory=list)
-    server_losses: list[float] = field(default_factory=list)
-
-
-def train_filter(
-    cfg: FilterTrainConfig,
-    local_data: Dataset,
-    server_arch: Architecture,
-    seed: int,
-) -> tuple[FilterNet, FilterTrainLog]:
-    """Simulation-based training: one honest and one Byzantine worker,
-    sampled with equal probability each step. The simulated server is
-    updated with the ground-truth label (drop every Byzantine gradient),
-    not the filter's prediction, so filter quality cannot disturb the
-    server trajectory it learns from."""
-    d = server_arch.param_count
-    filt = filter_init(d, stream(seed, core.SID_FILTER_INIT), threshold=cfg.threshold)
-    # the weights and the Adam moments are allocated once and updated in
-    # place; the weights are frozen when training ends
-    filt = replace(filt, params=np.array(filt.params))
-    adam = adam_init(filt.params.shape[0], lr=cfg.filter_lr)
-    init_rng = stream(seed, core.SID_SERVER_INIT)
-    pick_rng = stream(seed, core.SID_FILTER_PICK)
-    batch_rng = stream(seed, core.SID_FILTER_BATCH)
-    attack_rng = stream(seed, core.SID_FILTER_ATTACK)
-    rows = np.arange(local_data.size)
-
-    log = FilterTrainLog()
-    correct = 0
-    step = 0
-    # a weight driven past the float range is reported by adam_step's own
-    # check, not by numpy's overflow warnings on the way there
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _episode in range(cfg.episodes):
-            params = init_params(server_arch, init_rng)
-            for _t in range(cfg.steps_per_episode):
-                byz = int(pick_rng.integers(0, 2))
-                inputs, labels = sample_minibatch(local_data, rows, cfg.batch_size, batch_rng)
-                grad, server_loss = models.backward(server_arch, params, inputs, labels)
-                if byz:
-                    grad = apply_attack(cfg.attack, grad, attack_rng)
-                report = GradientReport(param_vector(grad), server_loss)
-                params = apply_update(params, report.gradient, cfg.server_lr, byz)
-                loss, pred = filter_train_step(filt, adam, report, byz, cfg.positive_weight)
-                predicted = int(pred >= filt.threshold)
-                step += 1
-                correct += int(predicted == byz)
-                log.steps.append(step)
-                log.losses.append(loss)
-                log.running_accuracy.append(correct / step)
-                log.labels.append(byz)
-                log.server_losses.append(report.loss)
-    return replace(filt, params=param_vector(filt.params)), log
+    filter_grad, bce, pred = filter_gradient(filt, grad, loss, label, p)
+    adam_step(adam, filt.params, filter_grad)
+    return bce, pred
 
 
 def save_filter(filt: FilterNet, path: str) -> None:

@@ -1,26 +1,28 @@
-"""Parameter-server training harness.
+"""Parameter-server training harness: both simulated servers, over one
+worker turn (`worker_step`: sample, backpropagate, attack, check).
 
-One server loop with two decision rules over the same worker pool: with a
-filter, each step queries a single randomly chosen worker and applies the
+Filter training queries one honest and one Byzantine worker and updates its
+server by the ground truth. Deployment is one server loop with two decision
+rules: with a filter, each step queries one random worker and applies the
 masked update; with an aggregator, each step queries all n workers and
 applies the aggregated gradient. A transfer counter tracks the
-communication cost difference (one gradient per step vs. n per step).
+communication cost (one gradient per step vs. n). Plus the decision bench.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import core, models
+from . import core, filter, models
 from .aggregators import AggregatorSpec, aggregate
-from .attacks import AttackSpec, apply_attack
+from .attacks import RANDOM_GAUSSIAN, AttackSpec, apply_attack
 from .core import GradientReport, NonFiniteValueError, param_vector, stream
 from .data import Dataset, sample_minibatch, shard
 from .filter import FilterNet, classify, filter_forward, filter_init
-from .models import Architecture, ShapeMismatchError, apply_update, init_params
+from .models import Architecture, ShapeMismatchError, adam_init, apply_update, init_params
 
 
 @dataclass(frozen=True)
@@ -160,6 +162,83 @@ def build_workers(cfg: RunConfig, train_data: Dataset) -> list[WorkerSpec]:
         )
         for i in range(cfg.n_workers)
     ]
+
+
+@dataclass(frozen=True)
+class FilterTrainConfig:
+    episodes: int = 1
+    steps_per_episode: int = 500
+    positive_weight: float = 10.0
+    filter_lr: float = 0.002
+    server_lr: float = 0.01
+    batch_size: int = 128
+    attack: AttackSpec = field(default_factory=lambda: AttackSpec(RANDOM_GAUSSIAN, 1.0))
+    threshold: float = 0.5
+
+    def __post_init__(self):
+        if min(self.episodes, self.steps_per_episode) < 0:
+            raise ValueError("episodes/steps must be non-negative")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if min(self.positive_weight, self.filter_lr, self.server_lr) <= 0:
+            raise ValueError("positive_weight and learning rates must be positive")
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError("threshold must lie in (0,1)")
+
+
+@dataclass
+class FilterTrainLog:
+    steps: list[int] = field(default_factory=list)
+    losses: list[float] = field(default_factory=list)
+    running_accuracy: list[float] = field(default_factory=list)
+    labels: list[int] = field(default_factory=list)
+    server_losses: list[float] = field(default_factory=list)
+
+
+def train_filter(
+    cfg: FilterTrainConfig,
+    local_data: Dataset,
+    server_arch: Architecture,
+    seed: int,
+) -> tuple[FilterNet, FilterTrainLog]:
+    """Simulation-based training: one honest and one Byzantine worker over
+    the whole local set, sharing one batch and one attack stream, picked
+    with equal probability for each worker_step turn. The simulated server
+    is updated with the ground-truth label (drop every Byzantine gradient),
+    not the filter's prediction, so filter quality cannot disturb the
+    server trajectory it learns from."""
+    filt = filter_init(server_arch.param_count, stream(seed, core.SID_FILTER_INIT), threshold=cfg.threshold)
+    # the weights and the Adam moments are allocated once and updated in
+    # place; the weights are frozen when training ends
+    filt = replace(filt, params=np.array(filt.params))
+    adam = adam_init(filt.params.shape[0], lr=cfg.filter_lr)
+    init_rng = stream(seed, core.SID_SERVER_INIT)
+    pick_rng = stream(seed, core.SID_FILTER_PICK)
+    streams = stream(seed, core.SID_FILTER_BATCH), stream(seed, core.SID_FILTER_ATTACK)
+    workers = [WorkerSpec(np.arange(local_data.size), a, *streams) for a in (None, cfg.attack)]
+
+    log = FilterTrainLog()
+    correct = 0
+    step = 0
+    # a weight driven past the float range is reported by adam_step's own
+    # check, not by numpy's overflow warnings on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _episode in range(cfg.episodes):
+            params = init_params(server_arch, init_rng)
+            for _t in range(cfg.steps_per_episode):
+                byz = int(pick_rng.integers(0, 2))
+                grads, losses = worker_step([workers[byz]], local_data, params, server_arch, cfg.batch_size)
+                grad, server_loss = grads[0], float(losses[0])
+                params = apply_update(params, grad, cfg.server_lr, byz)
+                loss, pred = filter.filter_train_step(filt, adam, grad, server_loss, byz, cfg.positive_weight)
+                step += 1
+                correct += int((pred >= filt.threshold) == byz)
+                log.steps.append(step)
+                log.losses.append(loss)
+                log.running_accuracy.append(correct / step)
+                log.labels.append(byz)
+                log.server_losses.append(server_loss)
+    return replace(filt, params=param_vector(filt.params)), log
 
 
 def evaluate(arch: Architecture, params: np.ndarray, dataset: Dataset) -> tuple[float, float]:

@@ -19,13 +19,11 @@ from rgcf.cli import main as cli_main
 from rgcf.core import SID_SERVER_INIT, GradientReport, param_vector, stream
 from rgcf.data import synth_gaussian_blobs, sample_minibatch
 from rgcf.filter import (
-    FilterTrainConfig,
     classify,
     filter_gradient,
     filter_init,
     filter_loss,
     load_filter,
-    train_filter,
 )
 from rgcf.models import (
     apply_update,
@@ -35,7 +33,7 @@ from rgcf.models import (
     mlp,
     mlp_forward,
 )
-from rgcf.simulation import RunConfig, bench_filtering, run_rgcf
+from rgcf.simulation import FilterTrainConfig, RunConfig, bench_filtering, run_rgcf, train_filter
 from tests.test_aggregators import (
     oracle_bulyan,
     oracle_coord_median,
@@ -117,7 +115,7 @@ def test_criterion_1_gradient_oracle():
             if _relu_margin(filt, rep) > 1e-3:
                 break
         label = int(r.integers(0, 2))
-        ana = assembled(filter_gradient(filt, rep, label, 10.0)[0])
+        ana = assembled(filter_gradient(filt, rep.gradient, rep.loss, label, 10.0)[0])
         from rgcf.filter import _filter_input
 
         x = _filter_input(filt, rep.gradient, rep.loss)

@@ -81,6 +81,17 @@ class TestTrainFilter:
         assert capsys.readouterr().err == "runtime failure: non-finite value at coordinate 0\n"
         assert not os.path.exists(os.path.join(out, "filter.rgcf"))
 
+    def test_overflowing_training_attack_is_runtime_failure(self, tmp_path, capsys):
+        # random_gaussian noise at scale 1e308 overflows at the first draw
+        # beyond the float range; the worker turn's check stops training
+        # at that coordinate before any training output is written
+        out = str(tmp_path / "tf")
+        code = run_cli("train-filter", "--seed", "0", "--out", out, "--set", "train_attack_scale=1e308")
+        assert code == 2
+        assert capsys.readouterr().err == "runtime failure: non-finite value at coordinate 16\n"
+        assert not os.path.exists(os.path.join(out, "filter.rgcf"))
+        assert not os.path.exists(os.path.join(out, "filter_train.csv"))
+
 
 class TestRun:
     def test_rgcf_run_outputs(self, trained, tmp_path):

@@ -11,7 +11,6 @@ from rgcf.data import sample_minibatch, synth_gaussian_blobs
 from rgcf.filter import (
     PRED_CLAMP,
     FilterNet,
-    FilterTrainConfig,
     _filter_input,
     classify,
     filter_forward,
@@ -21,7 +20,6 @@ from rgcf.filter import (
     filter_train_step,
     load_filter,
     save_filter,
-    train_filter,
 )
 from rgcf.models import (
     ADAM_BLOCK,
@@ -33,6 +31,7 @@ from rgcf.models import (
     logistic,
     mlp_forward,
 )
+from rgcf.simulation import FilterTrainConfig, train_filter
 from tests.conftest import rng
 from tests.test_models import textbook_adam, textbook_backprop
 
@@ -143,7 +142,7 @@ class TestTrainStep:
             # step = lr * g / (|g| + eps), so sign and support must match FD
             adam = adam_init(filt.params.shape[0])
             updated = writable(filt)
-            filter_train_step(updated, adam, report, label, 10.0)
+            filter_train_step(updated, adam, report.gradient, report.loss, label, 10.0)
             h = 1e-6
             base = np.array(filt.params)
             fd = np.empty_like(base)
@@ -161,9 +160,9 @@ class TestTrainStep:
         filt = writable(filter_init(4, r))
         adam = adam_init(filt.params.shape[0], lr=0.01)
         report = self._report(r, 4)
-        first, _ = filter_train_step(filt, adam, report, 1, 10.0)
+        first, _ = filter_train_step(filt, adam, report.gradient, report.loss, 1, 10.0)
         for _ in range(49):
-            last, _ = filter_train_step(filt, adam, report, 1, 10.0)
+            last, _ = filter_train_step(filt, adam, report.gradient, report.loss, 1, 10.0)
         assert last < first
 
     @pytest.mark.parametrize("hidden", [(64, 32), (48, 16), (5, 3)])
@@ -178,7 +177,7 @@ class TestTrainStep:
             filt = replace(filt, params=param_vector(filt.params + jitter))
             report = self._report(r, d)
             for label in (0, 1):
-                grad, loss, pred = filter_gradient(filt, report, label, 10.0)
+                grad, loss, pred = filter_gradient(filt, report.gradient, report.loss, label, 10.0)
                 assert grad.x.shape == (d + 1,) and grad.delta.shape == (hidden[0],)
                 ref, ref_loss, ref_pred = dense_filter_gradient(filt, report, label, 10.0)
                 assert (assembled(grad) + 0.0).tobytes() == (ref + 0.0).tobytes()
@@ -199,7 +198,7 @@ class TestTrainStep:
         with np.errstate(over="ignore"):
             _, _, ref = textbook_adam(adam.m, adam.v, 1, filt.params, grad, adam.lr)
             with pytest.raises(NonFiniteValueError) as err:
-                filter_train_step(filt, adam, report, 1, 10.0)
+                filter_train_step(filt, adam, report.gradient, report.loss, 1, 10.0)
         assert err.value.index == int(np.argmin(np.isfinite(ref))) == bad
 
     def test_returns_pre_update_loss(self):
@@ -208,7 +207,7 @@ class TestTrainStep:
         report = self._report(r, 4)
         pred = filter_forward(filt, report.gradient, report.loss)
         adam = adam_init(filt.params.shape[0])
-        loss, prob = filter_train_step(writable(filt), adam, report, 0, 10.0)
+        loss, prob = filter_train_step(writable(filt), adam, report.gradient, report.loss, 0, 10.0)
         assert loss == pytest.approx(filter_loss(pred, 0, 10.0), abs=1e-9)
         assert prob == pytest.approx(pred, abs=1e-12)
 

@@ -12,6 +12,8 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+from rgcf import core
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # FAST settings of test_cli: a logistic blobs task with d=21
@@ -111,3 +113,27 @@ def test_aggregator_run_has_one_backward_per_step(tmp_path):
     assert spans["models.backward"] == 30
     assert spans["data.sample_minibatch"] == 30 * 5
     assert spans["attacks.apply_attack"] == 30 * 2
+
+
+def test_filter_training_queries_workers_through_worker_step(tmp_path):
+    # filter training makes each message through the deployment's worker
+    # turn: one worker_step, one backward pass and one mini-batch per step,
+    # and one attack per Byzantine pick of stream SID_FILTER_PICK
+    steps = 40
+    argv = ["train-filter", "--seed", "0", "--out", str(tmp_path / "tf"), *TINY]
+    assert "filter_steps=40" in TINY
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert importlib.import_module("rgcf.cli").main(argv) == 0
+    finally:
+        tracer.uninstall()
+    spans = Counter(tracer.names)
+    pick_rng = core.stream(0, core.SID_FILTER_PICK)
+    byzantine = sum(int(pick_rng.integers(0, 2)) for _ in range(steps))
+    assert 0 < byzantine < steps
+    assert spans["simulation.worker_step"] == steps
+    assert spans["models.backward"] == steps
+    assert spans["data.sample_minibatch"] == steps
+    assert spans["attacks.apply_attack"] == byzantine
+    assert spans["filter.filter_train_step"] == steps
