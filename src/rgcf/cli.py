@@ -234,13 +234,18 @@ def cmd_train_filter(cfg: ExperimentConfig, specs: Specs) -> int:
 
 
 def _load_filter(cfg: ExperimentConfig, arch: Architecture) -> FilterNet:
-    """The configured filter file, which must exist and fit the model."""
+    """The configured filter file, which must exist, fit the model and
+    decide at the configured threshold."""
     if not os.path.exists(cfg.filter_file):
         raise ConfigError(f"filter file not found: {cfg.filter_file}")
     filt = load_filter(cfg.filter_file)
     if filt.d != arch.param_count:
         raise ConfigError(
             f"filter dimension {filt.d} does not match model dimension {arch.param_count}"
+        )
+    if filt.threshold != cfg.threshold:
+        raise ConfigError(
+            f"threshold={cfg.threshold!r}, but {cfg.filter_file} was trained at threshold={filt.threshold!r}"
         )
     return filt
 
@@ -341,8 +346,13 @@ def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
             if cell is None:
                 row = (method, attack_kind, fraction, None, None, None, SKIPPED)
             elif cell.aggregator is None:
-                ref = run_rgcf(cell, train_data, val_data, arch, filt, ground_truth=True).final_accuracy
                 m = run_rgcf(cell, train_data, val_data, arch, filt)
+                # the twin shares the run's picks, batches, attack noise and
+                # initial weights, so it parts from the run only at a wrong
+                # decision; without one it is the run, bit for bit
+                ref = m.final_accuracy
+                if m.rejected_honest or m.accepted_byz:
+                    ref = run_rgcf(cell, train_data, val_data, arch, filt, ground_truth=True).final_accuracy
                 verdict, acc = convergence_verdict(m, ref)
                 row = (method, attack_kind, fraction, None, acc, ref, verdict)
             else:

@@ -10,16 +10,22 @@ shape (fan_in, fan_out) in row-major order, then its bias vector.
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import LengthMismatchError, NonFiniteValueError, param_vector
 
-# Elements per block of `adam_step`: the block's slices of params, m and v,
-# three scratch rows and a tiled row (7 x 256 KB) fit in a 2 MB L2 cache.
-ADAM_BLOCK = 1 << 15
+# The fused Adam kernel's source, and the command that builds it into a
+# shared library on the first `adam_step` call (never at import). No
+# contraction or fast-math: a fused multiply-add or a reciprocal changes
+# the bits.
+ADAM_SOURCE = Path(__file__).with_name("_adam.c")
+ADAM_CC = ("cc", "-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
 
 class ShapeMismatchError(ValueError):
@@ -231,62 +237,95 @@ class FactoredGradient(NamedTuple):
     rest: np.ndarray
 
 
+def _build(command: tuple[str, ...], lib: Path) -> Path:
+    import subprocess
+
+    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+    try:
+        subprocess.run([*command, "-o", str(tmp), str(ADAM_SOURCE), "-lm"], check=True, capture_output=True)
+        os.replace(tmp, lib)
+    except (OSError, subprocess.CalledProcessError) as e:
+        tmp.unlink(missing_ok=True)
+        stderr = getattr(e, "stderr", None)
+        reason = (stderr.decode(errors="replace").strip() if stderr else "") or str(e)
+        raise RuntimeError(f"cannot build the Adam kernel with {command[0]!r}: {reason.splitlines()[0]}") from e
+    return lib
+
+
+def _load(lib: Path):
+    import ctypes
+
+    fn = ctypes.CDLL(str(lib)).rgcf_adam_step
+    fn.restype = ctypes.c_int64
+    ptr, size = ctypes.c_void_p, ctypes.c_int64
+    fn.argtypes = [ptr, ptr, ptr, ptr, size, ptr, size, ptr, size] + [ctypes.c_double] * 6
+    return fn
+
+
+@functools.cache
+def _adam_kernel(command: tuple[str, ...]):
+    """The kernel built from ADAM_SOURCE by `command`, loaded through ctypes.
+
+    The library is cached in the package's __pycache__ under a name keyed
+    by the sha256 of the source and the command, written under a temporary
+    name and renamed into place, so concurrent builds never see a partial
+    file. Where that directory is not writable, it is built in a private
+    temporary directory, removed once the library is loaded. A failed
+    build is a RuntimeError."""
+    import hashlib
+    import tempfile
+
+    key = hashlib.sha256(ADAM_SOURCE.read_bytes() + "\0".join(command).encode()).hexdigest()
+    cache = ADAM_SOURCE.parent / "__pycache__"
+    lib = cache / f"_adam.{key[:16]}.so"
+    if not lib.exists():
+        try:
+            cache.mkdir(exist_ok=True)
+            writable = os.access(cache, os.W_OK)
+        except OSError:
+            writable = False
+        if not writable:
+            with tempfile.TemporaryDirectory() as private:
+                # a loaded library stays mapped once its file is removed
+                return _load(_build(command, Path(private) / lib.name))
+        _build(command, lib)
+    return _load(lib)
+
+
 def adam_step(state: AdamState, params: np.ndarray, grad: FactoredGradient) -> None:
     """One Adam update with bias correction, in place on params, m and v.
 
-    It runs block by block in the textbook operation order, so every bit
-    equals the whole-array expressions, for g the flat gradient,
+    One pass of a compiled kernel (_adam.c) runs the textbook operation
+    order on each coordinate, so every bit equals the whole-array
+    expressions, for g the flat gradient,
         m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
         params -= lr*mhat / (sqrt(vhat) + eps).
-    An outer-product block of g is formed in a scratch row just before its
-    update, so the outer product is never written out whole. The sign of a
-    zero in g never reaches params, m or v: m starts at +0, beta1*m (beta1
-    above 1/2) is zero only when m is, and a sum is -0 only when both terms
-    are, so m is never -0; and ((1-beta2)*g)*g is +0 for either zero.
-    An update that leaves a parameter non-finite raises NonFiniteValueError
-    at the first such coordinate; the blocks before it are already updated.
+    An outer-product entry of g is formed just before its update, so the
+    outer product is never written out. The sign of a zero in g never
+    reaches params, m or v: m starts at +0, beta1*m (beta1 above 1/2) is
+    zero only when m is, and a sum is -0 only when both terms are, so m is
+    never -0; and ((1-beta2)*g)*g is +0 for either zero.
+
+    params, m and v must be writable, C-contiguous float64 arrays; any
+    other is refused with ValueError, untouched, never copied. An update
+    that leaves a parameter non-finite raises NonFiniteValueError at the
+    first such coordinate; the coordinates before it are already updated,
+    as may be the rest of its outer-product row.
     """
-    x, delta, rest = grad
-    width = delta.shape[0]
-    head = x.shape[0] * width
-    if state.m.shape != params.shape or params.shape != (head + rest.shape[0],):
+    x, delta, rest = (np.ascontiguousarray(a, dtype=np.float64) for a in grad)
+    head = x.shape[0] * delta.shape[0]
+    if not state.m.shape == state.v.shape == params.shape == (head + rest.shape[0],):
         raise LengthMismatchError(params.shape[0], head + rest.shape[0])
+    for name, a in (("params", params), ("m", state.m), ("v", state.v)):
+        if a.dtype != np.float64 or not a.flags.c_contiguous or not a.flags.writeable:
+            raise ValueError(f"adam_step: {name} must be a writable, C-contiguous float64 array")
+    kernel = _adam_kernel(ADAM_CC)
     state.t += 1
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
-    c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
-    # whole rows of the outer product per block, at least one; then the rest
-    step = width * max(1, ADAM_BLOCK // width) if width else ADAM_BLOCK
-    size = params.shape[0]
-    blocks = [(lo, min(lo + step, head)) for lo in range(0, head, step)]
-    blocks += [(lo, min(lo + ADAM_BLOCK, size)) for lo in range(head, size, ADAM_BLOCK)]
-    scratch = np.empty((3, max((hi - lo for lo, hi in blocks), default=0)))
-    # an outer-product block is each of its rows' x entry copied across the
-    # row, times delta tiled once per row: two contiguous passes, half the
-    # time of one broadcasting multiply
-    tiled = np.tile(delta, step // width) if width else delta
-    for lo, hi in blocks:
-        p, m, v = params[lo:hi], state.m[lo:hi], state.v[lo:hi]
-        s0, s1, s2 = scratch[:, : hi - lo]
-        if lo < head:
-            g = s0
-            np.copyto(g.reshape(-1, width), x[lo // width : hi // width, None])
-            np.multiply(g, tiled[: hi - lo], out=g)
-        else:
-            g = rest[lo - head : hi - head]
-        np.multiply(m, b1, out=m)
-        np.multiply(g, 1.0 - b1, out=s1)
-        np.add(m, s1, out=m)
-        np.multiply(v, b2, out=v)
-        np.multiply(g, 1.0 - b2, out=s1)
-        np.multiply(s1, g, out=s1)
-        np.add(v, s1, out=v)
-        np.divide(v, c2, out=s1)
-        np.sqrt(s1, out=s1)
-        np.add(s1, eps, out=s1)
-        np.divide(m, c1, out=s2)
-        np.multiply(s2, lr, out=s2)
-        np.divide(s2, s1, out=s2)
-        np.subtract(p, s2, out=p)
-        finite = np.isfinite(p)
-        if not finite.all():
-            raise NonFiniteValueError(lo + int(np.argmin(finite)))
+    c1, c2 = 1.0 - state.beta1**state.t, 1.0 - state.beta2**state.t
+    bad = kernel(
+        params.ctypes.data, state.m.ctypes.data, state.v.ctypes.data,
+        x.ctypes.data, x.shape[0], delta.ctypes.data, delta.shape[0], rest.ctypes.data, rest.shape[0],
+        state.beta1, state.beta2, c1, c2, state.lr, state.eps,
+    )
+    if bad >= 0:
+        raise NonFiniteValueError(bad)

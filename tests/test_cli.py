@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from rgcf import cli
+from rgcf import cli, models
 from rgcf.aggregators import AGGREGATOR_KINDS, AggregatorSpec, max_f_count
 from rgcf.cli import clamped_f_count, fmt, main, resolve
 from rgcf.config import build_config
@@ -80,6 +80,23 @@ class TestTrainFilter:
         # adam_step's check is the one report: no numpy overflow warnings
         assert capsys.readouterr().err == "runtime failure: non-finite value at coordinate 0\n"
         assert not os.path.exists(os.path.join(out, "filter.rgcf"))
+
+    def test_missing_compiler_fails_training_only(self, trained, tmp_path, monkeypatch, capsys):
+        # the Adam kernel is built on the first training step, so without a
+        # compiler train-filter is a one-line runtime failure before any
+        # training output, while run and compare never load the kernel
+        monkeypatch.setattr(models, "ADAM_CC", ("no-such-compiler", *models.ADAM_CC[1:]))
+        out = str(tmp_path / "nocc")
+        assert run_cli("train-filter", "--out", out, *FAST) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: cannot build the Adam kernel with 'no-such-compiler'")
+        assert err.count("\n") == 1
+        assert not os.path.exists(os.path.join(out, "filter.rgcf"))
+        assert not os.path.exists(os.path.join(out, "filter_train.csv"))
+        filter_file = ["--set", f"filter_file={trained}/filter.rgcf"]
+        assert run_cli("run", "--out", str(tmp_path / "r"), *FAST, *filter_file) == 0
+        compare = ["--set", "compare_attacks=inverse", "--set", "compare_fractions=0.5"]
+        assert run_cli("compare", "--out", str(tmp_path / "c"), *FAST, *filter_file, *compare) == 0
 
     def test_overflowing_training_attack_is_runtime_failure(self, tmp_path, capsys):
         # random_gaussian noise at scale 1e308 overflows at the first draw
@@ -229,6 +246,49 @@ class TestCompare:
         )
         assert code == 1
 
+    def test_oracle_twin_runs_only_after_a_wrong_decision(self, tmp_path, monkeypatch):
+        # at attack_scale=0.003 this filter accepts some gradient_shift
+        # gradients and makes no error under the inverse attack: only the
+        # gradient_shift cell runs its oracle twin, and reports the twin's
+        # accuracy as its reference; the inverse cell's reference is its own
+        mlp = ["--set", "arch=mlp", "--set", "hidden=32"]
+        tf = str(tmp_path / "tf")
+        assert run_cli("train-filter", "--seed", "0", "--out", tf, *mlp) == 0
+        calls = []
+        real = cli.run_rgcf
+
+        def spy(cell, *args, **kwargs):
+            m = real(cell, *args, **kwargs)
+            calls.append((cell.attack.kind, kwargs.get("ground_truth", False), m))
+            return m
+
+        monkeypatch.setattr(cli, "run_rgcf", spy)
+        out = str(tmp_path / "cmp")
+        code = run_cli(
+            "compare", "--seed", "0", "--out", out, *mlp,
+            "--set", f"filter_file={tf}/filter.rgcf",
+            "--set", "compare_methods=rgcf",
+            "--set", "compare_attacks=inverse,gradient_shift",
+            "--set", "compare_fractions=0.5",
+            "--set", "attack_scale=0.003",
+            "--set", "steps=25",
+            "--set", "n_workers=10",
+        )
+        assert code == 0
+        assert [(kind, twin) for kind, twin, _ in calls] == [
+            ("inverse", False),
+            ("gradient_shift", False),
+            ("gradient_shift", True),
+        ]
+        (_, _, clean), (_, _, shifted), (_, _, twin) = calls
+        assert clean.rejected_honest == clean.accepted_byz == 0
+        assert shifted.accepted_byz > 0
+        assert twin.final_accuracy != shifted.final_accuracy
+        lines = open(os.path.join(out, "convergence_matrix.csv")).read().splitlines()
+        rows = {r[1]: r for r in (ln.split(",") for ln in lines[1:])}
+        assert rows["inverse"][4:6] == [fmt(clean.final_accuracy)] * 2
+        assert rows["gradient_shift"][4:6] == [fmt(shifted.final_accuracy), fmt(twin.final_accuracy)]
+
 
 # Invalid configuration exits 1 before any output is written.
 INVALID_CONFIGS = [
@@ -259,6 +319,9 @@ INVALID_CONFIGS = [
     # 120,000 examples, but worker 99,000's batch stream would be worker 0's attack stream
     ("run", ["--set", "blobs_per_class=40000", "--set", f"n_workers={MAX_WORKERS + 1}"]),
     ("run", ["--set", "normalize=true"]),  # the filter input is always direction-only
+    # the filter was trained at threshold 0.5 and decides at the threshold it was trained at
+    ("run", ["--set", "threshold=0.999"]),
+    ("compare", ["--set", "threshold=0.999"]),
 ]
 
 

@@ -22,7 +22,6 @@ from rgcf.filter import (
     save_filter,
 )
 from rgcf.models import (
-    ADAM_BLOCK,
     Architecture,
     adam_init,
     apply_update,
@@ -34,6 +33,10 @@ from rgcf.models import (
 from rgcf.simulation import FilterTrainConfig, train_filter
 from tests.conftest import rng
 from tests.test_models import textbook_adam, textbook_backprop
+
+# 2**15 coordinates (256 KB of float64): the Adam cases end inside, on and
+# just past multiples of it, where a blocked update would split its work.
+ADAM_BLOCK = 1 << 15
 
 
 def writable(filt: FilterNet) -> FilterNet:

@@ -1,11 +1,13 @@
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rgcf import models
 from rgcf.core import LengthMismatchError, NonFiniteValueError, param_vector
 from rgcf.models import (
-    ADAM_BLOCK,
     Architecture,
     FactoredGradient,
     ShapeMismatchError,
@@ -22,6 +24,10 @@ from rgcf.models import (
     unflatten,
 )
 from tests.conftest import rng
+
+# 2**15 coordinates (256 KB of float64): the Adam cases end inside, on and
+# just past multiples of it, where a blocked update would split its work.
+ADAM_BLOCK = 1 << 15
 
 
 def forward_loss(
@@ -410,6 +416,44 @@ class TestAdam:
         assert params.tobytes() == ref_p.tobytes()
         assert state.m.tobytes() == ref_m.tobytes()
         assert state.v.tobytes() == ref_v.tobytes()
+
+    @pytest.mark.parametrize("which", ["params", "m", "v"])
+    @pytest.mark.parametrize("how", ["read-only", "non-contiguous"])
+    def test_refuses_an_array_it_cannot_update_in_place(self, which, how):
+        # the kernel writes params, m and v where they lie: it refuses a
+        # read-only or strided one, never copies it, and changes nothing
+        r = rng(8)
+        arrays = {name: r.standard_normal(9) for name in ("params", "m", "v")}
+        if how == "read-only":
+            arrays[which].flags.writeable = False
+        else:
+            arrays[which] = np.repeat(arrays[which], 2)[::2]
+        before = {name: a.tobytes() for name, a in arrays.items()}
+        state = adam_init(9)
+        state.m, state.v = arrays["m"], arrays["v"]
+        with pytest.raises(ValueError, match=f"adam_step: {which} must"):
+            adam_step(state, arrays["params"], dense(r.standard_normal(9)))
+        assert {name: a.tobytes() for name, a in arrays.items()} == before
+        assert state.t == 0
+
+    def test_kernel_is_built_in_a_private_directory_when_the_cache_is_read_only(
+        self, tmp_path, monkeypatch
+    ):
+        # a command of its own misses every cached build; the cache gains
+        # no file, and the private directory is gone once the library is
+        # loaded
+        monkeypatch.setattr(models, "ADAM_CC", (*models.ADAM_CC, "-O2"))
+        monkeypatch.setattr(models.os, "access", lambda path, mode: False)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        cache = models.ADAM_SOURCE.parent / "__pycache__"
+        cached = set(cache.iterdir())
+        r = rng(9)
+        params, grad = r.standard_normal(40), r.standard_normal(40)
+        _, _, ref = textbook_adam(np.zeros(40), np.zeros(40), 1, params, grad, 0.001)
+        adam_step(adam_init(40), params, dense(grad))
+        assert params.tobytes() == ref.tobytes()
+        assert set(cache.iterdir()) == cached
+        assert list(tmp_path.iterdir()) == []
 
     def test_sign_of_a_zero_gradient_never_reaches_the_weights(self):
         # np.multiply keeps a zero's sign where a BLAS product gives +0: the
