@@ -4,8 +4,9 @@
 # {rgcf, krum, median, trimmed_mean, bulyan} x
 # {inverse, random_gaussian, all_ones, gradient_shift} x
 # {20%, 33%, 50%, 90%} Byzantine workers.
-# Takes about 3 minutes: 173 s on a 2-vCPU Xeon VM with OpenBLAS, most of
-# it in the compare grid. Results land in runs/compare/.
+# Takes about a minute: 48-50 s on a 2-vCPU Xeon VM with OpenBLAS, where
+# the same grid run one cell at a time took 91-93 s; most of it is the
+# compare grid, whose cells run on every CPU. Results land in runs/compare/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

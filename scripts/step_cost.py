@@ -1,5 +1,6 @@
 """Per-step cost of a training run, split by phase, for the filter and
-three aggregators at n=10 workers, and of a filter-training step.
+three aggregators at n=10 workers, and of a filter-training step; and the
+wall time of a whole `compare` grid.
 
     python3 scripts/step_cost.py OUT.json
 
@@ -11,19 +12,28 @@ decision, update, eval), divided by its step count. The filter is freshly
 initialised, not trained: a decision costs the same whatever its weights.
 The `train_filter` row is the wall time of a `train_filter` run with the
 default training config, less that of a zero-step run (the filter's set-up),
-divided by its step count. Every cell runs once untimed, then RUNS times,
-the cells interleaved so that machine drift hits all of them alike. OUT.json
-holds, per cell and phase, the median and the quartiles over the runs in
-milliseconds per step, and the machine. One BLAS thread. Takes 30–50 s on a
-2-vCPU VM.
+divided by its step count. The `compare` row is the wall time of
+`rgcf compare` in-process over the 80-cell grid of perfbench's grid-wide
+workload (all five methods, 4 attacks x 4 fractions, default MLP, n=10,
+25 steps, with a filter trained at the default config), beside the CPU
+seconds its pool workers used (RUSAGE_CHILDREN). Every cell runs once
+untimed, then RUNS times, the cells interleaved so that machine drift hits
+all of them alike. OUT.json holds, per cell and phase, the median and the
+quartiles over the runs in milliseconds per step, the same for the
+`compare` row in seconds, and the machine. One BLAS thread. Takes 40–60 s
+on a 2-vCPU VM.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import platform
+import resource
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -32,7 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from rgcf import core, models  # noqa: E402
+from rgcf import cli, core, models  # noqa: E402
 from rgcf.aggregators import AggregatorSpec  # noqa: E402
 from rgcf.attacks import AttackSpec  # noqa: E402
 from rgcf.data import synth_gaussian_blobs  # noqa: E402
@@ -47,6 +57,9 @@ F_COUNT = 3
 MODELS = {"default": (20, 5, 400, 100), "wide": (784, 10, 60, 20)}
 METHODS = ("rgcf", "krum", "median", "trimmed_mean", "train_filter")
 PHASES = ("worker_s", "decision_s", "update_s", "eval_s")
+MLP = ["--set", "arch=mlp", "--set", "hidden=32"]
+GRID_STEPS = 25
+GRID = [*MLP, "--set", f"steps={GRID_STEPS}", "--set", f"n_workers={N_WORKERS}"]
 
 
 def setup(in_dim: int, classes: int):
@@ -82,6 +95,26 @@ def train_s_per_step(steps: int, train, arch) -> float:
     return (times[1] - times[0]) / steps
 
 
+def rgcf_cli(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(list(argv))
+    if rc:
+        raise RuntimeError(f"rgcf {argv[0]} exited {rc}")
+
+
+def compare_s(out: str, filter_file: str) -> list[float]:
+    """Wall seconds of one compare grid and the CPU seconds of its pool
+    workers, which the command has joined when it returns."""
+    def children_cpu() -> float:
+        usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return usage.ru_utime + usage.ru_stime
+
+    cpu = children_cpu()
+    t0 = time.perf_counter()
+    rgcf_cli("compare", "--seed", str(SEED), "--out", out, *GRID, "--set", f"filter_file={filter_file}")
+    return [time.perf_counter() - t0, children_cpu() - cpu]
+
+
 def machine() -> dict:
     cpu = ""
     try:
@@ -90,7 +123,7 @@ def machine() -> dict:
     except OSError:
         pass
     return {
-        "nproc": os.cpu_count(),
+        "nproc": len(os.sched_getaffinity(0)),
         "cpu": cpu,
         "blas_threads": 1,
         "numpy": np.__version__,
@@ -106,18 +139,25 @@ def main(argv: list[str]) -> int:
     inputs = {name: setup(in_dim, classes) for name, (in_dim, classes, _, _) in MODELS.items()}
     cells = [(name, method) for name in MODELS for method in METHODS]
     samples: dict[tuple[str, str], list] = {cell: [] for cell in cells}
-    for rep in range(RUNS + 1):
-        for name, method in cells:
-            train, val, arch, filt = inputs[name]
-            if method == "train_filter":
-                steps = MODELS[name][3]
-                per_step = [train_s_per_step(steps if rep else 2, train, arch)]
-            else:
-                steps = MODELS[name][2]
-                m = run(method, steps if rep else 10, train, val, arch, filt)
-                per_step = [getattr(m, p) / steps for p in PHASES] + [m.wall_time / steps]
+    grid_samples = []
+    with tempfile.TemporaryDirectory() as grid_dir:
+        filter_file = os.path.join(grid_dir, "filter.rgcf")
+        rgcf_cli("train-filter", "--seed", str(SEED), "--out", grid_dir, *MLP)
+        for rep in range(RUNS + 1):
+            sample = compare_s(grid_dir, filter_file)
             if rep:
-                samples[name, method].append(per_step)
+                grid_samples.append(sample)
+            for name, method in cells:
+                train, val, arch, filt = inputs[name]
+                if method == "train_filter":
+                    steps = MODELS[name][3]
+                    per_step = [train_s_per_step(steps if rep else 2, train, arch)]
+                else:
+                    steps = MODELS[name][2]
+                    m = run(method, steps if rep else 10, train, val, arch, filt)
+                    per_step = [getattr(m, p) / steps for p in PHASES] + [m.wall_time / steps]
+                if rep:
+                    samples[name, method].append(per_step)
     results = []
     for (name, method), rows in samples.items():
         q1, med, q3 = np.percentile(np.array(rows) * 1e3, [25, 50, 75], axis=0)
@@ -131,9 +171,16 @@ def main(argv: list[str]) -> int:
         results.append(cell)
         print(f"{name:8s} d={cell['d']:<6d} {method:13s} "
               + " ".join(f"{k[:-12]}={cell[k]['median']:.3f}" for k in cell if k.endswith("_ms_per_step")))
+    q1, med, q3 = np.percentile(grid_samples, [25, 50, 75], axis=0)
+    grid = {"cells": 80, "n": N_WORKERS, "steps": GRID_STEPS, "d": inputs["default"][2].param_count, "runs": RUNS}
+    for i, key in enumerate(("wall_s", "children_cpu_s")):
+        grid[key] = {"median": med[i], "q1": q1[i], "q3": q3[i]}
+    print(f"compare  80 cells, n={N_WORKERS}, {GRID_STEPS} steps: wall={med[0]:.3f} s "
+          f"(q1 {q1[0]:.3f}, q3 {q3[0]:.3f}), children cpu={med[1]:.3f} s")
     record = {"what": "milliseconds per training step by phase, and per filter-training step; "
-                      "median and quartiles over runs",
-              "machine": machine(), "seconds": round(time.perf_counter() - start, 1), "cells": results}
+                      "seconds per compare grid; median and quartiles over runs",
+              "machine": machine(), "seconds": round(time.perf_counter() - start, 1), "cells": results,
+              "compare": grid}
     Path(argv[0]).write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {argv[0]} in {record['seconds']} s")
     return 0

@@ -305,8 +305,10 @@ def clamped_f_count(kind: str, n: int, f_true: int) -> int | None:
 def convergence_verdict(m: RunMetrics, ref: float) -> tuple[str, float]:
     """Binary verdict against the clean reference accuracy: ✓ if the final
     validation accuracy is finite and within 3 points of the reference, ✗
-    otherwise. The reference is the Byzantine-free twin of the run, so both
-    sides have spent the same accepted-update budget."""
+    otherwise. The filter's reference is its oracle twin (ground-truth
+    filtering, same seed; the run itself when it made no wrong decision);
+    an aggregator's is the same aggregator and f_count with zero Byzantine
+    workers."""
     acc = m.final_accuracy
     loss = m.val_losses[-1] if m.val_losses else float("nan")
     if m.diverged or not np.isfinite(loss) or not np.isfinite(acc):
@@ -316,53 +318,95 @@ def convergence_verdict(m: RunMetrics, ref: float) -> tuple[str, float]:
     return FAILED, acc
 
 
+# The loaded inputs of compare's cell jobs: (train, val, arch, filter), set
+# by _init_cell_worker in each pool worker and never in the parent.
+_cell_inputs: tuple[Dataset, Dataset, Architecture, FilterNet | None] | None = None
+
+
+def _init_cell_worker(*inputs) -> None:
+    global _cell_inputs
+    _cell_inputs = inputs
+
+
+def _reference_job(cell: RunConfig) -> float:
+    """An aggregator's clean reference accuracy: the cell's aggregator and
+    f_count with zero Byzantine workers."""
+    train_data, val_data, arch, _ = _cell_inputs
+    clean = replace(cell, byzantine_fraction=0.0, attack=AttackSpec(INVERSE, 1.0))
+    return run_aggregated(clean, train_data, val_data, arch).final_accuracy
+
+
+def _cell_job(cell: RunConfig) -> tuple[RunMetrics, float | None]:
+    """A cell's run, cut to what its verdict reads, and for a filtered run
+    its reference accuracy."""
+    train_data, val_data, arch, filt = _cell_inputs
+    if cell.aggregator is not None:
+        m, ref = run_aggregated(cell, train_data, val_data, arch), None
+    else:
+        m = run_rgcf(cell, train_data, val_data, arch, filt)
+        # the twin shares the run's picks, batches, attack noise and
+        # initial weights, so it parts from the run only at a wrong
+        # decision; without one it is the run, bit for bit
+        ref = m.final_accuracy
+        if m.rejected_honest or m.accepted_byz:
+            ref = run_rgcf(cell, train_data, val_data, arch, filt, ground_truth=True).final_accuracy
+    outcome = RunMetrics(
+        val_accuracies=m.val_accuracies[-1:], val_losses=m.val_losses[-1:], diverged=m.diverged
+    )
+    return outcome, ref
+
+
 def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
+    import concurrent.futures
+    import multiprocessing
+
     train_data, val_data = load_train(cfg), load_val(cfg)
     arch = build_arch(cfg, train_data)
     filt = _load_filter(cfg, arch) if "rgcf" in cfg.compare_methods else None
     os.makedirs(cfg.out, exist_ok=True)
     write_manifest(cfg, _outpath(cfg, "manifest.txt"))
 
-    # Clean references, one per distinct configuration. For the filter mode
-    # the reference is the oracle twin of each cell (same picks/batches,
-    # ground-truth filtering); for an aggregator it is the same aggregator
-    # and f_count with zero Byzantine workers, cached across cells.
-    agg_refs: dict[AggregatorSpec, float] = {}
-
-    def aggregator_reference(cell: RunConfig) -> float:
-        spec = cell.aggregator
-        if spec not in agg_refs:
-            clean = replace(cell, byzantine_fraction=0.0, attack=AttackSpec(INVERSE, 1.0))
-            m = run_aggregated(clean, train_data, val_data, arch)
-            agg_refs[spec] = m.final_accuracy
-        return agg_refs[spec]
-
-    path = _outpath(cfg, "convergence_matrix.csv")
-    header = ["method", "attack", "fraction", "f_count", "final_accuracy", "clean_reference", "verdict"]
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        f.flush()
-        for method, attack_kind, fraction, cell in specs.grid:
-            if cell is None:
-                row = (method, attack_kind, fraction, None, None, None, SKIPPED)
-            elif cell.aggregator is None:
-                m = run_rgcf(cell, train_data, val_data, arch, filt)
-                # the twin shares the run's picks, batches, attack noise and
-                # initial weights, so it parts from the run only at a wrong
-                # decision; without one it is the run, bit for bit
-                ref = m.final_accuracy
-                if m.rejected_honest or m.accepted_byz:
-                    ref = run_rgcf(cell, train_data, val_data, arch, filt, ground_truth=True).final_accuracy
-                verdict, acc = convergence_verdict(m, ref)
-                row = (method, attack_kind, fraction, None, acc, ref, verdict)
-            else:
-                ref = aggregator_reference(cell)
-                m = run_aggregated(cell, train_data, val_data, arch)
-                verdict, acc = convergence_verdict(m, ref)
-                row = (method, attack_kind, fraction, cell.aggregator.f_count, acc, ref, verdict)
-            f.write(",".join(fmt(c) for c in row) + "\n")
+    # The cells are independent experiments, so they run as jobs on a pool
+    # of forked workers that inherit the loaded inputs, unpickled: first one
+    # clean reference per distinct aggregator spec, then every runnable cell
+    # in grid order. Rows are written in grid order as their results arrive.
+    # With the fork context the executor forks all its workers at the first
+    # submit, before it starts a thread of its own.
+    cells = [cell for *_, cell in specs.grid if cell is not None]
+    first = {}  # aggregator spec -> its first cell, whose clean twin is the reference
+    for cell in cells:
+        if cell.aggregator is not None:
+            first.setdefault(cell.aggregator, cell)
+    jobs = len(first) + len(cells)
+    pool = concurrent.futures.ProcessPoolExecutor(
+        max(1, min(len(os.sched_getaffinity(0)), jobs)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_cell_worker,
+        initargs=(train_data, val_data, arch, filt),
+    )
+    try:
+        refs = {spec: pool.submit(_reference_job, cell) for spec, cell in first.items()}
+        results = iter([pool.submit(_cell_job, cell) for cell in cells])
+        path = _outpath(cfg, "convergence_matrix.csv")
+        header = ["method", "attack", "fraction", "f_count", "final_accuracy", "clean_reference", "verdict"]
+        with open(path, "w") as f:
+            f.write(",".join(header) + "\n")
             f.flush()
-            print(f"compare {attack_kind} f={fraction:.0%} {method}: {row[-1]}")
+            for method, attack_kind, fraction, cell in specs.grid:
+                if cell is None:
+                    row = (method, attack_kind, fraction, None, None, None, SKIPPED)
+                else:
+                    m, ref = next(results).result()
+                    f_count = None
+                    if cell.aggregator is not None:
+                        ref, f_count = refs[cell.aggregator].result(), cell.aggregator.f_count
+                    verdict, acc = convergence_verdict(m, ref)
+                    row = (method, attack_kind, fraction, f_count, acc, ref, verdict)
+                f.write(",".join(fmt(c) for c in row) + "\n")
+                f.flush()
+                print(f"compare {attack_kind} f={fraction:.0%} {method}: {row[-1]}")
+    finally:
+        pool.shutdown(cancel_futures=True)
     return 0
 
 

@@ -12,12 +12,18 @@ class NonFiniteValueError(ValueError):
         self.index = index
         super().__init__(f"non-finite value at coordinate {index}")
 
+    def __reduce__(self):
+        return type(self), (self.index,)
+
 
 class LengthMismatchError(ValueError):
     def __init__(self, expected: int, got: int):
         self.expected = expected
         self.got = got
         super().__init__(f"length mismatch: expected {expected}, got {got}")
+
+    def __reduce__(self):
+        return type(self), (self.expected, self.got)
 
 
 class EmptyInputError(ValueError):

@@ -1,13 +1,18 @@
+import multiprocessing
 import os
+from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 
-from rgcf import cli, models
+from rgcf import cli, models, simulation
 from rgcf.aggregators import AGGREGATOR_KINDS, AggregatorSpec, max_f_count
-from rgcf.cli import clamped_f_count, fmt, main, resolve
+from rgcf.cli import clamped_f_count, convergence_verdict, fmt, main, resolve
 from rgcf.config import build_config
-from rgcf.core import MAX_WORKERS, TooFewWorkersError, stream
+from rgcf.core import MAX_WORKERS, LengthMismatchError, TooFewWorkersError, stream
 from rgcf.data import synth_gaussian_blobs
+from rgcf.filter import load_filter
+from rgcf.simulation import run_aggregated, run_rgcf
 from tests.test_data import write_idx
 
 # tiny-but-real settings: logistic blobs task, short runs
@@ -37,6 +42,23 @@ def trained(tmp_path):
     out = str(tmp_path / "tf")
     assert run_cli("train-filter", "--seed", "1", "--out", out, *FAST) == 0
     return out
+
+
+MLP = {"arch": "mlp", "hidden": "32"}
+
+
+@pytest.fixture(scope="module")
+def mlp_filter(tmp_path_factory):
+    """A default-config MLP filter at seed 0. At attack_scale=0.003 it
+    accepts some gradient_shift gradients at fraction 0.5 (n=10, 25 steps)
+    and makes no error under the inverse attack."""
+    out = str(tmp_path_factory.mktemp("mlp-tf"))
+    assert run_cli("train-filter", "--seed", "0", "--out", out, *sets(MLP)) == 0
+    return os.path.join(out, "filter.rgcf")
+
+
+def sets(overrides: dict) -> list[str]:
+    return [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value}")]
 
 
 class TestFmt:
@@ -246,27 +268,26 @@ class TestCompare:
         )
         assert code == 1
 
-    def test_oracle_twin_runs_only_after_a_wrong_decision(self, tmp_path, monkeypatch):
-        # at attack_scale=0.003 this filter accepts some gradient_shift
-        # gradients and makes no error under the inverse attack: only the
-        # gradient_shift cell runs its oracle twin, and reports the twin's
-        # accuracy as its reference; the inverse cell's reference is its own
-        mlp = ["--set", "arch=mlp", "--set", "hidden=32"]
-        tf = str(tmp_path / "tf")
-        assert run_cli("train-filter", "--seed", "0", "--out", tf, *mlp) == 0
-        calls = []
+    def test_oracle_twin_runs_only_after_a_wrong_decision(self, mlp_filter, tmp_path, monkeypatch):
+        # only the gradient_shift cell runs its oracle twin, and reports the
+        # twin's accuracy as its reference; the inverse cell's reference is
+        # its own. The cells run in forked workers, which inherit the spy:
+        # it logs one line per call to a file, and cells may interleave.
+        log = tmp_path / "calls.txt"
         real = cli.run_rgcf
 
         def spy(cell, *args, **kwargs):
             m = real(cell, *args, **kwargs)
-            calls.append((cell.attack.kind, kwargs.get("ground_truth", False), m))
+            with open(log, "a") as f:
+                f.write(f"{cell.attack.kind} {kwargs.get('ground_truth', False)} "
+                        f"{m.rejected_honest} {m.accepted_byz} {m.final_accuracy!r}\n")
             return m
 
         monkeypatch.setattr(cli, "run_rgcf", spy)
         out = str(tmp_path / "cmp")
         code = run_cli(
-            "compare", "--seed", "0", "--out", out, *mlp,
-            "--set", f"filter_file={tf}/filter.rgcf",
+            "compare", "--seed", "0", "--out", out, *sets(MLP),
+            "--set", f"filter_file={mlp_filter}",
             "--set", "compare_methods=rgcf",
             "--set", "compare_attacks=inverse,gradient_shift",
             "--set", "compare_fractions=0.5",
@@ -275,19 +296,103 @@ class TestCompare:
             "--set", "n_workers=10",
         )
         assert code == 0
-        assert [(kind, twin) for kind, twin, _ in calls] == [
-            ("inverse", False),
-            ("gradient_shift", False),
-            ("gradient_shift", True),
-        ]
-        (_, _, clean), (_, _, shifted), (_, _, twin) = calls
-        assert clean.rejected_honest == clean.accepted_byz == 0
-        assert shifted.accepted_byz > 0
-        assert twin.final_accuracy != shifted.final_accuracy
+        calls = defaultdict(list)  # per cell, in call order
+        for line in log.read_text().splitlines():
+            kind, twin, rejected_honest, accepted_byz, acc = line.split()
+            calls[kind].append((twin == "True", int(rejected_honest), int(accepted_byz), float(acc)))
+        assert {kind: [c[0] for c in cell] for kind, cell in calls.items()} == {
+            "inverse": [False],
+            "gradient_shift": [False, True],
+        }
+        (clean,), (shifted, twin) = calls["inverse"], calls["gradient_shift"]
+        assert clean[1] == clean[2] == 0
+        assert shifted[2] > 0
+        assert twin[3] != shifted[3]
         lines = open(os.path.join(out, "convergence_matrix.csv")).read().splitlines()
         rows = {r[1]: r for r in (ln.split(",") for ln in lines[1:])}
-        assert rows["inverse"][4:6] == [fmt(clean.final_accuracy)] * 2
-        assert rows["gradient_shift"][4:6] == [fmt(shifted.final_accuracy), fmt(twin.final_accuracy)]
+        assert rows["inverse"][4:6] == [fmt(clean[3])] * 2
+        assert rows["gradient_shift"][4:6] == [fmt(shifted[3]), fmt(twin[3])]
+
+    def test_matrix_equals_the_serial_runs(self, mlp_filter, tmp_path, capsys):
+        # the pool's matrix and stdout are those of running every cell in
+        # turn in this process, with each method's clean reference
+        overrides = {
+            **MLP, "seed": "0", "out": str(tmp_path / "cmp"), "filter_file": mlp_filter,
+            "compare_methods": "rgcf,median,trimmed_mean,bulyan",
+            "compare_attacks": "inverse,gradient_shift", "attack_scale": "0.003",
+            "compare_fractions": "0.1,0.5", "steps": "25", "n_workers": "10",
+        }
+        assert run_cli("compare", *sets(overrides)) == 0
+        stdout = capsys.readouterr().out
+        cfg = build_config(None, overrides)
+        train, val = cli.load_train(cfg), cli.load_val(cfg)
+        arch, filt = cli.build_arch(cfg, train), load_filter(mlp_filter)
+        header = "method,attack,fraction,f_count,final_accuracy,clean_reference,verdict"
+        rows, lines, twins = [header], [], 0
+        for method, attack, fraction, cell in resolve(cfg).grid:
+            if cell is None:
+                row = (method, attack, fraction, None, None, None, cli.SKIPPED)
+            elif cell.aggregator is None:
+                m = run_rgcf(cell, train, val, arch, filt)
+                ref = m.final_accuracy
+                if m.rejected_honest or m.accepted_byz:
+                    twins += 1
+                    ref = run_rgcf(cell, train, val, arch, filt, ground_truth=True).final_accuracy
+                verdict, acc = convergence_verdict(m, ref)
+                row = (method, attack, fraction, None, acc, ref, verdict)
+            else:
+                ref = run_aggregated(replace(cell, byzantine_fraction=0.0), train, val, arch).final_accuracy
+                verdict, acc = convergence_verdict(run_aggregated(cell, train, val, arch), ref)
+                row = (method, attack, fraction, cell.aggregator.f_count, acc, ref, verdict)
+            rows.append(",".join(fmt(c) for c in row))
+            lines.append(f"compare {attack} f={fraction:.0%} {method}: {row[-1]}")
+        assert ("bulyan", cli.SKIPPED) in {(r.split(",")[0], r.split(",")[-1]) for r in rows[1:]}
+        assert twins > 0
+        assert read(os.path.join(overrides["out"], "convergence_matrix.csv")) == "".join(
+            r + "\n" for r in rows
+        ).encode()
+        assert stdout.splitlines() == lines
+
+    def test_all_skipped_grid_runs_no_job(self, tmp_path):
+        # Bulyan at n=10 cannot run above f=1: nothing to submit, exit 0
+        out = str(tmp_path / "cmp")
+        code = run_cli(
+            "compare", "--out", out,
+            "--set", "compare_methods=bulyan", "--set", "compare_fractions=0.5,0.9",
+        )
+        assert code == 0
+        lines = open(os.path.join(out, "convergence_matrix.csv")).read().splitlines()
+        assert len(lines) == 9 and all(ln.endswith(",–") for ln in lines[1:])
+        assert multiprocessing.active_children() == []
+
+    def test_worker_failure_is_runtime_failure(self, trained, tmp_path, monkeypatch, capsys):
+        # the forked workers inherit the patch: the median cell at 50% (five
+        # Byzantine workers of ten) fails in its first worker turn
+        real = simulation.worker_step
+
+        def failing(workers, *args, **kwargs):
+            if len(workers) > 1 and sum(w.byzantine for w in workers) == 5:
+                raise LengthMismatchError(3, 4)
+            return real(workers, *args, **kwargs)
+
+        monkeypatch.setattr(simulation, "worker_step", failing)
+        out = str(tmp_path / "cmp")
+        code = run_cli(
+            "compare", "--seed", "1", "--out", out, *FAST,
+            "--set", f"filter_file={trained}/filter.rgcf",
+            "--set", "compare_methods=rgcf,median",
+            "--set", "compare_attacks=inverse",
+            "--set", "compare_fractions=0.2,0.5,0.9",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "runtime failure: length mismatch: expected 3, got 4\n"
+        lines = open(os.path.join(out, "convergence_matrix.csv")).read().splitlines()
+        assert [ln.split(",")[:3] for ln in lines[1:]] == [
+            ["rgcf", "inverse", "0.2"],
+            ["median", "inverse", "0.2"],
+            ["rgcf", "inverse", "0.5"],
+        ]
+        assert multiprocessing.active_children() == []
 
 
 # Invalid configuration exits 1 before any output is written.

@@ -1,8 +1,13 @@
+import importlib
+import pickle
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rgcf
 from rgcf import core
 from rgcf.core import (
     GradientReport,
@@ -151,3 +156,34 @@ class TestStreamTable:
         # the last worker's batch stream is not the first worker's attack stream
         last = stream(0, core.SID_WORKER_BATCH + core.MAX_WORKERS - 1).random(4)
         assert not np.array_equal(last, stream(0, core.SID_WORKER_ATTACK).random(4))
+
+
+# One instance of every rgcf exception whose __init__ takes something other
+# than the message, with the attributes it keeps.
+STRUCTURED_ERRORS = [
+    (NonFiniteValueError(16), {"index": 16}),
+    (LengthMismatchError(3, 4), {"expected": 3, "got": 4}),
+]
+
+
+class TestErrorPickling:
+    """A worker process's exception reaches the parent through pickle, so
+    it must come back with its type, message and attributes."""
+
+    @pytest.mark.parametrize(
+        "err,attrs", STRUCTURED_ERRORS, ids=[type(e).__name__ for e, _ in STRUCTURED_ERRORS]
+    )
+    def test_round_trip(self, err, attrs):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err)
+        assert str(back) == str(err)
+        assert {k: getattr(back, k) for k in attrs} == attrs
+
+    def test_every_structured_error_is_covered(self):
+        defined = set()
+        for info in pkgutil.iter_modules(rgcf.__path__):
+            for obj in vars(importlib.import_module(f"rgcf.{info.name}")).values():
+                if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__.startswith("rgcf."):
+                    if "__init__" in vars(obj):
+                        defined.add(obj)
+        assert defined == {type(err) for err, _ in STRUCTURED_ERRORS}
