@@ -20,8 +20,15 @@ seconds its pool workers used (RUSAGE_CHILDREN). Every cell runs once
 untimed, then RUNS times, the cells interleaved so that machine drift hits
 all of them alike. OUT.json holds, per cell and phase, the median and the
 quartiles over the runs in milliseconds per step, the same for the
-`compare` row in seconds, and the machine. One BLAS thread. Takes 40–60 s
-on a 2-vCPU VM.
+`compare` row in seconds, and the machine. One BLAS thread.
+
+The rows that use more than one CPU, `compare` and the wide `train_filter`
+(whose Adam steps are split across threads), depend on whether a second
+CPU is free, which on a shared VM can change within the hour. So before
+and after the rows, the script times two forked pure-Python spinners
+against one, and OUT.json holds the ratio of their throughputs: near 2
+when a second CPU was free, near 1 when it was taken. Takes 40–60 s on a
+2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -115,6 +122,33 @@ def compare_s(out: str, filter_file: str) -> list[float]:
     return [time.perf_counter() - t0, children_cpu() - cpu]
 
 
+def spinners(k: int, seconds: float) -> int:
+    """Loop turns that k forked pure-Python spinners complete in
+    `seconds` each, summed."""
+    pipes = []
+    for _ in range(k):
+        r, w = os.pipe()
+        if os.fork() == 0:
+            n, end = 0, time.perf_counter() + seconds
+            while time.perf_counter() < end:
+                n += 1
+            os.write(w, str(n).encode())
+            os._exit(0)
+        os.close(w)
+        pipes.append(r)
+    total = 0
+    for r in pipes:
+        with os.fdopen(r) as f:
+            total += int(f.read())
+        os.wait()
+    return total
+
+
+def two_cpu_ratio(pairs: int = 3, seconds: float = 0.4) -> float:
+    """Median over alternating pairs of two spinners' throughput over one's."""
+    return float(np.median([spinners(2, seconds) / spinners(1, seconds) for _ in range(pairs)]))
+
+
 def machine() -> dict:
     cpu = ""
     try:
@@ -140,6 +174,7 @@ def main(argv: list[str]) -> int:
     cells = [(name, method) for name in MODELS for method in METHODS]
     samples: dict[tuple[str, str], list] = {cell: [] for cell in cells}
     grid_samples = []
+    two_cpu = {"before": two_cpu_ratio()}
     with tempfile.TemporaryDirectory() as grid_dir:
         filter_file = os.path.join(grid_dir, "filter.rgcf")
         rgcf_cli("train-filter", "--seed", str(SEED), "--out", grid_dir, *MLP)
@@ -158,6 +193,7 @@ def main(argv: list[str]) -> int:
                     per_step = [getattr(m, p) / steps for p in PHASES] + [m.wall_time / steps]
                 if rep:
                     samples[name, method].append(per_step)
+    two_cpu["after"] = two_cpu_ratio()
     results = []
     for (name, method), rows in samples.items():
         q1, med, q3 = np.percentile(np.array(rows) * 1e3, [25, 50, 75], axis=0)
@@ -177,10 +213,12 @@ def main(argv: list[str]) -> int:
         grid[key] = {"median": med[i], "q1": q1[i], "q3": q3[i]}
     print(f"compare  80 cells, n={N_WORKERS}, {GRID_STEPS} steps: wall={med[0]:.3f} s "
           f"(q1 {q1[0]:.3f}, q3 {q3[0]:.3f}), children cpu={med[1]:.3f} s")
+    print(f"two spinners / one: {two_cpu['before']:.2f} before the rows, {two_cpu['after']:.2f} after")
     record = {"what": "milliseconds per training step by phase, and per filter-training step; "
-                      "seconds per compare grid; median and quartiles over runs",
+                      "seconds per compare grid; median and quartiles over runs; "
+                      "two forked spinners' throughput over one's, before and after the rows",
               "machine": machine(), "seconds": round(time.perf_counter() - start, 1), "cells": results,
-              "compare": grid}
+              "compare": grid, "two_cpu_ratio": two_cpu}
     Path(argv[0]).write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {argv[0]} in {record['seconds']} s")
     return 0

@@ -144,16 +144,17 @@ def filter_gradient(
 
 
 def filter_train_step(
-    filt: FilterNet, adam: AdamState, grad: np.ndarray, loss: float, label: int, p: float
+    filt: FilterNet, adam: AdamState, grad: np.ndarray, loss: float, label: int, p: float, executor=None
 ) -> tuple[float, float]:
     """One Adam update on the weighted BCE of one (grad, loss) example, in
-    place on the filter's writable weights and on `adam`.
+    place on the filter's writable weights and on `adam`; a large update
+    is split across `executor`'s threads, as `adam_step` says.
 
     Returns the pre-update BCE value and predicted probability. A weight
     the update leaves non-finite raises NonFiniteValueError.
     """
     filter_grad, bce, pred = filter_gradient(filt, grad, loss, label, p)
-    adam_step(adam, filt.params, filter_grad)
+    adam_step(adam, filt.params, filter_grad, executor)
     return bce, pred
 
 

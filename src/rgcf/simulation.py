@@ -11,6 +11,7 @@ communication cost (one gradient per step vs. n). Plus the decision bench.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field, replace
 
@@ -220,9 +221,17 @@ def train_filter(
     log = FilterTrainLog()
     correct = 0
     step = 0
+    # a large Adam step is split across helper threads, all joined when
+    # training ends, so that none outlives it into a later fork
+    helpers = models.adam_parts(filt.params.shape[0]) - 1
+    pool = contextlib.nullcontext()
+    if helpers:
+        import concurrent.futures
+
+        pool = concurrent.futures.ThreadPoolExecutor(helpers)
     # a weight driven past the float range is reported by adam_step's own
     # check, not by numpy's overflow warnings on the way there
-    with np.errstate(over="ignore", invalid="ignore"):
+    with pool as executor, np.errstate(over="ignore", invalid="ignore"):
         for _episode in range(cfg.episodes):
             params = init_params(server_arch, init_rng)
             for _t in range(cfg.steps_per_episode):
@@ -230,7 +239,9 @@ def train_filter(
                 grads, losses = worker_step([workers[byz]], local_data, params, server_arch, cfg.batch_size)
                 grad, server_loss = grads[0], float(losses[0])
                 params = apply_update(params, grad, cfg.server_lr, byz)
-                loss, pred = filter.filter_train_step(filt, adam, grad, server_loss, byz, cfg.positive_weight)
+                loss, pred = filter.filter_train_step(
+                    filt, adam, grad, server_loss, byz, cfg.positive_weight, executor
+                )
                 step += 1
                 correct += int((pred >= filt.threshold) == byz)
                 log.steps.append(step)

@@ -1,7 +1,11 @@
 import multiprocessing
 import os
+import subprocess
+import sys
+import threading
 from collections import defaultdict
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -352,6 +356,43 @@ class TestCompare:
             r + "\n" for r in rows
         ).encode()
         assert stdout.splitlines() == lines
+
+    def test_wide_training_leaves_no_thread_to_fork(self, tmp_path, monkeypatch, capsys):
+        # a wide train-filter (1.06M filter weights) on two CPUs splits each
+        # Adam step with a helper thread, joined before training returns;
+        # the compare that forks its pool next in this process writes the
+        # matrix and stdout of a fresh process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        real, counts = models.adam_step, []
+
+        def counting(*args):
+            real(*args)
+            counts.append(threading.active_count())
+
+        monkeypatch.setattr("rgcf.filter.adam_step", counting)
+        wide = [*FAST, "--set", "blobs_in_dim=5500"]
+        threads = threading.active_count()
+        assert run_cli("train-filter", "--seed", "1", "--out", str(tmp_path / "tf"), *wide) == 0
+        assert len(counts) == 40 and set(counts) == {threads + 1}
+        assert threading.active_count() == threads
+        monkeypatch.undo()
+        capsys.readouterr()
+        compare = [
+            "compare", "--seed", "1", *wide,
+            "--set", f"filter_file={tmp_path}/tf/filter.rgcf",
+            "--set", "compare_methods=rgcf,median",
+            "--set", "compare_attacks=inverse",
+            "--set", "compare_fractions=0.5",
+        ]
+        assert run_cli(*compare, "--out", str(tmp_path / "here")) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "PYTHONIOENCODING": "utf-8"}
+        fresh = subprocess.run(
+            [sys.executable, "-m", "rgcf.cli", *compare, "--out", str(tmp_path / "fresh")],
+            env=env, capture_output=True, check=True,
+        )
+        assert fresh.stdout.decode() == capsys.readouterr().out
+        matrices = [read(tmp_path / out / "convergence_matrix.csv") for out in ("here", "fresh")]
+        assert matrices[0] == matrices[1]
 
     def test_all_skipped_grid_runs_no_job(self, tmp_path):
         # Bulyan at n=10 cannot run above f=1: nothing to submit, exit 0

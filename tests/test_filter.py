@@ -1,3 +1,4 @@
+import os
 import struct
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from rgcf.filter import (
 from rgcf.models import (
     Architecture,
     adam_init,
+    adam_parts,
     apply_update,
     backward,
     init_params,
@@ -33,10 +35,6 @@ from rgcf.models import (
 from rgcf.simulation import FilterTrainConfig, train_filter
 from tests.conftest import rng
 from tests.test_models import textbook_adam, textbook_backprop
-
-# 2**15 coordinates (256 KB of float64): the Adam cases end inside, on and
-# just past multiples of it, where a blocked update would split its work.
-ADAM_BLOCK = 1 << 15
 
 
 def writable(filt: FilterNet) -> FilterNet:
@@ -188,10 +186,8 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("bad", [341, 40_000, 1605 * 48 + 500])
     def test_non_finite_weight_raises_at_textbook_coordinate(self, bad):
-        # hidden width 48 does not divide ADAM_BLOCK (682 rows per block),
-        # and the 1605 x 48 first layer ends partway through its third
-        # block; a huge first moment sends one weight to -inf, in the first
-        # or second block of the first layer or in the weights after it
+        # a huge first moment sends one weight to -inf, in an early or a
+        # late row of the 1605 x 48 first layer or in the weights after it
         r = rng(24)
         filt = writable(filter_init(1604, r, hidden=(48, 16)))
         report = self._report(r, 1604)
@@ -249,12 +245,14 @@ class TestTrainFilter:
         assert la.server_losses == lb.server_losses
         assert la.labels == lb.labels
 
-    def test_equals_textbook_reference_loop(self):
-        # a first filter layer of 64 x 1605 weights spans four Adam blocks;
-        # the in-place, blocked training must give the reference's bytes
-        data = synth_gaussian_blobs(4, 30, 400, 8.0, rng(7, 42))
+    def test_equals_textbook_reference_loop(self, monkeypatch):
+        # a wide filter, 16405 x 64 first-layer weights, is above the
+        # two-part split size: on two CPUs, the in-place training that
+        # splits each Adam step must give the reference's bytes
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        data = synth_gaussian_blobs(4, 30, 4100, 8.0, rng(7, 42))
         arch = logistic(data.in_dim, data.classes)
-        assert 64 * (arch.param_count + 1) > 3 * ADAM_BLOCK
+        assert adam_parts(filter_init(arch.param_count, rng(0)).params.shape[0]) == 2
         cfg = FilterTrainConfig(episodes=2, steps_per_episode=20, batch_size=16)
         filt, log = train_filter(cfg, data, arch, seed=3)
         ref, ref_losses = reference_train_filter(cfg, data, arch, seed=3)

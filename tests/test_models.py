@@ -1,4 +1,7 @@
+import os
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,11 +11,13 @@ from hypothesis import strategies as st
 from rgcf import models
 from rgcf.core import LengthMismatchError, NonFiniteValueError, param_vector
 from rgcf.models import (
+    ADAM_PART,
     Architecture,
     FactoredGradient,
     ShapeMismatchError,
     _shifted_exp,
     adam_init,
+    adam_parts,
     adam_step,
     apply_update,
     backward,
@@ -25,9 +30,26 @@ from rgcf.models import (
 )
 from tests.conftest import rng
 
-# 2**15 coordinates (256 KB of float64): the Adam cases end inside, on and
-# just past multiples of it, where a blocked update would split its work.
-ADAM_BLOCK = 1 << 15
+# A step of the wide filter's shape, 21830 rows of 48 plus 784: one row
+# above the two-part split size 2 * ADAM_PART, and 48 does not divide it.
+# On two CPUs the helper updates rows 0:10923, coordinates 0:524304.
+SPLIT = (21830, 48, 784)
+HELPER_END = 10923 * 48
+
+
+def pin_cpus(monkeypatch, count: int) -> None:
+    """Make the process see `count` CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class CountingExecutor(ThreadPoolExecutor):
+    """A thread pool that counts the parts handed to it."""
+
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
 
 
 def forward_loss(
@@ -355,31 +377,32 @@ class TestAdam:
             factored = FactoredGradient(np.ones(2), np.ones(3), np.ones(1))
             adam_step(adam_init(8), np.zeros(8), factored)
 
-    @pytest.mark.parametrize(
-        "size", [1, ADAM_BLOCK - 1, ADAM_BLOCK, ADAM_BLOCK + 1, 3 * ADAM_BLOCK + 7]
-    )
-    def test_blocked_in_place_equals_textbook(self, size):
-        # every bit of params, m and v after 25 steps, at sizes that end
-        # inside, on and just past a block boundary
+    @pytest.mark.parametrize("size", [1, 4097, 2 * ADAM_PART + 7])
+    def test_dense_in_place_equals_textbook(self, size, monkeypatch):
+        # every bit of params, m and v after 25 steps; a dense gradient has
+        # no outer-product rows to split, so it is one part on any CPU count
+        pin_cpus(monkeypatch, 2)
         r = rng(4, size)
         lr = 0.003
         params = r.standard_normal(size)
         ref_m, ref_v, ref_p = np.zeros(size), np.zeros(size), params.copy()
         state = adam_init(size, lr=lr)
-        for t in range(1, 26):
-            grad = r.standard_normal(size) * np.exp(r.uniform(-20.0, 5.0, size))
-            ref_m, ref_v, ref_p = textbook_adam(ref_m, ref_v, t, ref_p, grad, lr)
-            adam_step(state, params, dense(grad))
+        with CountingExecutor(1) as pool:
+            for t in range(1, 26):
+                grad = r.standard_normal(size) * np.exp(r.uniform(-20.0, 5.0, size))
+                ref_m, ref_v, ref_p = textbook_adam(ref_m, ref_v, t, ref_p, grad, lr)
+                adam_step(state, params, dense(grad), pool)
+        assert pool.submitted == 0
         assert state.t == 25
         assert np.array_equal(params, ref_p)
         assert np.array_equal(state.m, ref_m)
         assert np.array_equal(state.v, ref_v)
 
-    @pytest.mark.parametrize("bad", [1, ADAM_BLOCK + 2])
+    @pytest.mark.parametrize("bad", [1, 4099])
     def test_non_finite_weight_raises_at_its_coordinate(self, bad):
         # 1.7e308 moved by lr=1e308 in its gradient's descent direction
         # overflows to -inf; every other coordinate stays finite
-        params = np.zeros(ADAM_BLOCK + 5)
+        params = np.zeros(4101)
         params[bad] = -1.7e308
         grad = np.zeros_like(params)
         grad[bad] = 1.0
@@ -388,34 +411,97 @@ class TestAdam:
         assert err.value.index == bad
 
     @pytest.mark.parametrize(
-        "rows, width, rest",
+        "rows, width, rest, cpus, parts",
         [
-            (1, 64, 5),  # less than one block
-            (25451, 64, 2177),  # the wide filter: 512 rows per block, last one partial
-            (1605, 48, 801),  # 48 does not divide ADAM_BLOCK: 682 rows per block
-            (3, 1 << 16, 7),  # one row is wider than a block
+            (1, 64, 5, 2, 1),  # one row
+            (1605, 48, 801, 2, 1),  # 48 does not divide the 1605-row layer's size
+            (3, 1 << 16, 7, 2, 1),  # a few wide rows
+            (21828, 48, 784, 2, 1),  # one row below 2 * ADAM_PART
+            (21829, 48, 784, 2, 2),  # at it
+            (21830, 48, 784, 2, 2),  # one row above
+            (21830, 48, 784, 3, 2),  # a third CPU gets no part below 3 * ADAM_PART
+            (32767, 48, 48, 3, 3),  # at 3 * ADAM_PART
+            (25451, 64, 2177, 2, 2),  # the wide filter
+            (2, 1 << 20, 3, 4, 4),  # four parts of two rows: two parts are empty
         ],
     )
-    def test_fused_outer_product_equals_textbook(self, rows, width, rest):
+    def test_fused_outer_product_equals_textbook(self, rows, width, rest, cpus, parts, monkeypatch):
         # every bit of params, m and v after 4 steps equals textbook Adam
-        # on the written-out gradient [outer(x, delta), rest]
+        # on the written-out gradient [outer(x, delta), rest], with the
+        # parts but the last handed to the executor's threads
+        pin_cpus(monkeypatch, cpus)
+        size = rows * width + rest
+        assert adam_parts(size) == parts
         r = rng(5, rows)
         lr = 0.003
-        size = rows * width + rest
         params = r.standard_normal(size)
         ref_m, ref_v, ref_p = np.zeros(size), np.zeros(size), params.copy()
         state = adam_init(size, lr=lr)
-        for t in range(1, 5):
-            x = r.standard_normal(rows) * np.exp(r.uniform(-10.0, 3.0, rows))
-            delta = r.standard_normal(width)
-            delta[::3] = 0.0  # a ReLU layer's delta has zeros
-            grad = FactoredGradient(x, delta, r.standard_normal(rest))
-            flat = np.concatenate([np.outer(x, delta).ravel(), grad.rest])
-            ref_m, ref_v, ref_p = textbook_adam(ref_m, ref_v, t, ref_p, flat, lr)
-            adam_step(state, params, grad)
+        with CountingExecutor(cpus - 1) as pool:
+            for t in range(1, 5):
+                x = r.standard_normal(rows) * np.exp(r.uniform(-10.0, 3.0, rows))
+                delta = r.standard_normal(width)
+                delta[::3] = 0.0  # a ReLU layer's delta has zeros
+                grad = FactoredGradient(x, delta, r.standard_normal(rest))
+                flat = np.concatenate([np.outer(x, delta).ravel(), grad.rest])
+                ref_m, ref_v, ref_p = textbook_adam(ref_m, ref_v, t, ref_p, flat, lr)
+                adam_step(state, params, grad, pool)
+        assert pool.submitted == 4 * (parts - 1)
         assert params.tobytes() == ref_p.tobytes()
         assert state.m.tobytes() == ref_m.tobytes()
         assert state.v.tobytes() == ref_v.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [1000],  # in the helper's part
+            [HELPER_END - 1],  # its last coordinate
+            [HELPER_END],  # the last part's first coordinate
+            [SPLIT[0] * SPLIT[1] + 5],  # in rest
+            [HELPER_END, SPLIT[0] * SPLIT[1] + 5],  # twice in the last part
+            [1000, SPLIT[0] * SPLIT[1] + 5],  # in both parts
+            [HELPER_END - 1, HELPER_END],  # on both sides of the split
+        ],
+    )
+    def test_split_non_finite_weight_raises_at_the_lowest_index(self, bad, monkeypatch):
+        # a huge first moment sends each bad weight to -inf; the error
+        # names the textbook's first non-finite coordinate, and every
+        # coordinate before it is updated
+        pin_cpus(monkeypatch, 2)
+        rows, width, rest = SPLIT
+        r = rng(10)
+        params = r.standard_normal(rows * width + rest)
+        state = adam_init(params.shape[0])
+        state.m[bad] = 1e308
+        grad = FactoredGradient(r.standard_normal(rows), r.standard_normal(width), r.standard_normal(rest))
+        flat = np.concatenate([np.outer(grad.x, grad.delta).ravel(), grad.rest])
+        with np.errstate(over="ignore"):
+            _, _, ref = textbook_adam(state.m, state.v, 1, params, flat, state.lr)
+            with ThreadPoolExecutor(1) as pool, pytest.raises(NonFiniteValueError) as err:
+                adam_step(state, params, grad, pool)
+        assert err.value.index == int(np.argmin(np.isfinite(ref))) == min(bad)
+        assert params[: min(bad)].tobytes() == ref[: min(bad)].tobytes()
+
+    def test_one_cpu_keeps_the_bytes(self, monkeypatch):
+        # the same steps on one CPU, where the executor gets no part, and
+        # on two, where it gets the first
+        rows, width, rest = SPLIT
+        r = rng(11)
+        start = r.standard_normal(rows * width + rest)
+        grads = [
+            FactoredGradient(r.standard_normal(rows), r.standard_normal(width), r.standard_normal(rest))
+            for _ in range(3)
+        ]
+        results = []
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            params, state = start.copy(), adam_init(start.shape[0])
+            with CountingExecutor(1) as pool:
+                for grad in grads:
+                    adam_step(state, params, grad, pool)
+            assert pool.submitted == 3 * (cpus - 1)
+            results.append(params.tobytes() + state.m.tobytes() + state.v.tobytes())
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("which", ["params", "m", "v"])
     @pytest.mark.parametrize("how", ["read-only", "non-contiguous"])
@@ -455,11 +541,35 @@ class TestAdam:
         assert set(cache.iterdir()) == cached
         assert list(tmp_path.iterdir()) == []
 
+    def test_two_threads_build_a_fresh_kernel_at_once(self, tmp_path, monkeypatch):
+        # both threads miss every cached build and compile the same library
+        # into one directory at once; each builds under a name of its own,
+        # so both load a whole library, and both steps equal textbook Adam
+        source = tmp_path / "_adam.c"
+        source.write_bytes(models.ADAM_SOURCE.read_bytes())
+        monkeypatch.setattr(models, "ADAM_SOURCE", source)
+        monkeypatch.setattr(models, "ADAM_CC", (*models.ADAM_CC, "-DRGCF_TWO_THREAD_BUILD"))
+        r = rng(12)
+        params, grad = r.standard_normal(40), r.standard_normal(40)
+        _, _, ref = textbook_adam(np.zeros(40), np.zeros(40), 1, params, grad, 0.001)
+        barrier = threading.Barrier(2)
+
+        def first_step():
+            own = params.copy()
+            barrier.wait()
+            adam_step(adam_init(40), own, dense(grad))
+            return own.tobytes()
+
+        with ThreadPoolExecutor(2) as pool:
+            steps = [pool.submit(first_step) for _ in range(2)]
+            assert [f.result() for f in steps] == [ref.tobytes()] * 2
+        assert [f.suffix for f in (tmp_path / "__pycache__").iterdir()] == [".so"]
+
     def test_sign_of_a_zero_gradient_never_reaches_the_weights(self):
         # np.multiply keeps a zero's sign where a BLAS product gives +0: the
         # same gradient with every zero's sign flipped leaves the same bytes
         r = rng(7)
-        size = 2 * ADAM_BLOCK + 9
+        size = 8201
         params = r.standard_normal(size)
         params[::7] = -0.0
         flipped = params.copy()
