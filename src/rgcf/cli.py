@@ -328,14 +328,6 @@ def _init_cell_worker(*inputs) -> None:
     _cell_inputs = inputs
 
 
-def _reference_job(cell: RunConfig) -> float:
-    """An aggregator's clean reference accuracy: the cell's aggregator and
-    f_count with zero Byzantine workers."""
-    train_data, val_data, arch, _ = _cell_inputs
-    clean = replace(cell, byzantine_fraction=0.0, attack=AttackSpec(INVERSE, 1.0))
-    return run_aggregated(clean, train_data, val_data, arch).final_accuracy
-
-
 def _cell_job(cell: RunConfig) -> tuple[RunMetrics, float | None]:
     """A cell's run, cut to what its verdict reads, and for a filtered run
     its reference accuracy."""
@@ -368,16 +360,17 @@ def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
 
     # The cells are independent experiments, so they run as jobs on a pool
     # of forked workers that inherit the loaded inputs, unpickled: first one
-    # clean reference per distinct aggregator spec, then every runnable cell
-    # in grid order. Rows are written in grid order as their results arrive.
+    # clean reference per distinct aggregator spec (the cell's aggregator
+    # and f_count with zero Byzantine workers), then every runnable cell in
+    # grid order. Rows are written in grid order as their results arrive.
     # With the fork context the executor forks all its workers at the first
     # submit, before it starts a thread of its own.
     cells = [cell for *_, cell in specs.grid if cell is not None]
-    first = {}  # aggregator spec -> its first cell, whose clean twin is the reference
+    clean = {}  # aggregator spec -> its first cell's clean twin, the reference
     for cell in cells:
-        if cell.aggregator is not None:
-            first.setdefault(cell.aggregator, cell)
-    jobs = len(first) + len(cells)
+        if cell.aggregator is not None and cell.aggregator not in clean:
+            clean[cell.aggregator] = replace(cell, byzantine_fraction=0.0, attack=AttackSpec(INVERSE, 1.0))
+    jobs = len(clean) + len(cells)
     pool = concurrent.futures.ProcessPoolExecutor(
         max(1, min(len(os.sched_getaffinity(0)), jobs)),
         mp_context=multiprocessing.get_context("fork"),
@@ -385,7 +378,7 @@ def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
         initargs=(train_data, val_data, arch, filt),
     )
     try:
-        refs = {spec: pool.submit(_reference_job, cell) for spec, cell in first.items()}
+        refs = {spec: pool.submit(_cell_job, cell) for spec, cell in clean.items()}
         results = iter([pool.submit(_cell_job, cell) for cell in cells])
         path = _outpath(cfg, "convergence_matrix.csv")
         header = ["method", "attack", "fraction", "f_count", "final_accuracy", "clean_reference", "verdict"]
@@ -399,7 +392,8 @@ def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
                     m, ref = next(results).result()
                     f_count = None
                     if cell.aggregator is not None:
-                        ref, f_count = refs[cell.aggregator].result(), cell.aggregator.f_count
+                        ref = refs[cell.aggregator].result()[0].final_accuracy
+                        f_count = cell.aggregator.f_count
                     verdict, acc = convergence_verdict(m, ref)
                     row = (method, attack_kind, fraction, f_count, acc, ref, verdict)
                 f.write(",".join(fmt(c) for c in row) + "\n")

@@ -144,17 +144,16 @@ def filter_gradient(
 
 
 def filter_train_step(
-    filt: FilterNet, adam: AdamState, grad: np.ndarray, loss: float, label: int, p: float, executor=None
+    filt: FilterNet, adam: AdamState, grad: np.ndarray, loss: float, label: int, p: float
 ) -> tuple[float, float]:
     """One Adam update on the weighted BCE of one (grad, loss) example, in
-    place on the filter's writable weights and on `adam`; a large update
-    is split across `executor`'s threads, as `adam_step` says.
+    place on the filter's writable weights and on `adam`.
 
     Returns the pre-update BCE value and predicted probability. A weight
     the update leaves non-finite raises NonFiniteValueError.
     """
     filter_grad, bce, pred = filter_gradient(filt, grad, loss, label, p)
-    adam_step(adam, filt.params, filter_grad, executor)
+    adam_step(adam, filt.params, filter_grad)
     return bce, pred
 
 

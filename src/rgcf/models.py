@@ -30,6 +30,8 @@ ADAM_CC = ("cc", "-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPI
 # (about 1.8 ms of the kernel's divides and square roots on a 2-vCPU Xeon),
 # at most one per CPU the process may use.
 ADAM_PART = 1 << 19
+# Adam's decay rates and denominator offset (Kingma & Ba, ICLR 2015).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class ShapeMismatchError(ValueError):
@@ -221,9 +223,6 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_init(dim: int, lr: float = 0.001) -> AdamState:
@@ -300,31 +299,33 @@ def _adam_kernel(command: tuple[str, ...]):
 
 def adam_parts(size: int) -> int:
     """How many parts `adam_step` splits a step of `size` coordinates
-    into, given an executor: one per CPU the process may use, each of at
-    least ADAM_PART coordinates."""
+    into: one per CPU the process may use, each of at least ADAM_PART
+    coordinates."""
     return max(1, min(len(os.sched_getaffinity(0)), size // ADAM_PART))
 
 
-def adam_step(state: AdamState, params: np.ndarray, grad: FactoredGradient, executor=None) -> None:
+def adam_step(state: AdamState, params: np.ndarray, grad: FactoredGradient) -> None:
     """One Adam update with bias correction, in place on params, m and v.
 
     One pass of a compiled kernel (_adam.c) runs the textbook operation
     order on each coordinate, so every bit equals the whole-array
-    expressions, for g the flat gradient,
+    expressions, for g the flat gradient and beta1, beta2, eps the
+    ADAM_ constants,
         m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
         params -= lr*mhat / (sqrt(vhat) + eps).
     An outer-product entry of g is formed just before its update, so the
     outer product is never written out. The sign of a zero in g never
-    reaches params, m or v: m starts at +0, beta1*m (beta1 above 1/2) is
+    reaches params, m or v: m starts at +0, beta1*m (beta1 = 0.9 > 1/2) is
     zero only when m is, and a sum is -0 only when both terms are, so m is
     never -0; and ((1-beta2)*g)*g is +0 for either zero.
 
-    Given a concurrent.futures executor, a step of an outer product is
-    split into `adam_parts` parts of whole outer-product rows, `rest` in
-    the last: this thread runs the last part while the executor's threads
-    run the others, each one kernel call on its own coordinates. Each
-    coordinate gets the same operations either way, so the bits do not
-    depend on the number of parts. Without an executor the pass is serial.
+    A step of an outer product is split into `adam_parts` parts of whole
+    outer-product rows, `rest` in the last: this thread runs the last part
+    while helper threads run the others, each one kernel call on its own
+    coordinates. The helpers live for this step alone, joined before it
+    returns, so none outlives it into a later fork. Each coordinate gets
+    the same operations either way, so the bits do not depend on the
+    number of parts.
 
     params, m and v must be writable, C-contiguous float64 arrays; any
     other is refused with ValueError, untouched, never copied. An update
@@ -343,8 +344,8 @@ def adam_step(state: AdamState, params: np.ndarray, grad: FactoredGradient, exec
             raise ValueError(f"adam_step: {name} must be a writable, C-contiguous float64 array")
     kernel = _adam_kernel(ADAM_CC)
     state.t += 1
-    c1, c2 = 1.0 - state.beta1**state.t, 1.0 - state.beta2**state.t
-    parts = adam_parts(params.shape[0]) if executor is not None and head else 1
+    c1, c2 = 1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t
+    parts = adam_parts(params.shape[0]) if head else 1
     # part i updates rows bounds[i]:bounds[i+1], split by coordinate count
     bounds = [0, *(min(rows, i * params.shape[0] // (parts * width)) for i in range(1, parts)), rows]
 
@@ -354,13 +355,21 @@ def adam_step(state: AdamState, params: np.ndarray, grad: FactoredGradient, exec
             params.ctypes.data + 8 * off, state.m.ctypes.data + 8 * off, state.v.ctypes.data + 8 * off,
             x.ctypes.data + 8 * lo, bounds[i + 1] - lo, delta.ctypes.data, width,
             rest.ctypes.data, rest.shape[0] if i == parts - 1 else 0,
-            state.beta1, state.beta2, c1, c2, state.lr, state.eps,
+            ADAM_BETA1, ADAM_BETA2, c1, c2, state.lr, ADAM_EPS,
         )
         return off + bad if bad >= 0 else -1
 
-    helpers = [executor.submit(update, i) for i in range(parts - 1)]
-    last = update(parts - 1)
+    if parts == 1:
+        found = [update(0)]
+    else:
+        import concurrent.futures
+
+        with concurrent.futures.ThreadPoolExecutor(parts - 1) as pool:
+            helpers = [pool.submit(update, i) for i in range(parts - 1)]
+            last = update(parts - 1)
+        # result() raises a helper's own exception here
+        found = [*(f.result() for f in helpers), last]
     # the lowest part's first non-finite coordinate is the first of all
-    bad = [b for b in [*(f.result() for f in helpers), last] if b >= 0]
+    bad = [b for b in found if b >= 0]
     if bad:
         raise NonFiniteValueError(bad[0])

@@ -11,7 +11,6 @@ communication cost (one gradient per step vs. n). Plus the decision bench.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, field, replace
 
@@ -192,8 +191,6 @@ class FilterTrainLog:
     steps: list[int] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
     running_accuracy: list[float] = field(default_factory=list)
-    labels: list[int] = field(default_factory=list)
-    server_losses: list[float] = field(default_factory=list)
 
 
 def train_filter(
@@ -221,17 +218,9 @@ def train_filter(
     log = FilterTrainLog()
     correct = 0
     step = 0
-    # a large Adam step is split across helper threads, all joined when
-    # training ends, so that none outlives it into a later fork
-    helpers = models.adam_parts(filt.params.shape[0]) - 1
-    pool = contextlib.nullcontext()
-    if helpers:
-        import concurrent.futures
-
-        pool = concurrent.futures.ThreadPoolExecutor(helpers)
     # a weight driven past the float range is reported by adam_step's own
     # check, not by numpy's overflow warnings on the way there
-    with pool as executor, np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for _episode in range(cfg.episodes):
             params = init_params(server_arch, init_rng)
             for _t in range(cfg.steps_per_episode):
@@ -239,16 +228,12 @@ def train_filter(
                 grads, losses = worker_step([workers[byz]], local_data, params, server_arch, cfg.batch_size)
                 grad, server_loss = grads[0], float(losses[0])
                 params = apply_update(params, grad, cfg.server_lr, byz)
-                loss, pred = filter.filter_train_step(
-                    filt, adam, grad, server_loss, byz, cfg.positive_weight, executor
-                )
+                loss, pred = filter.filter_train_step(filt, adam, grad, server_loss, byz, cfg.positive_weight)
                 step += 1
                 correct += int((pred >= filt.threshold) == byz)
                 log.steps.append(step)
                 log.losses.append(loss)
                 log.running_accuracy.append(correct / step)
-                log.labels.append(byz)
-                log.server_losses.append(server_loss)
     return replace(filt, params=param_vector(filt.params)), log
 
 

@@ -18,6 +18,7 @@ from rgcf.data import synth_gaussian_blobs
 from rgcf.filter import load_filter
 from rgcf.simulation import run_aggregated, run_rgcf
 from tests.test_data import write_idx
+from tests.test_models import kernel_threads
 
 # tiny-but-real settings: logistic blobs task, short runs
 FAST = [
@@ -359,10 +360,11 @@ class TestCompare:
 
     def test_wide_training_leaves_no_thread_to_fork(self, tmp_path, monkeypatch, capsys):
         # a wide train-filter (1.06M filter weights) on two CPUs splits each
-        # Adam step with a helper thread, joined before training returns;
+        # Adam step with a helper thread, joined before the step returns;
         # the compare that forks its pool next in this process writes the
         # matrix and stdout of a fresh process
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        calls = kernel_threads(monkeypatch)
         real, counts = models.adam_step, []
 
         def counting(*args):
@@ -373,7 +375,8 @@ class TestCompare:
         wide = [*FAST, "--set", "blobs_in_dim=5500"]
         threads = threading.active_count()
         assert run_cli("train-filter", "--seed", "1", "--out", str(tmp_path / "tf"), *wide) == 0
-        assert len(counts) == 40 and set(counts) == {threads + 1}
+        assert len(counts) == 40 and set(counts) == {threads}
+        assert len(calls) == 80 and calls.count(threading.get_ident()) == 40
         assert threading.active_count() == threads
         monkeypatch.undo()
         capsys.readouterr()

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rgcf import core
+from rgcf import core, simulation
 from rgcf.attacks import AttackSpec, apply_attack
 from rgcf.core import GradientReport, NonFiniteValueError, param_vector, stream
 from rgcf.data import sample_minibatch, synth_gaussian_blobs
@@ -32,7 +32,7 @@ from rgcf.models import (
     logistic,
     mlp_forward,
 )
-from rgcf.simulation import FilterTrainConfig, train_filter
+from rgcf.simulation import FilterTrainConfig, train_filter, worker_step
 from tests.conftest import rng
 from tests.test_models import textbook_adam, textbook_backprop
 
@@ -235,15 +235,24 @@ class TestTrainFilter:
         assert np.array_equal(filt.params, ref.params)
         assert log.steps == []
 
-    def test_server_trajectory_ignores_filter_quality(self, blobs):
+    def test_server_trajectory_ignores_filter_quality(self, blobs, monkeypatch):
         # Algorithm invariant: the simulated server is updated with the
         # ground-truth label, so the filter's own state (here: its lr) must
-        # not change the server losses it observes.
+        # not change the worker picks and server losses it observes.
         arch = logistic(blobs.in_dim, blobs.classes)
-        _, la = train_filter(FilterTrainConfig(steps_per_episode=80, filter_lr=0.002), blobs, arch, seed=7)
-        _, lb = train_filter(FilterTrainConfig(steps_per_episode=80, filter_lr=0.05), blobs, arch, seed=7)
-        assert la.server_losses == lb.server_losses
-        assert la.labels == lb.labels
+        seen = []
+
+        def recording(workers, *args):
+            grads, losses = worker_step(workers, *args)
+            seen[-1].append((workers[0].attack is not None, losses.tolist()))
+            return grads, losses
+
+        monkeypatch.setattr(simulation, "worker_step", recording)
+        for lr in (0.002, 0.05):
+            seen.append([])
+            train_filter(FilterTrainConfig(steps_per_episode=80, filter_lr=lr), blobs, arch, seed=7)
+        assert len(seen[0]) == 80
+        assert seen[0] == seen[1]
 
     def test_equals_textbook_reference_loop(self, monkeypatch):
         # a wide filter, 16405 x 64 first-layer weights, is above the
@@ -260,11 +269,23 @@ class TestTrainFilter:
         assert log.losses == ref_losses
         assert not filt.params.flags.writeable
 
-    def test_custom_attack_used(self, blobs):
+    def test_custom_attack_used(self, blobs, monkeypatch):
+        # each Byzantine pick of stream SID_FILTER_PICK is one attack, the
+        # configured one
         arch = logistic(blobs.in_dim, blobs.classes)
         cfg = FilterTrainConfig(steps_per_episode=60, attack=AttackSpec("all_ones"))
-        _, log = train_filter(cfg, blobs, arch, seed=8)
-        assert 0 < sum(log.labels) < 60
+        specs = []
+
+        def recording(spec, *args):
+            specs.append(spec)
+            return apply_attack(spec, *args)
+
+        monkeypatch.setattr(simulation, "apply_attack", recording)
+        train_filter(cfg, blobs, arch, seed=8)
+        pick_rng = stream(8, core.SID_FILTER_PICK)
+        byzantine = sum(int(pick_rng.integers(0, 2)) for _ in range(60))
+        assert 0 < byzantine < 60
+        assert specs == [cfg.attack] * byzantine
 
 
 def reference_train_filter(cfg, data, server_arch, seed):

@@ -42,14 +42,28 @@ def pin_cpus(monkeypatch, count: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-class CountingExecutor(ThreadPoolExecutor):
-    """A thread pool that counts the parts handed to it."""
+def wrap_kernel(monkeypatch, before) -> None:
+    """Make every Adam kernel call run before(args) first, in the calling
+    thread."""
+    real = models._adam_kernel
 
-    submitted = 0
+    def wrapped(command):
+        kernel = real(command)
 
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(*args, **kwargs)
+        def call(*args):
+            before(args)
+            return kernel(*args)
+
+        return call
+
+    monkeypatch.setattr(models, "_adam_kernel", wrapped)
+
+
+def kernel_threads(monkeypatch) -> list[int]:
+    """A list that gets the calling thread's id at each Adam kernel call."""
+    calls = []
+    wrap_kernel(monkeypatch, lambda args: calls.append(threading.get_ident()))
+    return calls
 
 
 def forward_loss(
@@ -382,17 +396,17 @@ class TestAdam:
         # every bit of params, m and v after 25 steps; a dense gradient has
         # no outer-product rows to split, so it is one part on any CPU count
         pin_cpus(monkeypatch, 2)
+        calls = kernel_threads(monkeypatch)
         r = rng(4, size)
         lr = 0.003
         params = r.standard_normal(size)
         ref_m, ref_v, ref_p = np.zeros(size), np.zeros(size), params.copy()
         state = adam_init(size, lr=lr)
-        with CountingExecutor(1) as pool:
-            for t in range(1, 26):
-                grad = r.standard_normal(size) * np.exp(r.uniform(-20.0, 5.0, size))
-                ref_m, ref_v, ref_p = textbook_adam(ref_m, ref_v, t, ref_p, grad, lr)
-                adam_step(state, params, dense(grad), pool)
-        assert pool.submitted == 0
+        for t in range(1, 26):
+            grad = r.standard_normal(size) * np.exp(r.uniform(-20.0, 5.0, size))
+            ref_m, ref_v, ref_p = textbook_adam(ref_m, ref_v, t, ref_p, grad, lr)
+            adam_step(state, params, dense(grad))
+        assert calls == [threading.get_ident()] * 25
         assert state.t == 25
         assert np.array_equal(params, ref_p)
         assert np.array_equal(state.m, ref_m)
@@ -427,9 +441,11 @@ class TestAdam:
     )
     def test_fused_outer_product_equals_textbook(self, rows, width, rest, cpus, parts, monkeypatch):
         # every bit of params, m and v after 4 steps equals textbook Adam
-        # on the written-out gradient [outer(x, delta), rest], with the
-        # parts but the last handed to the executor's threads
+        # on the written-out gradient [outer(x, delta), rest]; this thread
+        # runs the last part, helper threads the others, and every helper
+        # is joined when its step returns
         pin_cpus(monkeypatch, cpus)
+        calls = kernel_threads(monkeypatch)
         size = rows * width + rest
         assert adam_parts(size) == parts
         r = rng(5, rows)
@@ -437,16 +453,20 @@ class TestAdam:
         params = r.standard_normal(size)
         ref_m, ref_v, ref_p = np.zeros(size), np.zeros(size), params.copy()
         state = adam_init(size, lr=lr)
-        with CountingExecutor(cpus - 1) as pool:
-            for t in range(1, 5):
-                x = r.standard_normal(rows) * np.exp(r.uniform(-10.0, 3.0, rows))
-                delta = r.standard_normal(width)
-                delta[::3] = 0.0  # a ReLU layer's delta has zeros
-                grad = FactoredGradient(x, delta, r.standard_normal(rest))
-                flat = np.concatenate([np.outer(x, delta).ravel(), grad.rest])
-                ref_m, ref_v, ref_p = textbook_adam(ref_m, ref_v, t, ref_p, flat, lr)
-                adam_step(state, params, grad, pool)
-        assert pool.submitted == 4 * (parts - 1)
+        threads = threading.active_count()
+        for t in range(1, 5):
+            x = r.standard_normal(rows) * np.exp(r.uniform(-10.0, 3.0, rows))
+            delta = r.standard_normal(width)
+            delta[::3] = 0.0  # a ReLU layer's delta has zeros
+            grad = FactoredGradient(x, delta, r.standard_normal(rest))
+            flat = np.concatenate([np.outer(x, delta).ravel(), grad.rest])
+            ref_m, ref_v, ref_p = textbook_adam(ref_m, ref_v, t, ref_p, flat, lr)
+            adam_step(state, params, grad)
+            assert threading.active_count() == threads
+            assert len(calls) == parts and calls.count(threading.get_ident()) == 1
+            # a helper whose part is done may take the next one
+            assert 1 + (parts > 1) <= len(set(calls)) <= parts
+            calls.clear()
         assert params.tobytes() == ref_p.tobytes()
         assert state.m.tobytes() == ref_m.tobytes()
         assert state.v.tobytes() == ref_v.tobytes()
@@ -477,14 +497,34 @@ class TestAdam:
         flat = np.concatenate([np.outer(grad.x, grad.delta).ravel(), grad.rest])
         with np.errstate(over="ignore"):
             _, _, ref = textbook_adam(state.m, state.v, 1, params, flat, state.lr)
-            with ThreadPoolExecutor(1) as pool, pytest.raises(NonFiniteValueError) as err:
-                adam_step(state, params, grad, pool)
+            with pytest.raises(NonFiniteValueError) as err:
+                adam_step(state, params, grad)
         assert err.value.index == int(np.argmin(np.isfinite(ref))) == min(bad)
         assert params[: min(bad)].tobytes() == ref[: min(bad)].tobytes()
 
+    def test_a_helper_exception_reaches_the_caller(self, monkeypatch):
+        # a kernel that fails in part 0, on the helper thread, fails the
+        # step with its own exception, and the helper is joined
+        pin_cpus(monkeypatch, 2)
+        rows, width, rest = SPLIT
+        params = np.zeros(rows * width + rest)
+
+        def fail_in_part_0(args):
+            if args[0] == params.ctypes.data:
+                assert threading.current_thread() is not threading.main_thread()
+                raise RuntimeError("part 0 failed")
+
+        wrap_kernel(monkeypatch, fail_in_part_0)
+        grad = FactoredGradient(np.ones(rows), np.ones(width), np.ones(rest))
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="part 0 failed"):
+            adam_step(adam_init(params.shape[0]), params, grad)
+        assert threading.active_count() == threads
+
     def test_one_cpu_keeps_the_bytes(self, monkeypatch):
-        # the same steps on one CPU, where the executor gets no part, and
-        # on two, where it gets the first
+        # the same steps on one CPU, in one part, and on two, where a helper
+        # thread runs the first of two parts
+        calls = kernel_threads(monkeypatch)
         rows, width, rest = SPLIT
         r = rng(11)
         start = r.standard_normal(rows * width + rest)
@@ -496,10 +536,10 @@ class TestAdam:
         for cpus in (1, 2):
             pin_cpus(monkeypatch, cpus)
             params, state = start.copy(), adam_init(start.shape[0])
-            with CountingExecutor(1) as pool:
-                for grad in grads:
-                    adam_step(state, params, grad, pool)
-            assert pool.submitted == 3 * (cpus - 1)
+            for grad in grads:
+                adam_step(state, params, grad)
+            assert len(calls) == 3 * cpus and calls.count(threading.get_ident()) == 3
+            calls.clear()
             results.append(params.tobytes() + state.m.tobytes() + state.v.tobytes())
         assert results[0] == results[1]
 
