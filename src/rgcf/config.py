@@ -121,6 +121,9 @@ def build_config(
     for key, value in raw.items():
         if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
+        # a manifest line could not hold it: '#' starts a comment there
+        if any(c in value for c in "#\r\n"):
+            raise ConfigError(f"bad value for {key}: {value!r} (holds '#' or a line break)")
         parser = _PARSERS[_FIELDS[key]]
         try:
             setattr(cfg, key, parser(value))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -53,23 +51,6 @@ def assert_finite(v: np.ndarray) -> None:
     finite = np.isfinite(v)
     if not finite.all():
         raise NonFiniteValueError(int(np.argmin(finite)))
-
-
-@dataclass(frozen=True)
-class GradientReport:
-    """One worker message: the gradient it sends plus the scalar training
-    loss it was computed at. The caller freezes the gradient with
-    `param_vector`; a non-finite loss raises NonFiniteValueError at index
-    d, the loss's coordinate in the filter input."""
-
-    gradient: np.ndarray
-    loss: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.loss):
-            raise NonFiniteValueError(self.gradient.shape[0])
-        if self.loss < 0:
-            raise ValueError(f"loss must be non-negative, got {self.loss}")
 
 
 # Every RNG stream id, split off one experiment seed. Each id keeps its

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -53,24 +55,29 @@ class Dataset:
 
 
 def read_exact(f, n: int, path: str) -> bytes:
-    """The next n bytes of a binary file, or TruncatedFileError if it ends first."""
-    data = f.read(n)
+    """The next n bytes of a binary file, or TruncatedFileError if it ends
+    first. A regular file's remaining length bounds the read, so a corrupt
+    header's count never asks for more memory than the file holds; a pipe
+    is read as it comes."""
+    st = os.fstat(f.fileno())
+    data = f.read(min(n, st.st_size - f.tell()) if stat.S_ISREG(st.st_mode) else n)
     if len(data) != n:
         raise TruncatedFileError(f"{path}: truncated, expected {n} more bytes, got {len(data)}")
     return data
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
-    """Parse a big-endian IDX image/label file pair; pixels scaled to [0,1]."""
+    """Parse a big-endian IDX image/label file pair; pixels scaled to [0,1].
+    The header's magic and sizes are unsigned 32-bit integers."""
     with open(images_path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">iiii", read_exact(f, 16, images_path))
+        magic, count, rows, cols = struct.unpack(">IIII", read_exact(f, 16, images_path))
         if magic != IMAGE_MAGIC:
             raise BadMagicError(f"{images_path}: magic {magic:#010x}, expected {IMAGE_MAGIC:#010x}")
         pixels = np.frombuffer(
             read_exact(f, count * rows * cols, images_path), dtype=np.uint8
         )
     with open(labels_path, "rb") as f:
-        magic, lcount = struct.unpack(">ii", read_exact(f, 8, labels_path))
+        magic, lcount = struct.unpack(">II", read_exact(f, 8, labels_path))
         if magic != LABEL_MAGIC:
             raise BadMagicError(f"{labels_path}: magic {magic:#010x}, expected {LABEL_MAGIC:#010x}")
         labels = np.frombuffer(read_exact(f, lcount, labels_path), dtype=np.uint8)

@@ -107,11 +107,6 @@ def filter_forward(filt: FilterNet, grad: np.ndarray, loss: float) -> float:
     return float(1.0 / (1.0 + np.exp(-z[0])))
 
 
-def classify(filt: FilterNet, grad: np.ndarray, loss: float) -> int:
-    """1 = reject (Byzantine), 0 = accept. The threshold boundary rejects."""
-    return 1 if filter_forward(filt, grad, loss) >= filt.threshold else 0
-
-
 def filter_loss(pred: float, label: int, p: float) -> float:
     """Weighted binary cross-entropy (negative log-likelihood); the
     Byzantine class is up-weighted by p."""

@@ -19,9 +19,9 @@ import numpy as np
 from . import core, filter, models
 from .aggregators import AggregatorSpec, aggregate
 from .attacks import RANDOM_GAUSSIAN, AttackSpec, apply_attack
-from .core import GradientReport, NonFiniteValueError, param_vector, stream
+from .core import NonFiniteValueError, assert_finite, param_vector, stream
 from .data import Dataset, sample_minibatch, shard
-from .filter import FilterNet, classify, filter_forward, filter_init
+from .filter import FilterNet, filter_init
 from .models import Architecture, ShapeMismatchError, adam_init, apply_update, init_params
 
 
@@ -77,7 +77,7 @@ class RunMetrics:
     train_losses: list[float] = field(default_factory=list)
     ground_truths: list[int | None] = field(default_factory=list)
     predictions: list[int | None] = field(default_factory=list)
-    decisions: list[float] = field(default_factory=list)  # B in filter mode, |aggregate| otherwise
+    decisions: list[float] = field(default_factory=list)  # p in filter mode, |aggregate| otherwise
     # periodic validation
     eval_steps: list[int] = field(default_factory=list)
     val_accuracies: list[float] = field(default_factory=list)
@@ -91,13 +91,12 @@ class RunMetrics:
     diverged: bool = False
     wall_time: float = 0.0
     # wall time by phase, summed over the steps: worker turns, decision
-    # (classify / aggregate), update, eval
+    # (the filter's probability / the aggregate), update, eval
     worker_s: float = 0.0
     decision_s: float = 0.0
     update_s: float = 0.0
     eval_s: float = 0.0
     final_params: np.ndarray | None = None
-    initial_params: np.ndarray | None = None
 
     @property
     def accepted_updates(self) -> int:
@@ -127,10 +126,10 @@ def worker_step(
 
     Returns the (k, d) gradients the workers send, read-only, and their
     honest losses. A turn is checked once; only a failed check replays the
-    per-worker checks in order, so the first bad worker raises as its own
-    GradientReport would: NonFiniteValueError at its gradient's first
-    non-finite coordinate or at d for its loss, ValueError for a negative
-    loss."""
+    per-worker checks in order, so the first bad worker raises:
+    NonFiniteValueError at its gradient's first non-finite coordinate, else
+    at d (the loss's coordinate in the filter input) for a non-finite loss,
+    and ValueError for a negative loss."""
     inputs = np.empty((len(workers), batch_size, data.in_dim), data.inputs.dtype)
     labels = np.empty(inputs.shape[:2], data.labels.dtype)
     for w, x, y in zip(workers, inputs, labels):
@@ -141,7 +140,11 @@ def worker_step(
             grads[i] = apply_attack(w.attack, grads[i], w.attack_rng)
     if not (np.isfinite(grads).all() and np.isfinite(losses).all() and (losses >= 0).all()):
         for grad, loss in zip(grads, losses.tolist()):
-            GradientReport(param_vector(grad), loss)
+            assert_finite(grad)
+            if not np.isfinite(loss):
+                raise NonFiniteValueError(grads.shape[1])
+            if loss < 0:
+                raise ValueError(f"loss must be non-negative, got {loss}")
     grads.flags.writeable = False
     return grads, losses
 
@@ -295,7 +298,7 @@ def _run(
     pick_rng = stream(cfg.seed, core.SID_WORKER_PICK)
     params = init_params(arch, stream(cfg.seed, core.SID_SERVER_INIT))
 
-    m = RunMetrics(initial_params=params)
+    m = RunMetrics()
     clock = time.perf_counter
     start = clock()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -313,37 +316,34 @@ def _run(
             m.transferred_gradients += len(grads)
             t1 = clock()
             if filt is None:
-                agg = aggregate(cfg.aggregator, grads)
-                t2 = clock()
-                params = params - cfg.server_lr * agg
-                t3 = clock()
-                loss = float(np.mean(losses))
-                truth = b = None
-                decision = float(np.linalg.norm(agg))
+                update, truth, b = aggregate(cfg.aggregator, grads), None, 0
             else:
-                grad, loss = grads[0], float(losses[0])
-                truth = int(queried[0].byzantine)
-                b = truth if ground_truth else classify(filt, grad, loss)
-                t2 = clock()
-                params = apply_update(params, grad, cfg.server_lr, b)
-                t3 = clock()
-                if truth == 0 and b == 0:
-                    m.accepted_honest += 1
-                elif truth == 0:
-                    m.rejected_honest += 1
-                elif b == 0:
-                    m.accepted_byz += 1
-                else:
-                    m.rejected_byz += 1
-                decision = float(b)
+                update, loss, truth = grads[0], float(losses[0]), int(queried[0].byzantine)
+                p = filter.filter_forward(filt, update, loss)
+                # a gradient scored at the threshold is rejected
+                b = truth if ground_truth else int(p >= filt.threshold)
+            t2 = clock()
+            params = apply_update(params, update, cfg.server_lr, b)
+            t3 = clock()
             m.worker_s += t1 - t0
             m.decision_s += t2 - t1
             m.update_s += t3 - t2
             m.steps.append(t)
-            m.train_losses.append(loss)
             m.ground_truths.append(truth)
-            m.predictions.append(b)
-            m.decisions.append(decision)
+            if filt is None:
+                m.train_losses.append(float(np.mean(losses)))
+                m.predictions.append(None)
+                m.decisions.append(float(np.linalg.norm(update)))
+            else:
+                m.train_losses.append(loss)
+                m.predictions.append(b)
+                m.decisions.append(p)
+                if truth:
+                    m.rejected_byz += b
+                    m.accepted_byz += 1 - b
+                else:
+                    m.rejected_honest += b
+                    m.accepted_honest += 1 - b
             if t % cfg.eval_every == 0 or t == cfg.steps:
                 t4 = clock()
                 acc, val_loss = evaluate(arch, params, val_data)
@@ -390,7 +390,7 @@ def bench_filtering(
             grad = rng.standard_normal(d)
             loss = float(abs(rng.standard_normal()))
             t0 = time.perf_counter()
-            filter_forward(filt, grad, loss)
+            filter.filter_forward(filt, grad, loss)
         else:
             grads = [rng.standard_normal(d) for _ in range(n)]
             t0 = time.perf_counter()

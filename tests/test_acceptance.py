@@ -16,10 +16,10 @@ import numpy as np
 from rgcf import models
 from rgcf.attacks import ATTACK_KINDS, AttackSpec, apply_attack
 from rgcf.cli import main as cli_main
-from rgcf.core import SID_SERVER_INIT, GradientReport, param_vector, stream
+from rgcf.core import SID_SERVER_INIT, param_vector, stream
 from rgcf.data import synth_gaussian_blobs, sample_minibatch
 from rgcf.filter import (
-    classify,
+    filter_forward,
     filter_gradient,
     filter_init,
     filter_loss,
@@ -72,10 +72,10 @@ def _kink_margin(params, layer_sizes, x) -> float:
     return margin
 
 
-def _relu_margin(filt, rep) -> float:
+def _relu_margin(filt, grad, loss) -> float:
     from rgcf.filter import _filter_input
 
-    x = _filter_input(filt, rep.gradient, rep.loss)[0]
+    x = _filter_input(filt, grad, loss)[0]
     return _kink_margin(filt.params, filt.layer_sizes, x)
 
 
@@ -111,14 +111,14 @@ def test_criterion_1_gradient_oracle():
         while True:
             jittered = param_vector(filt.params + 0.01 * r.standard_normal(filt.params.shape))
             filt = dataclasses.replace(filt, params=jittered)
-            rep = GradientReport(gradient=param_vector(r.standard_normal(d)), loss=0.3)
-            if _relu_margin(filt, rep) > 1e-3:
+            example = param_vector(r.standard_normal(d)), 0.3
+            if _relu_margin(filt, *example) > 1e-3:
                 break
         label = int(r.integers(0, 2))
-        ana = assembled(filter_gradient(filt, rep.gradient, rep.loss, label, 10.0)[0])
+        ana = assembled(filter_gradient(filt, *example, label, 10.0)[0])
         from rgcf.filter import _filter_input
 
-        x = _filter_input(filt, rep.gradient, rep.loss)
+        x = _filter_input(filt, *example)
 
         def loss_of(params):
             z, _ = mlp_forward(param_vector(params), filt.layer_sizes, x)
@@ -196,8 +196,8 @@ def _heldout_accuracy(attack_kind):
     for _ in range(100):  # 100 honest + 100 attacked = 200 fresh reports
         grad, loss = backward(arch, params, *sample_minibatch(data, np.arange(data.size), 128, batch_rng))
         attacked = param_vector(apply_attack(spec, grad, attack_rng))
-        correct += int(classify(filt, grad, loss) == 0)
-        correct += int(classify(filt, attacked, loss) == 1)
+        correct += int(filter_forward(filt, grad, loss) < filt.threshold)
+        correct += int(filter_forward(filt, attacked, loss) >= filt.threshold)
         params = apply_update(params, grad, 0.01, 0)
     return correct / 200.0
 
@@ -284,7 +284,7 @@ def test_criterion_7_full_byzantine_resilience():
         steps=1000, seed=seed,
     )
     m = run_rgcf(cfg, train, val, arch, filt)
-    bitequal = np.array_equal(m.final_params, m.initial_params)
+    bitequal = np.array_equal(m.final_params, init_params(arch, rng(seed, SID_SERVER_INIT)))
     report(
         7,
         m.accepted_updates == 0 and bitequal,

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -186,6 +187,16 @@ class TestRun:
             out = str(tmp_path / "r")
             assert run_cli("run", "--out", out, *FAST, "--set", f"filter_file={path}") == 2
 
+    def test_header_beyond_the_file_is_runtime_failure(self, tmp_path, capsys):
+        # a 45-byte filter file whose header claims d = 2**32 - 2 fails on
+        # its length, naming the file, not on a 2.2 TB allocation
+        path = tmp_path / "huge.rgcf"
+        path.write_bytes(struct.pack("<4sIII5Id", b"RGCF", 1, 2**32 - 2, 5, 2**32 - 1, 64, 32, 16, 1, 0.5) + b"\x01")
+        out = str(tmp_path / "r")
+        assert run_cli("run", "--out", out, *FAST, "--set", f"filter_file={path}") == 2
+        assert capsys.readouterr().err.startswith(f"runtime failure: {path}: truncated, expected ")
+        assert not os.path.exists(out)
+
     def test_infeasible_aggregator_is_validation_error(self, tmp_path):
         out = str(tmp_path / "r")
         code = run_cli(
@@ -207,6 +218,41 @@ class TestRun:
         assert run_cli("run", "--config", manifest, "--out", outs[1]) == 0
         for name in ("steps.csv", "eval.csv", "summary.csv"):
             assert read(os.path.join(outs[0], name)) == read(os.path.join(outs[1], name))
+
+
+class TestDecisionMargins:
+    SCRIPT = str(Path(__file__).resolve().parents[1] / "scripts" / "decision_margins.py")
+
+    def margins(self, *dirs):
+        return subprocess.run([sys.executable, self.SCRIPT, *dirs], capture_output=True, text=True)
+
+    def test_smoke(self, trained, tmp_path):
+        # the script's counts are the run's summary, and its margins the
+        # extreme probabilities of steps.csv
+        out = str(tmp_path / "run")
+        filter_file = f"filter_file={trained}/filter.rgcf"
+        assert run_cli("run", "--out", out, *FAST, "--set", filter_file, "--set", "byzantine_fraction=0.5") == 0
+        summary = dict(zip(*(line.split(",") for line in open(os.path.join(out, "summary.csv")))))
+        rows = [line.split(",") for line in open(os.path.join(out, "steps.csv")).read().splitlines()[1:]]
+        wrong = [step for step, _, truth, predicted, _ in rows if truth != predicted]
+        honest = [float(p) for *_, truth, _, p in rows if truth == "0"]
+        byzantine = [float(p) for *_, truth, _, p in rows if truth == "1"]
+        result = self.margins(out)
+        assert result.returncode == 0
+        fields = dict(item.split("=") for item in result.stdout.split(": ", 1)[1].split())
+        counts = [fields.pop(key) for key in ("steps", "honest_rejected", "byzantine_accepted", "first_wrong_step")]
+        assert counts == ["30", summary["rejected_honest"], summary["accepted_byz"], wrong[0] if wrong else "-"]
+        assert list(fields) == ["max_honest_p", "min_byzantine_p"]
+        assert float(fields["max_honest_p"]) == max(honest)
+        assert float(fields["min_byzantine_p"]) == min(byzantine)
+
+    def test_refuses_an_aggregator_run(self, tmp_path):
+        out = str(tmp_path / "agg")
+        assert run_cli("run", "--out", out, *FAST, "--set", "mode=aggregator") == 0
+        result = self.margins(out)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "not a filter-mode run" in result.stderr
 
 
 class TestBench:
@@ -471,6 +517,9 @@ INVALID_CONFIGS = [
     # the filter was trained at threshold 0.5 and decides at the threshold it was trained at
     ("run", ["--set", "threshold=0.999"]),
     ("compare", ["--set", "threshold=0.999"]),
+    # a manifest line cannot hold '#' or a line break
+    ("train-filter", ["--set", "train_images=a#b"]),  # read only by the idx task
+    ("compare", ["--set", "compare_attacks=inverse,\nall_ones"]),
 ]
 
 
@@ -543,6 +592,11 @@ class TestArgs:
 
     def test_unknown_key(self, tmp_path):
         assert run_cli("run", "--out", str(tmp_path / "x"), "--set", "bogus=1") == 1
+
+    def test_out_with_hash_exits_1_before_writing(self, tmp_path):
+        # the manifest of out=<dir>/a#b would read back as out=<dir>/a
+        assert run_cli("train-filter", "--out", str(tmp_path / "a#b"), *FAST) == 1
+        assert os.listdir(tmp_path) == []
 
     def test_seed_and_out_flags_override(self, tmp_path):
         out = str(tmp_path / "o")

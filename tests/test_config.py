@@ -35,6 +35,16 @@ class TestBuild:
         with pytest.raises(ConfigError, match="bad value"):
             build_config(None, {"steps": "many"})
 
+    def test_value_a_manifest_cannot_hold(self, tmp_path):
+        # '#' starts a comment in a config line and a line break ends it,
+        # so a manifest holding such a value would rerun elsewhere
+        for value in ("runs/a#b", "runs/a\nb", "runs/a\rb"):
+            with pytest.raises(ConfigError, match="bad value for out"):
+                build_config(None, {"out": value})
+        p = tmp_path / "c.cfg"
+        p.write_text("out=runs/a#b\n")
+        assert build_config(str(p)).out == "runs/a"
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             build_config("/nonexistent/path.cfg")

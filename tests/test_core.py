@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import rgcf
 from rgcf import core
 from rgcf.core import (
-    GradientReport,
     LengthMismatchError,
     NonFiniteValueError,
     assert_finite,
@@ -73,20 +72,6 @@ class TestL2Distance:
         assert ab == ba
         assert ab >= 0.0
         assert l2_distance(a, c) <= ab + l2_distance(b, c) + 1e-9
-
-
-class TestGradientReport:
-    def test_rejects_negative_loss(self):
-        with pytest.raises(ValueError):
-            GradientReport(gradient=param_vector([1.0]), loss=-0.1)
-
-    def test_rejects_nan_loss(self):
-        # a non-finite loss is a non-finite value at index d, the loss's
-        # coordinate in the filter input, so a run records it as divergence
-        for loss in (float("nan"), float("inf")):
-            with pytest.raises(NonFiniteValueError) as e:
-                GradientReport(gradient=param_vector([1.0, 2.0]), loss=loss)
-            assert e.value.index == 2
 
 
 class TestRngStream:

@@ -1,3 +1,6 @@
+import io
+import os
+import re
 import struct
 
 import numpy as np
@@ -12,6 +15,7 @@ from rgcf.data import (
     TooManyShardsError,
     TruncatedFileError,
     load_idx,
+    read_exact,
     sample_minibatch,
     shard,
     synth_gaussian_blobs,
@@ -29,6 +33,20 @@ def write_idx(dataset: Dataset, images_path: str, labels_path: str, rows: int, c
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">ii", LABEL_MAGIC, dataset.size))
         f.write(dataset.labels.astype(np.uint8).tobytes())
+
+
+def spy_reads(monkeypatch, module: str) -> list:
+    """Make the named module's open() give files that record every size
+    their read() is asked for; returns the list of sizes."""
+    sizes = []
+
+    class Reader(io.BufferedReader):
+        def read(self, n=-1):
+            sizes.append(n)
+            return super().read(n)
+
+    monkeypatch.setattr(f"{module}.open", lambda path, mode: Reader(io.FileIO(path)), raising=False)
+    return sizes
 
 
 def small_dataset(n=12, in_dim=4, classes=10):
@@ -95,6 +113,34 @@ class TestIdx:
         lp.write_bytes(struct.pack(">ii", 0x801, 2) + b"\x00\x01")
         with pytest.raises(TruncatedFileError):
             load_idx(str(ip), str(lp))
+
+    def test_header_counts_beyond_the_file_are_not_read(self, tmp_path, monkeypatch):
+        # corrupt headers claim 50000 images of 200x150 (1.5 GB) and 2**32-2
+        # labels (an unsigned size, not -2): each count is refused against
+        # the file's length, so no read asks for more than the file holds
+        ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
+        sizes = spy_reads(monkeypatch, "rgcf.data")
+        ip.write_bytes(struct.pack(">iiii", IMAGE_MAGIC, 50000, 200, 150) + b"\x00" * 10)
+        lp.write_bytes(struct.pack(">ii", LABEL_MAGIC, 1) + b"\x00")
+        message = f"{ip}: truncated, expected 1500000000 more bytes, got 10"
+        with pytest.raises(TruncatedFileError, match=re.escape(message)):
+            load_idx(str(ip), str(lp))
+        ip.write_bytes(struct.pack(">iiii", IMAGE_MAGIC, 1, 1, 1) + b"\x00")
+        lp.write_bytes(struct.pack(">II", LABEL_MAGIC, 2**32 - 2) + b"\x00")
+        message = f"{lp}: truncated, expected {2**32 - 2} more bytes, got 1"
+        with pytest.raises(TruncatedFileError, match=re.escape(message)):
+            load_idx(str(ip), str(lp))
+        assert 0 < max(sizes) <= 26
+
+    def test_read_exact_reads_a_pipe(self):
+        # a pipe has no length to check against: it is read as it comes
+        r, w = os.pipe()
+        os.write(w, b"abcdef")
+        os.close(w)
+        with os.fdopen(r, "rb") as f:
+            assert read_exact(f, 4, "pipe") == b"abcd"
+            with pytest.raises(TruncatedFileError, match="pipe: truncated, expected 4 more bytes, got 2"):
+                read_exact(f, 4, "pipe")
 
     def test_count_mismatch(self, tmp_path):
         ip = tmp_path / "im.idx"

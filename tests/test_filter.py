@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 from dataclasses import replace
 
@@ -7,13 +8,12 @@ import pytest
 
 from rgcf import core, simulation
 from rgcf.attacks import AttackSpec, apply_attack
-from rgcf.core import GradientReport, NonFiniteValueError, param_vector, stream
-from rgcf.data import sample_minibatch, synth_gaussian_blobs
+from rgcf.core import NonFiniteValueError, param_vector, stream
+from rgcf.data import TruncatedFileError, sample_minibatch, synth_gaussian_blobs
 from rgcf.filter import (
     PRED_CLAMP,
     FilterNet,
     _filter_input,
-    classify,
     filter_forward,
     filter_gradient,
     filter_init,
@@ -34,6 +34,7 @@ from rgcf.models import (
 )
 from rgcf.simulation import FilterTrainConfig, train_filter, worker_step
 from tests.conftest import rng
+from tests.test_data import spy_reads
 from tests.test_models import textbook_adam, textbook_backprop
 
 
@@ -42,11 +43,11 @@ def writable(filt: FilterNet) -> FilterNet:
     return replace(filt, params=np.array(filt.params))
 
 
-def dense_filter_gradient(filt, report, label, p):
+def dense_filter_gradient(filt, grad, loss, label, p):
     """filter_gradient's value with the gradient as one written-out vector,
     backpropagated by textbook whole-array expressions (the first weight
     gradient a K=1 matmul of the input row and delta)."""
-    x = _filter_input(filt, report.gradient, report.loss)
+    x = _filter_input(filt, grad, loss)
     z, acts = mlp_forward(filt.params, filt.layer_sizes, x)
     pred = 1.0 / (1.0 + np.exp(-z[0, 0]))
     q = min(max(pred, PRED_CLAMP), 1.0 - PRED_CLAMP)
@@ -70,11 +71,6 @@ class TestForward:
     def test_zero_weights_give_half(self):
         filt = zero_filter(5)
         assert filter_forward(filt, np.ones(5), 1.0) == 0.5
-
-    def test_boundary_rejects(self):
-        # B=1 at exactly the threshold: prefer dropping a borderline gradient.
-        filt = zero_filter(5)
-        assert classify(filt, np.ones(5), 1.0) == 1
 
     def test_matches_batched_training_forward(self):
         r = rng(11)
@@ -123,16 +119,17 @@ class TestLoss:
 
 
 class TestTrainStep:
-    def _report(self, r, d):
-        return GradientReport(gradient=param_vector(r.standard_normal(d)), loss=0.4)
+    def _example(self, r, d):
+        """A (gradient, loss) pair as a worker sends it."""
+        return param_vector(r.standard_normal(d)), 0.4
 
     def test_backprop_matches_finite_differences(self):
         r = rng(20)
         d = 6
         filt = filter_init(d, r, hidden=(5, 3))
-        report = self._report(r, d)
+        example = self._example(r, d)
         for label in (0, 1):
-            x = _filter_input(filt, report.gradient, report.loss)
+            x = _filter_input(filt, *example)
 
             def loss_of(params):
                 z, _ = mlp_forward(param_vector(params), filt.layer_sizes, x)
@@ -143,7 +140,7 @@ class TestTrainStep:
             # step = lr * g / (|g| + eps), so sign and support must match FD
             adam = adam_init(filt.params.shape[0])
             updated = writable(filt)
-            filter_train_step(updated, adam, report.gradient, report.loss, label, 10.0)
+            filter_train_step(updated, adam, *example, label, 10.0)
             h = 1e-6
             base = np.array(filt.params)
             fd = np.empty_like(base)
@@ -160,10 +157,10 @@ class TestTrainStep:
         r = rng(21)
         filt = writable(filter_init(4, r))
         adam = adam_init(filt.params.shape[0], lr=0.01)
-        report = self._report(r, 4)
-        first, _ = filter_train_step(filt, adam, report.gradient, report.loss, 1, 10.0)
+        example = self._example(r, 4)
+        first, _ = filter_train_step(filt, adam, *example, 1, 10.0)
         for _ in range(49):
-            last, _ = filter_train_step(filt, adam, report.gradient, report.loss, 1, 10.0)
+            last, _ = filter_train_step(filt, adam, *example, 1, 10.0)
         assert last < first
 
     @pytest.mark.parametrize("hidden", [(64, 32), (48, 16), (5, 3)])
@@ -176,11 +173,11 @@ class TestTrainStep:
             filt = filter_init(d, r, hidden=hidden)
             jitter = 0.1 * r.standard_normal(filt.params.shape)
             filt = replace(filt, params=param_vector(filt.params + jitter))
-            report = self._report(r, d)
+            example = self._example(r, d)
             for label in (0, 1):
-                grad, loss, pred = filter_gradient(filt, report.gradient, report.loss, label, 10.0)
+                grad, loss, pred = filter_gradient(filt, *example, label, 10.0)
                 assert grad.x.shape == (d + 1,) and grad.delta.shape == (hidden[0],)
-                ref, ref_loss, ref_pred = dense_filter_gradient(filt, report, label, 10.0)
+                ref, ref_loss, ref_pred = dense_filter_gradient(filt, *example, label, 10.0)
                 assert (assembled(grad) + 0.0).tobytes() == (ref + 0.0).tobytes()
                 assert (loss, pred) == (ref_loss, ref_pred)
 
@@ -190,23 +187,23 @@ class TestTrainStep:
         # late row of the 1605 x 48 first layer or in the weights after it
         r = rng(24)
         filt = writable(filter_init(1604, r, hidden=(48, 16)))
-        report = self._report(r, 1604)
+        example = self._example(r, 1604)
         adam = adam_init(filt.params.shape[0])
         adam.m[bad] = 1e308
-        grad, _, _ = dense_filter_gradient(filt, report, 1, 10.0)
+        grad, _, _ = dense_filter_gradient(filt, *example, 1, 10.0)
         with np.errstate(over="ignore"):
             _, _, ref = textbook_adam(adam.m, adam.v, 1, filt.params, grad, adam.lr)
             with pytest.raises(NonFiniteValueError) as err:
-                filter_train_step(filt, adam, report.gradient, report.loss, 1, 10.0)
+                filter_train_step(filt, adam, *example, 1, 10.0)
         assert err.value.index == int(np.argmin(np.isfinite(ref))) == bad
 
     def test_returns_pre_update_loss(self):
         r = rng(22)
         filt = filter_init(4, r)
-        report = self._report(r, 4)
-        pred = filter_forward(filt, report.gradient, report.loss)
+        example = self._example(r, 4)
+        pred = filter_forward(filt, *example)
         adam = adam_init(filt.params.shape[0])
-        loss, prob = filter_train_step(writable(filt), adam, report.gradient, report.loss, 0, 10.0)
+        loss, prob = filter_train_step(writable(filt), adam, *example, 0, 10.0)
         assert loss == pytest.approx(filter_loss(pred, 0, 10.0), abs=1e-9)
         assert prob == pytest.approx(pred, abs=1e-12)
 
@@ -307,9 +304,9 @@ def reference_train_filter(cfg, data, server_arch, seed):
             grad, server_loss = backward(server_arch, params, inputs, labels)
             if byz:
                 grad = apply_attack(cfg.attack, grad, attack_rng)
-            report = GradientReport(param_vector(grad), server_loss)
-            params = apply_update(params, report.gradient, cfg.server_lr, byz)
-            filter_grad, loss, _ = dense_filter_gradient(filt, report, byz, cfg.positive_weight)
+            grad = param_vector(grad)
+            params = apply_update(params, grad, cfg.server_lr, byz)
+            filter_grad, loss, _ = dense_filter_gradient(filt, grad, server_loss, byz, cfg.positive_weight)
             t += 1
             m, v, new = textbook_adam(m, v, t, filt.params, filter_grad, cfg.filter_lr)
             filt = replace(filt, params=param_vector(new))
@@ -365,6 +362,23 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(ValueError, match="truncated"):
             load_filter(str(path))
+
+    def test_header_lengths_beyond_the_file_are_not_read(self, tmp_path, monkeypatch):
+        # in a 45-byte file, d = 2**32 - 2 claims a 2.2 TB weight block, and
+        # 2**28 layer sizes claim a 1 GB size list: each length is refused
+        # against the file's, so no read asks for more than the file holds
+        path = tmp_path / "f.rgcf"
+        huge_d = struct.pack("<4sIII5Id", b"RGCF", 1, 2**32 - 2, 5, 2**32 - 1, 64, 32, 16, 1, 0.5) + b"\x01"
+        many_sizes = struct.pack("<4sIII", b"RGCF", 1, 4, 2**28) + bytes(29)
+        sizes = spy_reads(monkeypatch, "rgcf.filter")
+        weights = 8 * Architecture(2**32 - 1, (64, 32, 16), 1).param_count
+        for blob, wanted in ((huge_d, weights), (many_sizes, 2**30)):
+            assert len(blob) == 45
+            path.write_bytes(blob)
+            message = f"{path}: truncated, expected {wanted} more bytes, got"
+            with pytest.raises(TruncatedFileError, match=re.escape(message)):
+                load_filter(str(path))
+        assert 0 < max(sizes) <= 45
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "f.rgcf"

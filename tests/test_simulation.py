@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from rgcf import core, simulation
+from rgcf import core, filter, models, simulation
 from rgcf.aggregators import AggregatorSpec
 from rgcf.attacks import AttackSpec, apply_attack
 from rgcf.core import NonFiniteValueError, param_vector, stream
 from rgcf.data import Dataset, sample_minibatch, shard
-from rgcf.filter import FilterNet
+from rgcf.filter import FilterNet, filter_init
 from rgcf.models import (
     Architecture,
     apply_update,
@@ -28,20 +28,21 @@ from rgcf.simulation import (
 from tests.conftest import rng
 
 
-def accept_all_filter(d):
-    # zero weights except a strongly negative output bias: prediction ~0,
-    # so every gradient is accepted
-    count = Architecture(d + 1, (64, 32), 1).param_count
-    params = np.zeros(count)
-    params[-1] = -50.0
+def constant_filter(d, bias):
+    # zero weights except the output bias: every gradient scores
+    # sigmoid(bias), so -50 accepts all, 50 rejects all and 0 scores
+    # exactly the 0.5 threshold
+    params = np.zeros(Architecture(d + 1, (64, 32), 1).param_count)
+    params[-1] = bias
     return FilterNet(d=d, params=param_vector(params))
+
+
+def accept_all_filter(d):
+    return constant_filter(d, -50.0)
 
 
 def reject_all_filter(d):
-    count = Architecture(d + 1, (64, 32), 1).param_count
-    params = np.zeros(count)
-    params[-1] = 50.0
-    return FilterNet(d=d, params=param_vector(params))
+    return constant_filter(d, 50.0)
 
 
 def run_config(**kw):
@@ -176,6 +177,26 @@ class TestWorkers:
         assert grads[:, 2:4].tolist() == [[-5e149, 5e149]] * 2
         assert losses.tolist() == [np.log(2.0)] * 2
 
+    def test_worker_step_rejects_a_negative_loss(self, blobs, blobs_val, monkeypatch):
+        # a negative loss is a bad message, not divergence: the turn raises
+        # a plain ValueError, and a run fails with it instead of stopping
+        real = models.backward
+
+        def negative(*args):
+            grads, losses = real(*args)
+            losses[-1] = -0.5
+            return grads, losses
+
+        monkeypatch.setattr(models, "backward", negative)
+        arch = logistic(blobs.in_dim, blobs.classes)
+        params = init_params(arch, rng(1))
+        workers = [WorkerSpec(np.arange(blobs.size), None, rng(2, i), rng(3, i)) for i in range(3)]
+        with pytest.raises(ValueError, match="loss must be non-negative, got -0.5") as err:
+            worker_step(workers, blobs, params, arch, 8)
+        assert not isinstance(err.value, NonFiniteValueError)
+        with pytest.raises(ValueError, match="non-negative"):
+            run_aggregated(run_config(aggregator=AggregatorSpec("mean")), blobs, blobs_val, arch)
+
     def test_worker_spec_validation(self, blobs):
         # every worker owns its two streams from the table in core, and the
         # RunConfig refuses an empty batch and a worker count whose stream
@@ -208,9 +229,43 @@ class TestRunRgcf:
 
     def test_reject_all_leaves_params_untouched(self, blobs, blobs_val):
         arch = logistic(blobs.in_dim, blobs.classes)
-        m = run_rgcf(run_config(), blobs, blobs_val, arch, reject_all_filter(arch.param_count))
+        cfg = run_config()
+        m = run_rgcf(cfg, blobs, blobs_val, arch, reject_all_filter(arch.param_count))
         assert m.accepted_updates == 0
-        assert np.array_equal(m.final_params, m.initial_params)
+        assert np.array_equal(m.final_params, init_params(arch, stream(cfg.seed, core.SID_SERVER_INIT)))
+
+    def test_threshold_boundary_rejects(self, blobs, blobs_val):
+        # a gradient scored exactly at the threshold is dropped
+        arch = logistic(blobs.in_dim, blobs.classes)
+        cfg = run_config()
+        m = run_rgcf(cfg, blobs, blobs_val, arch, constant_filter(arch.param_count, 0.0))
+        assert m.decisions == [0.5] * 30
+        assert m.predictions == [1] * 30
+        assert m.accepted_updates == 0
+        assert np.array_equal(m.final_params, init_params(arch, stream(cfg.seed, core.SID_SERVER_INIT)))
+
+    @pytest.mark.parametrize("ground_truth", [False, True], ids=["filtered", "twin"])
+    def test_decisions_are_the_filter_probabilities(self, blobs, blobs_val, monkeypatch, ground_truth):
+        # the server asks the filter once per step and records its score;
+        # a filtered run rejects at p >= threshold, its oracle twin by the
+        # worker's role
+        arch = mlp(blobs.in_dim, (8,), blobs.classes)
+        filt = filter_init(arch.param_count, rng(12))
+        real, scores = filter.filter_forward, []
+
+        def recording(*args):
+            scores.append(real(*args))
+            return scores[-1]
+
+        monkeypatch.setattr(filter, "filter_forward", recording)
+        m = run_rgcf(run_config(), blobs, blobs_val, arch, filt, ground_truth=ground_truth)
+        assert m.decisions == scores
+        assert len(scores) == 30
+        if ground_truth:
+            assert m.predictions == m.ground_truths
+        else:
+            assert m.predictions == [int(p >= filt.threshold) for p in m.decisions]
+            assert 0 < sum(m.predictions) < 30
 
     def test_ground_truth_mode_is_error_free(self, blobs, blobs_val):
         arch = logistic(blobs.in_dim, blobs.classes)
