@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmptyInputError, LengthMismatchError, TooFewWorkersError
-
 MEAN = "mean"
 KRUM = "krum"
 COORD_MEDIAN = "median"
@@ -39,9 +37,7 @@ class AggregatorSpec:
     def check_preconditions(self, n: int) -> None:
         bound = max_f_count(self.kind, n)
         if bound is not None and self.f_count > bound:
-            raise TooFewWorkersError(
-                f"{self.kind} at n={n} accepts f_count <= {bound}, got {self.f_count}"
-            )
+            raise ValueError(f"{self.kind} at n={n} accepts f_count <= {bound}, got {self.f_count}")
 
 
 def max_f_count(kind: str, n: int) -> int | None:
@@ -61,13 +57,13 @@ def _stack(grads: Gradients) -> np.ndarray:
     """The gradients as one (n, d) array: a 2-D array as it is (no rule
     writes to its input), a list of rows stacked."""
     if len(grads) == 0:
-        raise EmptyInputError("no gradients to aggregate")
+        raise ValueError("no gradients to aggregate")
     if isinstance(grads, np.ndarray) and grads.ndim == 2:
         return grads
     d = grads[0].shape[0]
     for g in grads[1:]:
         if g.shape[0] != d:
-            raise LengthMismatchError(d, g.shape[0])
+            raise ValueError(f"length mismatch: expected {d}, got {g.shape[0]}")
     return np.stack(grads)
 
 

@@ -261,8 +261,17 @@ def cmd_run(cfg: ExperimentConfig, specs: Specs) -> int:
     else:
         m = run_aggregated(specs.run, train_data, val_data, arch)
     _write_run_outputs(cfg, m)
-    print(f"run finished: final val accuracy {m.final_accuracy:.4f}, diverged={m.diverged}")
+    line = f"run finished: final val accuracy {m.final_accuracy:.4f}, diverged={m.diverged}"
+    if filt is not None:
+        line += f", precision {_share(m.rejected_byz, m.rejected_honest)}"
+        line += f", recall {_share(m.rejected_byz, m.accepted_byz)}"
+    print(line)
     return 0
+
+
+def _share(hits: int, misses: int) -> str:
+    """hits / (hits + misses) to 4 places, or - when both are 0."""
+    return f"{hits / (hits + misses):.4f}" if hits + misses else "-"
 
 
 def cmd_bench(cfg: ExperimentConfig, specs: Specs) -> int:
@@ -352,6 +361,8 @@ def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
     import concurrent.futures
     import multiprocessing
 
+    if cfg.f_count != -1:
+        raise ConfigError(f"f_count={cfg.f_count}: each compare cell assumes its true Byzantine count")
     train_data, val_data = load_train(cfg), load_val(cfg)
     arch = build_arch(cfg, train_data)
     filt = _load_filter(cfg, arch) if "rgcf" in cfg.compare_methods else None
@@ -445,7 +456,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides["seed"] = str(args.seed)
         if args.out is not None:
-            overrides["out"] = args.out
+            overrides["out"] = args.out.strip()
         cfg = build_config(args.config, overrides)
         return COMMANDS[args.command](cfg, resolve(cfg))
     except ConfigError as e:

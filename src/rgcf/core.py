@@ -1,4 +1,4 @@
-"""Shared numeric types, error classes and the deterministic RNG contract."""
+"""Flat parameter vectors, their non-finite check and the deterministic RNG contract."""
 
 from __future__ import annotations
 
@@ -12,24 +12,6 @@ class NonFiniteValueError(ValueError):
 
     def __reduce__(self):
         return type(self), (self.index,)
-
-
-class LengthMismatchError(ValueError):
-    def __init__(self, expected: int, got: int):
-        self.expected = expected
-        self.got = got
-        super().__init__(f"length mismatch: expected {expected}, got {got}")
-
-    def __reduce__(self):
-        return type(self), (self.expected, self.got)
-
-
-class EmptyInputError(ValueError):
-    pass
-
-
-class TooFewWorkersError(ValueError):
-    pass
 
 
 def param_vector(values) -> np.ndarray:

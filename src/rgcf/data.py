@@ -13,22 +13,6 @@ IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
 
-class BadMagicError(ValueError):
-    pass
-
-
-class TruncatedFileError(ValueError):
-    pass
-
-
-class CountMismatchError(ValueError):
-    pass
-
-
-class TooManyShardsError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Dataset:
     inputs: np.ndarray  # (N, in_dim), float64 in [0, 1]
@@ -55,14 +39,14 @@ class Dataset:
 
 
 def read_exact(f, n: int, path: str) -> bytes:
-    """The next n bytes of a binary file, or TruncatedFileError if it ends
-    first. A regular file's remaining length bounds the read, so a corrupt
-    header's count never asks for more memory than the file holds; a pipe
-    is read as it comes."""
+    """The next n bytes of a binary file, or ValueError if it ends first.
+    A regular file's remaining length bounds the read, so a corrupt header's
+    count never asks for more memory than the file holds; a pipe is read as
+    it comes."""
     st = os.fstat(f.fileno())
     data = f.read(min(n, st.st_size - f.tell()) if stat.S_ISREG(st.st_mode) else n)
     if len(data) != n:
-        raise TruncatedFileError(f"{path}: truncated, expected {n} more bytes, got {len(data)}")
+        raise ValueError(f"{path}: truncated, expected {n} more bytes, got {len(data)}")
     return data
 
 
@@ -72,17 +56,17 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     with open(images_path, "rb") as f:
         magic, count, rows, cols = struct.unpack(">IIII", read_exact(f, 16, images_path))
         if magic != IMAGE_MAGIC:
-            raise BadMagicError(f"{images_path}: magic {magic:#010x}, expected {IMAGE_MAGIC:#010x}")
+            raise ValueError(f"{images_path}: magic {magic:#010x}, expected {IMAGE_MAGIC:#010x}")
         pixels = np.frombuffer(
             read_exact(f, count * rows * cols, images_path), dtype=np.uint8
         )
     with open(labels_path, "rb") as f:
         magic, lcount = struct.unpack(">II", read_exact(f, 8, labels_path))
         if magic != LABEL_MAGIC:
-            raise BadMagicError(f"{labels_path}: magic {magic:#010x}, expected {LABEL_MAGIC:#010x}")
+            raise ValueError(f"{labels_path}: magic {magic:#010x}, expected {LABEL_MAGIC:#010x}")
         labels = np.frombuffer(read_exact(f, lcount, labels_path), dtype=np.uint8)
     if count != lcount:
-        raise CountMismatchError(f"{count} images vs {lcount} labels")
+        raise ValueError(f"{count} images vs {lcount} labels")
     inputs = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
     return Dataset(inputs=inputs, labels=labels.astype(np.int64), classes=10)
 
@@ -119,7 +103,7 @@ def shard(size: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
     arrays, larger shards first. A worker's shard is its rows of the run's
     one training set, not a copy of them."""
     if n > size:
-        raise TooManyShardsError(f"cannot split {size} examples into {n} shards")
+        raise ValueError(f"cannot split {size} examples into {n} shards")
     return np.array_split(rng.permutation(size), n)
 
 

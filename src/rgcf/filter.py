@@ -22,7 +22,6 @@ from .models import (
     AdamState,
     Architecture,
     FactoredGradient,
-    ShapeMismatchError,
     adam_step,
     init_params,
     mlp_backward,
@@ -64,7 +63,7 @@ class FilterNet:
             raise ValueError(f"layer sizes {self.layer_sizes}: every hidden width must be >= 1")
         expected = Architecture(self.d + 1, self.hidden, 1).param_count
         if self.params.shape != (expected,):
-            raise ShapeMismatchError(f"filter params {self.params.shape} != expected ({expected},)")
+            raise ValueError(f"filter params {self.params.shape} != expected ({expected},)")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0,1)")
 
@@ -84,7 +83,7 @@ def _filter_input(filt: FilterNet, grad: np.ndarray, loss: float) -> np.ndarray:
     sqrt(d) unless it is zero, then the loss. Built in place, since every
     transferred gradient passes through here."""
     if grad.shape != (filt.d,):
-        raise ShapeMismatchError(f"gradient length {grad.shape} != filter d {filt.d}")
+        raise ValueError(f"gradient length {grad.shape} != filter d {filt.d}")
     if not np.isfinite(loss):
         raise ValueError("loss must be finite")
     x = np.empty((1, filt.d + 1))

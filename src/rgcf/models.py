@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import LengthMismatchError, NonFiniteValueError, param_vector
+from .core import NonFiniteValueError, param_vector
 
 # The fused Adam kernel's source, and the command that builds it into a
 # shared library on the first `adam_step` call (never at import). No
@@ -32,10 +32,6 @@ ADAM_CC = ("cc", "-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPI
 ADAM_PART = 1 << 19
 # Adam's decay rates and denominator offset (Kingma & Ba, ICLR 2015).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-
-
-class ShapeMismatchError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,7 @@ def unflatten(params: np.ndarray, layer_sizes: tuple[int, ...]):
         fan_in * fan_out + fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:])
     )
     if params.shape[-1:] != (expected,):
-        raise ShapeMismatchError(f"flat vector length {params.shape} != expected {expected}")
+        raise ValueError(f"flat vector length {params.shape} != expected {expected}")
     lead = params.shape[:-1]
     layers = []
     off = 0
@@ -102,7 +98,7 @@ def mlp_forward(params: np.ndarray, layer_sizes: tuple[int, ...], x: np.ndarray)
     """ReLU net forward pass over one input row or a batch of rows.
     Returns (logits, activations per layer input)."""
     if x.shape[-1] != layer_sizes[0]:
-        raise ShapeMismatchError(f"input dim {x.shape[-1]} != model {layer_sizes[0]}")
+        raise ValueError(f"input dim {x.shape[-1]} != model {layer_sizes[0]}")
     layers = unflatten(params, layer_sizes)
     acts = [x]
     a = x
@@ -204,7 +200,7 @@ def backward(
 def apply_update(params: np.ndarray, grad: np.ndarray, alpha: float, b: int) -> np.ndarray:
     """Masked SGD step: rejected gradients (b=1) leave the parameters bit-identical."""
     if params.shape != grad.shape:
-        raise LengthMismatchError(params.shape[0], grad.shape[0])
+        raise ValueError(f"length mismatch: expected {params.shape[0]}, got {grad.shape[0]}")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if b not in (0, 1):
@@ -338,7 +334,7 @@ def adam_step(state: AdamState, params: np.ndarray, grad: FactoredGradient) -> N
     rows, width = x.shape[0], delta.shape[0]
     head = rows * width
     if not state.m.shape == state.v.shape == params.shape == (head + rest.shape[0],):
-        raise LengthMismatchError(params.shape[0], head + rest.shape[0])
+        raise ValueError(f"length mismatch: expected {params.shape[0]}, got {head + rest.shape[0]}")
     for name, a in (("params", params), ("m", state.m), ("v", state.v)):
         if a.dtype != np.float64 or not a.flags.c_contiguous or not a.flags.writeable:
             raise ValueError(f"adam_step: {name} must be a writable, C-contiguous float64 array")

@@ -22,7 +22,7 @@ from .attacks import RANDOM_GAUSSIAN, AttackSpec, apply_attack
 from .core import NonFiniteValueError, assert_finite, param_vector, stream
 from .data import Dataset, sample_minibatch, shard
 from .filter import FilterNet, filter_init
-from .models import Architecture, ShapeMismatchError, adam_init, apply_update, init_params
+from .models import Architecture, adam_init, apply_update, init_params
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def run_rgcf(
     used as the clean convergence reference at equal accepted-update counts.
     """
     if filt.d != arch.param_count:
-        raise ShapeMismatchError(f"filter d {filt.d} != model d {arch.param_count}")
+        raise ValueError(f"filter d {filt.d} != model d {arch.param_count}")
     return _run(cfg, train_data, val_data, arch, filt, ground_truth)
 
 

@@ -19,7 +19,6 @@ from rgcf.aggregators import (
     agg_trimmed_mean,
     aggregate,
 )
-from rgcf.core import EmptyInputError, LengthMismatchError, TooFewWorkersError
 from tests.conftest import rng
 
 
@@ -270,19 +269,19 @@ class TestHandCases:
 
 class TestPreconditions:
     def test_krum_needs_f_plus_3(self):
-        with pytest.raises(TooFewWorkersError):
+        with pytest.raises(ValueError, match=r"krum at n=4 accepts f_count <= 1, got 2"):
             agg_krum([np.zeros(1)] * 4, 2)
 
     def test_trimmed_mean_needs_survivors(self):
-        with pytest.raises(TooFewWorkersError):
+        with pytest.raises(ValueError, match=r"trimmed_mean at n=4 accepts f_count <= 1, got 2"):
             agg_trimmed_mean([np.zeros(1)] * 4, 2)
 
     def test_bulyan_needs_4f_plus_3(self):
-        with pytest.raises(TooFewWorkersError):
+        with pytest.raises(ValueError, match=r"bulyan at n=6 accepts f_count <= 0, got 1"):
             agg_bulyan([np.zeros(1)] * 6, 1)
 
     def test_spec_checks(self):
-        with pytest.raises(TooFewWorkersError):
+        with pytest.raises(ValueError, match=r"bulyan at n=10 accepts f_count <= 1, got 2"):
             AggregatorSpec("bulyan", 2).check_preconditions(10)
         AggregatorSpec("bulyan", 1).check_preconditions(7)
         with pytest.raises(ValueError):
@@ -293,11 +292,11 @@ class TestPreconditions:
 
 class TestInputValidation:
     def test_empty(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ValueError, match="no gradients to aggregate"):
             agg_mean([])
 
     def test_ragged(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValueError, match="length mismatch: expected 2, got 3"):
             agg_mean([np.zeros(2), np.zeros(3)])
 
 

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from rgcf import cli, models, simulation
 from rgcf.aggregators import AGGREGATOR_KINDS, AggregatorSpec, max_f_count
 from rgcf.cli import clamped_f_count, convergence_verdict, fmt, main, resolve
 from rgcf.config import build_config
-from rgcf.core import MAX_WORKERS, LengthMismatchError, TooFewWorkersError, stream
+from rgcf.core import MAX_WORKERS, stream
 from rgcf.data import synth_gaussian_blobs
 from rgcf.filter import load_filter
 from rgcf.simulation import run_aggregated, run_rgcf
@@ -172,6 +173,35 @@ class TestRun:
         steps = open(os.path.join(out, "steps.csv")).read().splitlines()
         # no per-gradient labels in aggregator mode
         assert steps[1].split(",")[2] == ""
+
+    def test_run_line_reports_the_filters_precision_and_recall(self, mlp_filter, tmp_path, capsys):
+        # rgcf mode prints the precision and recall of the filter's rejections,
+        # from the summary counts, and - for a ratio of nothing; the
+        # aggregator line has neither
+        lines = {}
+        for name, args in (
+            ("shift", sets({"attack": "gradient_shift", "attack_scale": "0.01", "byzantine_fraction": "0.5"})),
+            ("honest", ["--set", "byzantine_fraction=0"]),
+            ("median", ["--set", "mode=aggregator", "--set", "aggregator=median"]),
+        ):
+            out = str(tmp_path / name)
+            code = run_cli(
+                "run", "--seed", "0", "--out", out, *sets(MLP), "--set", f"filter_file={mlp_filter}",
+                "--set", "steps=25", "--set", "n_workers=10", *args,
+            )
+            assert code == 0
+            header, row = open(os.path.join(out, "summary.csv")).read().splitlines()
+            lines[name] = capsys.readouterr().out, dict(zip(header.split(","), map(int, row.split(","))))
+        head = r"run finished: final val accuracy \d\.\d{4}, diverged=False"
+        out, c = lines["shift"]
+        assert c["rejected_byz"] and c["accepted_byz"]
+        precision = c["rejected_byz"] / (c["rejected_byz"] + c["rejected_honest"])
+        recall = c["rejected_byz"] / (c["rejected_byz"] + c["accepted_byz"])
+        assert re.fullmatch(head + f", precision {precision:.4f}, recall {recall:.4f}\n", out)
+        out, c = lines["honest"]
+        assert c["rejected_honest"] == c["rejected_byz"] == c["accepted_byz"] == 0
+        assert re.fullmatch(head + ", precision -, recall -\n", out)
+        assert re.fullmatch(head + "\n", lines["median"][0])
 
     def test_missing_filter_is_validation_error(self, tmp_path):
         out = str(tmp_path / "r")
@@ -462,7 +492,7 @@ class TestCompare:
 
         def failing(workers, *args, **kwargs):
             if len(workers) > 1 and sum(w.byzantine for w in workers) == 5:
-                raise LengthMismatchError(3, 4)
+                raise ValueError("length mismatch: expected 3, got 4")
             return real(workers, *args, **kwargs)
 
         monkeypatch.setattr(simulation, "worker_step", failing)
@@ -517,6 +547,7 @@ INVALID_CONFIGS = [
     # the filter was trained at threshold 0.5 and decides at the threshold it was trained at
     ("run", ["--set", "threshold=0.999"]),
     ("compare", ["--set", "threshold=0.999"]),
+    ("compare", ["--set", "f_count=1"]),  # each cell assumes its true Byzantine count
     # a manifest line cannot hold '#' or a line break
     ("train-filter", ["--set", "train_images=a#b"]),  # read only by the idx task
     ("compare", ["--set", "compare_attacks=inverse,\nall_ones"]),
@@ -598,6 +629,14 @@ class TestArgs:
         assert run_cli("train-filter", "--out", str(tmp_path / "a#b"), *FAST) == 1
         assert os.listdir(tmp_path) == []
 
+    def test_out_is_stripped_like_a_set_value(self, tmp_path, monkeypatch):
+        # --out " sp " and --set out=sp name the same directory, so a rerun
+        # from the manifest writes where the first run did
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("train-filter", "--out", " sp ", *FAST) == 0
+        assert os.listdir(tmp_path) == ["sp"]
+        assert build_config(os.path.join("sp", "manifest.txt")).out == "sp"
+
     def test_seed_and_out_flags_override(self, tmp_path):
         out = str(tmp_path / "o")
         assert run_cli("train-filter", "--seed", "9", "--out", out, *FAST) == 0
@@ -639,7 +678,7 @@ class TestFCount:
                     try:
                         AggregatorSpec(kind, f_true).check_preconditions(n)
                         feasible = True
-                    except TooFewWorkersError:
+                    except ValueError:
                         feasible = False
                     assert (fc is None) == (not feasible)
                 else:

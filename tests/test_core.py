@@ -1,6 +1,8 @@
+import ast
 import importlib
 import pickle
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 import rgcf
 from rgcf import core
 from rgcf.core import (
-    LengthMismatchError,
     NonFiniteValueError,
     assert_finite,
     param_vector,
@@ -20,7 +21,7 @@ from rgcf.core import (
 
 def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
-        raise LengthMismatchError(a.shape[0], b.shape[0])
+        raise ValueError(f"length mismatch: expected {a.shape[0]}, got {b.shape[0]}")
     return float(np.linalg.norm(a - b))
 
 
@@ -56,7 +57,7 @@ class TestL2Distance:
         assert l2_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValueError, match="length mismatch: expected 2, got 3"):
             l2_distance(np.zeros(2), np.zeros(3))
 
     @given(
@@ -147,8 +148,17 @@ class TestStreamTable:
 # than the message, with the attributes it keeps.
 STRUCTURED_ERRORS = [
     (NonFiniteValueError(16), {"index": 16}),
-    (LengthMismatchError(3, 4), {"expected": 3, "got": 4}),
 ]
+
+
+def rgcf_exceptions() -> set[type]:
+    """Every exception class defined in an rgcf module."""
+    found = set()
+    for info in pkgutil.iter_modules(rgcf.__path__):
+        for obj in vars(importlib.import_module(f"rgcf.{info.name}")).values():
+            if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__.startswith("rgcf."):
+                found.add(obj)
+    return found
 
 
 class TestErrorPickling:
@@ -165,10 +175,17 @@ class TestErrorPickling:
         assert {k: getattr(back, k) for k in attrs} == attrs
 
     def test_every_structured_error_is_covered(self):
-        defined = set()
-        for info in pkgutil.iter_modules(rgcf.__path__):
-            for obj in vars(importlib.import_module(f"rgcf.{info.name}")).values():
-                if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__.startswith("rgcf."):
-                    if "__init__" in vars(obj):
-                        defined.add(obj)
+        defined = {cls for cls in rgcf_exceptions() if "__init__" in vars(cls)}
         assert defined == {type(err) for err, _ in STRUCTURED_ERRORS}
+
+    def test_every_error_class_is_caught(self):
+        # an exception class is worth defining only where src/ catches it by
+        # name; anything else raises ValueError with its message
+        caught = set()
+        for path in rgcf.__path__:
+            for source in Path(path).glob("*.py"):
+                for node in ast.walk(ast.parse(source.read_text())):
+                    if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                        caught.update(ast.unparse(t).rsplit(".", 1)[-1] for t in types)
+        assert {cls.__name__ for cls in rgcf_exceptions()} - caught == set()

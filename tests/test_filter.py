@@ -9,7 +9,7 @@ import pytest
 from rgcf import core, simulation
 from rgcf.attacks import AttackSpec, apply_attack
 from rgcf.core import NonFiniteValueError, param_vector, stream
-from rgcf.data import TruncatedFileError, sample_minibatch, synth_gaussian_blobs
+from rgcf.data import sample_minibatch, synth_gaussian_blobs
 from rgcf.filter import (
     PRED_CLAMP,
     FilterNet,
@@ -376,7 +376,7 @@ class TestSerialization:
             assert len(blob) == 45
             path.write_bytes(blob)
             message = f"{path}: truncated, expected {wanted} more bytes, got"
-            with pytest.raises(TruncatedFileError, match=re.escape(message)):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 load_filter(str(path))
         assert 0 < max(sizes) <= 45
 
