@@ -137,7 +137,6 @@ def resolve(cfg: ExperimentConfig) -> Specs:
         f_count = run.byzantine_count if cfg.f_count == -1 else cfg.f_count
         aggregator = AggregatorSpec(cfg.aggregator, f_count)
         if cfg.mode == AGGREGATOR_MODE:
-            aggregator.check_preconditions(run.n_workers)
             run = replace(run, aggregator=aggregator)
         elif cfg.mode != RGCF_MODE:
             raise ConfigError(f"unknown mode {cfg.mode!r}")
@@ -296,6 +295,8 @@ def cmd_bench(cfg: ExperimentConfig, specs: Specs) -> int:
 CONVERGED = "✓"
 FAILED = "✗"
 SKIPPED = "–"
+# a ✓ cell's final accuracy is at least its clean reference minus this
+CONVERGENCE_TOLERANCE = 0.03
 
 
 def clamped_f_count(kind: str, n: int, f_true: int) -> int | None:
@@ -311,20 +312,21 @@ def clamped_f_count(kind: str, n: int, f_true: int) -> int | None:
     return min(f_true, bound) if bound >= 0 else None
 
 
-def convergence_verdict(m: RunMetrics, ref: float) -> tuple[str, float]:
-    """Binary verdict against the clean reference accuracy: ✓ if the final
-    validation accuracy is finite and within 3 points of the reference, ✗
-    otherwise. The filter's reference is its oracle twin (ground-truth
-    filtering, same seed; the run itself when it made no wrong decision);
-    an aggregator's is the same aggregator and f_count with zero Byzantine
-    workers."""
+def convergence_verdict(m: RunMetrics, ref: float) -> tuple[str, float, float | None]:
+    """Verdict, final accuracy and margin of a cell against its clean
+    reference accuracy: ✓ if the final validation accuracy is finite and at
+    least ref - CONVERGENCE_TOLERANCE, ✗ otherwise. The margin is how far the
+    accuracy is from flipping the verdict: acc - (ref - tolerance) for ✓, its
+    negation for ✗, and None for a ✗ from divergence or a non-finite value.
+    The filter's reference is its oracle twin (ground-truth filtering, same
+    seed; the run itself when it made no wrong decision); an aggregator's is
+    the same aggregator and f_count with zero Byzantine workers."""
     acc = m.final_accuracy
     loss = m.val_losses[-1] if m.val_losses else float("nan")
-    if m.diverged or not np.isfinite(loss) or not np.isfinite(acc):
-        return FAILED, acc
-    if acc >= ref - 0.03:
-        return CONVERGED, acc
-    return FAILED, acc
+    if m.diverged or not np.isfinite([loss, acc, ref]).all():
+        return FAILED, acc, None
+    margin = acc - (ref - CONVERGENCE_TOLERANCE)
+    return (CONVERGED, acc, margin) if margin >= 0 else (FAILED, acc, -margin)
 
 
 # The loaded inputs of compare's cell jobs: (train, val, arch, filter), set
@@ -392,24 +394,24 @@ def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
         refs = {spec: pool.submit(_cell_job, cell) for spec, cell in clean.items()}
         results = iter([pool.submit(_cell_job, cell) for cell in cells])
         path = _outpath(cfg, "convergence_matrix.csv")
-        header = ["method", "attack", "fraction", "f_count", "final_accuracy", "clean_reference", "verdict"]
+        header = "method,attack,fraction,f_count,final_accuracy,clean_reference,verdict,margin"
         with open(path, "w") as f:
-            f.write(",".join(header) + "\n")
+            f.write(header + "\n")
             f.flush()
             for method, attack_kind, fraction, cell in specs.grid:
                 if cell is None:
-                    row = (method, attack_kind, fraction, None, None, None, SKIPPED)
+                    row = (method, attack_kind, fraction, None, None, None, SKIPPED, None)
                 else:
                     m, ref = next(results).result()
                     f_count = None
                     if cell.aggregator is not None:
                         ref = refs[cell.aggregator].result()[0].final_accuracy
                         f_count = cell.aggregator.f_count
-                    verdict, acc = convergence_verdict(m, ref)
-                    row = (method, attack_kind, fraction, f_count, acc, ref, verdict)
+                    verdict, acc, margin = convergence_verdict(m, ref)
+                    row = (method, attack_kind, fraction, f_count, acc, ref, verdict, margin)
                 f.write(",".join(fmt(c) for c in row) + "\n")
                 f.flush()
-                print(f"compare {attack_kind} f={fraction:.0%} {method}: {row[-1]}")
+                print(f"compare {attack_kind} f={fraction:.0%} {method}: {row[6]}")
     finally:
         pool.shutdown(cancel_futures=True)
     return 0

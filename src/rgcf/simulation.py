@@ -64,6 +64,9 @@ class RunConfig:
             raise ValueError("server_lr must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2**64)")
+        # a RunConfig that exists can run: its aggregator accepts n_workers
+        if self.aggregator is not None:
+            self.aggregator.check_preconditions(self.n_workers)
 
     @property
     def byzantine_count(self) -> int:
@@ -262,9 +265,8 @@ def run_rgcf(
     is Byzantine (oracle filtering); the result is the Byzantine-free twin of
     the same run — identical worker picks, batches and honest gradients —
     used as the clean convergence reference at equal accepted-update counts.
+    A filter sized for another model fails at its first decision.
     """
-    if filt.d != arch.param_count:
-        raise ValueError(f"filter d {filt.d} != model d {arch.param_count}")
     return _run(cfg, train_data, val_data, arch, filt, ground_truth)
 
 
@@ -278,7 +280,6 @@ def run_aggregated(
     update applied per step."""
     if cfg.aggregator is None:
         raise ValueError("an aggregated run needs an AggregatorSpec")
-    cfg.aggregator.check_preconditions(cfg.n_workers)
     return _run(cfg, train_data, val_data, arch, None, False)
 
 

@@ -44,10 +44,13 @@ def read(path):
         return f.read()
 
 
-@pytest.fixture
-def trained(tmp_path):
-    out = str(tmp_path / "tf")
-    assert run_cli("train-filter", "--seed", "1", "--out", out, *FAST) == 0
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A FAST filter at seed 1, trained long enough to tell the attacks
+    apart: at fraction 0.5 it accepts every honest gradient of a FAST run
+    (FAST's own 40 steps reject them all)."""
+    out = str(tmp_path_factory.mktemp("tf"))
+    assert run_cli("train-filter", "--seed", "1", "--out", out, *FAST, "--set", "filter_steps=500") == 0
     return out
 
 
@@ -82,7 +85,7 @@ class TestTrainFilter:
         assert os.path.exists(os.path.join(trained, "filter.rgcf"))
         lines = open(os.path.join(trained, "filter_train.csv")).read().splitlines()
         assert lines[0] == "step,loss,running_accuracy"
-        assert len(lines) == 41
+        assert len(lines) == 501
 
     def test_manifest_rerun_is_byte_identical(self, trained, tmp_path):
         out2 = str(tmp_path / "tf2")
@@ -153,8 +156,9 @@ class TestRun:
         assert len(steps) == 31
         evals = open(os.path.join(out, "eval.csv")).read().splitlines()
         assert evals[0] == "step,val_accuracy,val_loss"
-        summary = open(os.path.join(out, "summary.csv")).read().splitlines()
-        assert summary[0].startswith("accepted_honest,")
+        header, row = open(os.path.join(out, "summary.csv")).read().splitlines()
+        assert header.startswith("accepted_honest,")
+        assert int(row.split(",")[0]) > 0  # the filter applies honest updates
         timing = dict(
             line.split("=") for line in open(os.path.join(out, "timing.txt")).read().splitlines()
         )
@@ -302,6 +306,33 @@ class TestBench:
         assert run_cli("bench", "--out", str(tmp_path / "b"), "--set", "bench_methods=fft") == 1
 
 
+class TestVerdict:
+    def outcome(self, acc, loss=0.5, diverged=False):
+        return simulation.RunMetrics(val_accuracies=[acc], val_losses=[loss], diverged=diverged)
+
+    def test_margin_is_the_distance_to_the_flip(self):
+        # the bar is ref - CONVERGENCE_TOLERANCE; a ✓ clears it by the
+        # margin, a ✗ falls short of it by the margin
+        assert cli.CONVERGENCE_TOLERANCE == 0.03
+        verdict, acc, margin = convergence_verdict(self.outcome(0.9), 0.9)
+        assert (verdict, acc) == ("✓", 0.9) and margin == pytest.approx(0.03)
+        verdict, _, margin = convergence_verdict(self.outcome(0.875), 0.9)
+        assert verdict == "✓" and margin == pytest.approx(0.005)
+        verdict, _, margin = convergence_verdict(self.outcome(0.213), 1.0)
+        assert verdict == "✗" and margin == pytest.approx(0.757)
+        # at the bar itself the cell is ✓ with margin 0
+        assert convergence_verdict(self.outcome(0.5), 0.5 + cli.CONVERGENCE_TOLERANCE)[0::2] == ("✓", 0.0)
+
+    @pytest.mark.parametrize(
+        "acc,loss,diverged,ref",
+        [(0.9, 0.5, True, 0.9), (float("nan"), 0.5, False, 0.9), (0.9, float("inf"), False, 0.9),
+         (0.9, 0.5, False, float("nan"))],
+    )
+    def test_a_non_accuracy_failure_has_no_margin(self, acc, loss, diverged, ref):
+        verdict, _, margin = convergence_verdict(self.outcome(acc, loss, diverged), ref)
+        assert (verdict, margin) == ("✗", None)
+
+
 class TestCompare:
     def test_small_grid(self, trained, tmp_path):
         out = str(tmp_path / "cmp")
@@ -314,7 +345,7 @@ class TestCompare:
         )
         assert code == 0
         lines = open(os.path.join(out, "convergence_matrix.csv")).read().splitlines()
-        assert lines[0] == "method,attack,fraction,f_count,final_accuracy,clean_reference,verdict"
+        assert lines[0] == "method,attack,fraction,f_count,final_accuracy,clean_reference,verdict,margin"
         assert len(lines) == 4
         by_method = {ln.split(",")[0]: ln.split(",") for ln in lines[1:]}
         assert by_method["bulyan"][6] == "–"  # n=10, f=5 violates n >= 4f+3
@@ -341,7 +372,7 @@ class TestCompare:
         assert len(rows) == 12
         for method in ("median", "trimmed_mean"):
             assert rows[(method, "0.9")][4] == "nan"
-            assert rows[(method, "0.9")][6] == "✗"
+            assert rows[(method, "0.9")][6:] == ["✗", ""]  # no margin for a divergence
 
     def test_unknown_attack(self, tmp_path):
         code = run_cli(
@@ -408,26 +439,26 @@ class TestCompare:
         cfg = build_config(None, overrides)
         train, val = cli.load_train(cfg), cli.load_val(cfg)
         arch, filt = cli.build_arch(cfg, train), load_filter(mlp_filter)
-        header = "method,attack,fraction,f_count,final_accuracy,clean_reference,verdict"
+        header = "method,attack,fraction,f_count,final_accuracy,clean_reference,verdict,margin"
         rows, lines, twins = [header], [], 0
         for method, attack, fraction, cell in resolve(cfg).grid:
             if cell is None:
-                row = (method, attack, fraction, None, None, None, cli.SKIPPED)
+                row = (method, attack, fraction, None, None, None, cli.SKIPPED, None)
             elif cell.aggregator is None:
                 m = run_rgcf(cell, train, val, arch, filt)
                 ref = m.final_accuracy
                 if m.rejected_honest or m.accepted_byz:
                     twins += 1
                     ref = run_rgcf(cell, train, val, arch, filt, ground_truth=True).final_accuracy
-                verdict, acc = convergence_verdict(m, ref)
-                row = (method, attack, fraction, None, acc, ref, verdict)
+                verdict, acc, margin = convergence_verdict(m, ref)
+                row = (method, attack, fraction, None, acc, ref, verdict, margin)
             else:
                 ref = run_aggregated(replace(cell, byzantine_fraction=0.0), train, val, arch).final_accuracy
-                verdict, acc = convergence_verdict(run_aggregated(cell, train, val, arch), ref)
-                row = (method, attack, fraction, cell.aggregator.f_count, acc, ref, verdict)
+                verdict, acc, margin = convergence_verdict(run_aggregated(cell, train, val, arch), ref)
+                row = (method, attack, fraction, cell.aggregator.f_count, acc, ref, verdict, margin)
             rows.append(",".join(fmt(c) for c in row))
-            lines.append(f"compare {attack} f={fraction:.0%} {method}: {row[-1]}")
-        assert ("bulyan", cli.SKIPPED) in {(r.split(",")[0], r.split(",")[-1]) for r in rows[1:]}
+            lines.append(f"compare {attack} f={fraction:.0%} {method}: {row[6]}")
+        assert ("bulyan", cli.SKIPPED) in {(r.split(",")[0], r.split(",")[6]) for r in rows[1:]}
         assert twins > 0
         assert read(os.path.join(overrides["out"], "convergence_matrix.csv")) == "".join(
             r + "\n" for r in rows
@@ -482,7 +513,7 @@ class TestCompare:
         )
         assert code == 0
         lines = open(os.path.join(out, "convergence_matrix.csv")).read().splitlines()
-        assert len(lines) == 9 and all(ln.endswith(",–") for ln in lines[1:])
+        assert len(lines) == 9 and all(ln.endswith(",–,") for ln in lines[1:])
         assert multiprocessing.active_children() == []
 
     def test_worker_failure_is_runtime_failure(self, trained, tmp_path, monkeypatch, capsys):
@@ -551,6 +582,12 @@ INVALID_CONFIGS = [
     # a manifest line cannot hold '#' or a line break
     ("train-filter", ["--set", "train_images=a#b"]),  # read only by the idx task
     ("compare", ["--set", "compare_attacks=inverse,\nall_ones"]),
+    ("run", ["--set", "task=foo"]),
+    ("run", ["--set", "arch=foo"]),
+    ("run", ["--set", "arch=mlp", "--set", "hidden=0"]),
+    ("train-filter", ["--set", "task=idx"]),  # no dataset files
+    ("run", ["--set", "task=idx", "--set", "train_images=/no/such/images"]),
+    ("run", ["--set", "arch=mlp"]),  # the filter was trained for the logistic model
 ]
 
 

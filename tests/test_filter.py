@@ -341,6 +341,26 @@ class TestSerialization:
         with pytest.raises(ValueError, match="normalize byte 0"):
             load_filter(str(path))
 
+    def test_other_format_version(self, tmp_path):
+        path = tmp_path / "f.rgcf"
+        save_filter(zero_filter(4), str(path))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 4, 2)  # the version follows the magic
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="unsupported format version 2"):
+            load_filter(str(path))
+
+    def test_stored_threshold_outside_the_unit_interval(self, tmp_path):
+        path = tmp_path / "f.rgcf"
+        save_filter(zero_filter(4), str(path))
+        blob = bytearray(path.read_bytes())
+        # magic, version, d, size count and four sizes: 32 bytes
+        assert struct.unpack_from("<d", blob, 32) == (0.5,)
+        struct.pack_into("<d", blob, 32, 1.5)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="threshold"):
+            load_filter(str(path))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rgcf"
         path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,15 @@ class TestRunConfig:
         for lr in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="server_lr"):
                 run_config(server_lr=lr)
+
+    def test_aggregator_must_accept_the_worker_count(self):
+        # a RunConfig that exists can run, so its aggregator's bound is
+        # checked when it is built, and again when replace builds another
+        cfg = run_config(n_workers=7, aggregator=AggregatorSpec("bulyan", 1))
+        with pytest.raises(ValueError, match=r"bulyan at n=6 accepts f_count <= 0, got 1"):
+            replace(cfg, n_workers=6)
+        with pytest.raises(ValueError, match=r"krum at n=4 accepts f_count <= 1, got 2"):
+            run_config(aggregator=AggregatorSpec("krum", 2))
 
 
 class TestWorkers:
