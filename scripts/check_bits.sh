@@ -9,12 +9,12 @@
 #   scripts/check_bits.sh OUT
 #
 # Probes: train-filter (logistic, MLP hidden=32, 784-input wide MLP at 50
-# steps, MLP over two episodes under the inverse attack, so Adam state
-# crosses an episode boundary and the attack depends on the server's
-# parameters); run in rgcf, krum, bulyan (n=11, f=2), median, trimmed_mean and
-# mean mode; MLP median and bulyan (n=11, f=2) runs under the inverse
-# attack; an all-Byzantine attack_scale=1e200 MLP mean run that diverges
-# at its first step; the 80-cell MLP compare grid at steps=25.
+# steps, MLP at 1000 steps under the inverse attack, whose gradients
+# depend on the server's parameters); run in rgcf, krum, bulyan (n=11,
+# f=2), median, trimmed_mean and mean mode; MLP median and bulyan (n=11,
+# f=2) runs under the inverse attack; an all-Byzantine attack_scale=1e200
+# MLP mean run that diverges at its first step; the 80-cell MLP compare
+# grid at steps=25.
 #
 # The probes run on one BLAS thread. Byte-reproducibility holds at a fixed
 # BLAS thread count, not across counts: with OpenBLAS, the wide probe's
@@ -47,7 +47,7 @@ rgcf train-filter --seed 0 --out "$OUT/logistic"
 rgcf train-filter --seed 0 --out "$OUT/mlp" "${MLP[@]}"
 rgcf train-filter --seed 0 --out "$OUT/wide" "${WIDE[@]}" --set filter_steps=50
 rgcf train-filter --seed 0 --out "$OUT/mlp-inverse" "${MLP[@]}" \
-    --set episodes=2 --set train_attack=inverse
+    --set filter_steps=1000 --set train_attack=inverse
 
 rgcf run --seed 0 --out "$OUT/run/rgcf" "${RUN[@]}" \
     --set "filter_file=$OUT/logistic/filter.rgcf"

@@ -97,7 +97,7 @@ def train_s_per_step(steps: int, train, arch) -> float:
     times = []
     for n in (0, steps):
         t0 = time.perf_counter()
-        train_filter(FilterTrainConfig(steps_per_episode=n), train, arch, SEED)
+        train_filter(FilterTrainConfig(steps=n), train, arch, SEED)
         times.append(time.perf_counter() - t0)
     return (times[1] - times[0]) / steps
 

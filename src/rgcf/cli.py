@@ -141,8 +141,7 @@ def resolve(cfg: ExperimentConfig) -> Specs:
         elif cfg.mode != RGCF_MODE:
             raise ConfigError(f"unknown mode {cfg.mode!r}")
         filter_train = FilterTrainConfig(
-            episodes=cfg.episodes,
-            steps_per_episode=cfg.filter_steps,
+            steps=cfg.filter_steps,
             positive_weight=cfg.positive_weight,
             filter_lr=cfg.filter_lr,
             server_lr=cfg.server_lr,

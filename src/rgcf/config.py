@@ -54,7 +54,6 @@ class ExperimentConfig:
     server_lr: float = 0.01
 
     # filter training
-    episodes: int = 1
     filter_steps: int = 500
     positive_weight: float = 10.0
     filter_lr: float = 0.002

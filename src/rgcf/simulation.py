@@ -172,8 +172,7 @@ def build_workers(cfg: RunConfig, train_data: Dataset) -> list[WorkerSpec]:
 
 @dataclass(frozen=True)
 class FilterTrainConfig:
-    episodes: int = 1
-    steps_per_episode: int = 500
+    steps: int = 500
     positive_weight: float = 10.0
     filter_lr: float = 0.002
     server_lr: float = 0.01
@@ -182,8 +181,8 @@ class FilterTrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if min(self.episodes, self.steps_per_episode) < 0:
-            raise ValueError("episodes/steps must be non-negative")
+        if self.steps < 0:
+            raise ValueError("steps must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if min(self.positive_weight, self.filter_lr, self.server_lr) <= 0:
@@ -210,36 +209,33 @@ def train_filter(
     with equal probability for each worker_step turn. The simulated server
     is updated with the ground-truth label (drop every Byzantine gradient),
     not the filter's prediction, so filter quality cannot disturb the
-    server trajectory it learns from."""
+    server trajectory it learns from. The simulated server starts where
+    _run starts the deployed model at the same seed."""
     filt = filter_init(server_arch.param_count, stream(seed, core.SID_FILTER_INIT), threshold=cfg.threshold)
     # the weights and the Adam moments are allocated once and updated in
     # place; the weights are frozen when training ends
     filt = replace(filt, params=np.array(filt.params))
     adam = adam_init(filt.params.shape[0], lr=cfg.filter_lr)
-    init_rng = stream(seed, core.SID_SERVER_INIT)
+    params = init_params(server_arch, stream(seed, core.SID_SERVER_INIT))
     pick_rng = stream(seed, core.SID_FILTER_PICK)
     streams = stream(seed, core.SID_FILTER_BATCH), stream(seed, core.SID_FILTER_ATTACK)
     workers = [WorkerSpec(np.arange(local_data.size), a, *streams) for a in (None, cfg.attack)]
 
     log = FilterTrainLog()
     correct = 0
-    step = 0
     # a weight driven past the float range is reported by adam_step's own
     # check, not by numpy's overflow warnings on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        for _episode in range(cfg.episodes):
-            params = init_params(server_arch, init_rng)
-            for _t in range(cfg.steps_per_episode):
-                byz = int(pick_rng.integers(0, 2))
-                grads, losses = worker_step([workers[byz]], local_data, params, server_arch, cfg.batch_size)
-                grad, server_loss = grads[0], float(losses[0])
-                params = apply_update(params, grad, cfg.server_lr, byz)
-                loss, pred = filter.filter_train_step(filt, adam, grad, server_loss, byz, cfg.positive_weight)
-                step += 1
-                correct += int((pred >= filt.threshold) == byz)
-                log.steps.append(step)
-                log.losses.append(loss)
-                log.running_accuracy.append(correct / step)
+        for step in range(1, cfg.steps + 1):
+            byz = int(pick_rng.integers(0, 2))
+            grads, losses = worker_step([workers[byz]], local_data, params, server_arch, cfg.batch_size)
+            grad, server_loss = grads[0], float(losses[0])
+            params = apply_update(params, grad, cfg.server_lr, byz)
+            loss, pred = filter.filter_train_step(filt, adam, grad, server_loss, byz, cfg.positive_weight)
+            correct += int((pred >= filt.threshold) == byz)
+            log.steps.append(step)
+            log.losses.append(loss)
+            log.running_accuracy.append(correct / step)
     return replace(filt, params=param_vector(filt.params)), log
 
 

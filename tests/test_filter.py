@@ -211,7 +211,7 @@ class TestTrainStep:
 class TestTrainFilter:
     def test_learns_on_blobs(self, blobs):
         arch = logistic(blobs.in_dim, blobs.classes)
-        cfg = FilterTrainConfig(steps_per_episode=300)
+        cfg = FilterTrainConfig(steps=300)
         filt, log = train_filter(cfg, blobs, arch, seed=5)
         assert len(log.steps) == 300
         assert log.running_accuracy[-1] > 0.8
@@ -219,7 +219,7 @@ class TestTrainFilter:
 
     def test_deterministic(self, blobs):
         arch = logistic(blobs.in_dim, blobs.classes)
-        cfg = FilterTrainConfig(steps_per_episode=50)
+        cfg = FilterTrainConfig(steps=50)
         a, la = train_filter(cfg, blobs, arch, seed=6)
         b, lb = train_filter(cfg, blobs, arch, seed=6)
         assert np.array_equal(a.params, b.params)
@@ -227,7 +227,7 @@ class TestTrainFilter:
 
     def test_zero_steps_returns_init(self, blobs):
         arch = logistic(blobs.in_dim, blobs.classes)
-        filt, log = train_filter(FilterTrainConfig(steps_per_episode=0), blobs, arch, seed=6)
+        filt, log = train_filter(FilterTrainConfig(steps=0), blobs, arch, seed=6)
         ref = filter_init(arch.param_count, rng(6, 10))
         assert np.array_equal(filt.params, ref.params)
         assert log.steps == []
@@ -247,7 +247,7 @@ class TestTrainFilter:
         monkeypatch.setattr(simulation, "worker_step", recording)
         for lr in (0.002, 0.05):
             seen.append([])
-            train_filter(FilterTrainConfig(steps_per_episode=80, filter_lr=lr), blobs, arch, seed=7)
+            train_filter(FilterTrainConfig(steps=80, filter_lr=lr), blobs, arch, seed=7)
         assert len(seen[0]) == 80
         assert seen[0] == seen[1]
 
@@ -259,7 +259,7 @@ class TestTrainFilter:
         data = synth_gaussian_blobs(4, 30, 4100, 8.0, rng(7, 42))
         arch = logistic(data.in_dim, data.classes)
         assert adam_parts(filter_init(arch.param_count, rng(0)).params.shape[0]) == 2
-        cfg = FilterTrainConfig(episodes=2, steps_per_episode=20, batch_size=16)
+        cfg = FilterTrainConfig(steps=40, batch_size=16)
         filt, log = train_filter(cfg, data, arch, seed=3)
         ref, ref_losses = reference_train_filter(cfg, data, arch, seed=3)
         assert filt.params.tobytes() == ref.params.tobytes()
@@ -270,7 +270,7 @@ class TestTrainFilter:
         # each Byzantine pick of stream SID_FILTER_PICK is one attack, the
         # configured one
         arch = logistic(blobs.in_dim, blobs.classes)
-        cfg = FilterTrainConfig(steps_per_episode=60, attack=AttackSpec("all_ones"))
+        cfg = FilterTrainConfig(steps=60, attack=AttackSpec("all_ones"))
         specs = []
 
         def recording(spec, *args):
@@ -290,34 +290,30 @@ def reference_train_filter(cfg, data, server_arch, seed):
     textbook whole-array Adam; returns the filter and the filter losses."""
     filt = filter_init(server_arch.param_count, stream(seed, core.SID_FILTER_INIT), threshold=cfg.threshold)
     m = v = np.zeros(filt.params.shape)
-    t = 0
-    init_rng = stream(seed, core.SID_SERVER_INIT)
+    params = init_params(server_arch, stream(seed, core.SID_SERVER_INIT))
     pick_rng = stream(seed, core.SID_FILTER_PICK)
     batch_rng = stream(seed, core.SID_FILTER_BATCH)
     attack_rng = stream(seed, core.SID_FILTER_ATTACK)
     losses = []
-    for _episode in range(cfg.episodes):
-        params = init_params(server_arch, init_rng)
-        for _t in range(cfg.steps_per_episode):
-            byz = int(pick_rng.integers(0, 2))
-            inputs, labels = sample_minibatch(data, np.arange(data.size), cfg.batch_size, batch_rng)
-            grad, server_loss = backward(server_arch, params, inputs, labels)
-            if byz:
-                grad = apply_attack(cfg.attack, grad, attack_rng)
-            grad = param_vector(grad)
-            params = apply_update(params, grad, cfg.server_lr, byz)
-            filter_grad, loss, _ = dense_filter_gradient(filt, grad, server_loss, byz, cfg.positive_weight)
-            t += 1
-            m, v, new = textbook_adam(m, v, t, filt.params, filter_grad, cfg.filter_lr)
-            filt = replace(filt, params=param_vector(new))
-            losses.append(loss)
+    for t in range(1, cfg.steps + 1):
+        byz = int(pick_rng.integers(0, 2))
+        inputs, labels = sample_minibatch(data, np.arange(data.size), cfg.batch_size, batch_rng)
+        grad, server_loss = backward(server_arch, params, inputs, labels)
+        if byz:
+            grad = apply_attack(cfg.attack, grad, attack_rng)
+        grad = param_vector(grad)
+        params = apply_update(params, grad, cfg.server_lr, byz)
+        filter_grad, loss, _ = dense_filter_gradient(filt, grad, server_loss, byz, cfg.positive_weight)
+        m, v, new = textbook_adam(m, v, t, filt.params, filter_grad, cfg.filter_lr)
+        filt = replace(filt, params=param_vector(new))
+        losses.append(loss)
     return filt, losses
 
 
 class TestSerialization:
     def test_round_trip(self, tmp_path, blobs):
         arch = logistic(blobs.in_dim, blobs.classes)
-        filt, _ = train_filter(FilterTrainConfig(steps_per_episode=30), blobs, arch, seed=9)
+        filt, _ = train_filter(FilterTrainConfig(steps=30), blobs, arch, seed=9)
         path = str(tmp_path / "f.rgcf")
         save_filter(filt, path)
         loaded = load_filter(path)
@@ -369,7 +365,7 @@ class TestSerialization:
 
     def test_truncated(self, tmp_path, blobs):
         arch = logistic(blobs.in_dim, blobs.classes)
-        filt, _ = train_filter(FilterTrainConfig(steps_per_episode=10), blobs, arch, seed=9)
+        filt, _ = train_filter(FilterTrainConfig(steps=10), blobs, arch, seed=9)
         path = tmp_path / "f.rgcf"
         save_filter(filt, str(path))
         path.write_bytes(path.read_bytes()[:-16])
@@ -432,7 +428,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FilterTrainConfig(filter_lr=-1.0)
     with pytest.raises(ValueError):
-        FilterTrainConfig(episodes=-1)
+        FilterTrainConfig(steps=-1)
     with pytest.raises(ValueError):
         FilterTrainConfig(batch_size=0)
     for threshold in (0.0, 1.0, 1.5, float("nan")):

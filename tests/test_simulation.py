@@ -7,7 +7,7 @@ from rgcf import core, filter, models, simulation
 from rgcf.aggregators import AggregatorSpec
 from rgcf.attacks import AttackSpec, apply_attack
 from rgcf.core import NonFiniteValueError, param_vector, stream
-from rgcf.data import Dataset, sample_minibatch, shard
+from rgcf.data import Dataset, sample_minibatch, shard, synth_gaussian_blobs
 from rgcf.filter import FilterNet, filter_init
 from rgcf.models import (
     Architecture,
@@ -18,6 +18,7 @@ from rgcf.models import (
     mlp,
 )
 from rgcf.simulation import (
+    FilterTrainConfig,
     RunConfig,
     WorkerSpec,
     bench_filtering,
@@ -25,6 +26,7 @@ from rgcf.simulation import (
     evaluate,
     run_aggregated,
     run_rgcf,
+    train_filter,
     worker_step,
 )
 from tests.conftest import rng
@@ -325,6 +327,32 @@ class TestRunRgcf:
         arch = logistic(blobs.in_dim, blobs.classes)
         with pytest.raises(ValueError):
             run_rgcf(run_config(), blobs, blobs_val, arch, accept_all_filter(7))
+
+    def test_mlp_filter_guards_only_its_training_start(self):
+        # On the CLI's default blobs data at seed 0, a filter trained at
+        # seed 0 saw the server start from the first draw of
+        # SID_SERVER_INIT at seed 0. A Byzantine-free run at seed 0
+        # starts there too; one at seed 1 starts elsewhere, on the same
+        # data. The MLP filter accepts the first run's honest gradients and
+        # rejects nearly all of the second's; the logistic one transfers.
+        train = synth_gaussian_blobs(5, 400, 20, 10.0, stream(0, core.SID_BLOBS_TRAIN))
+        val = synth_gaussian_blobs(5, 200, 20, 10.0, stream(0, core.SID_BLOBS_VAL))
+
+        def honest_rejections(arch, *run_seeds):
+            filt, _ = train_filter(FilterTrainConfig(), train, arch, seed=0)
+            counts = []
+            for run_seed in run_seeds:
+                cfg = RunConfig(10, 0.0, AttackSpec("inverse"), steps=300, seed=run_seed)
+                m = run_rgcf(cfg, train, val, arch, filt)
+                assert m.accepted_honest + m.rejected_honest == 300
+                counts.append(m.rejected_honest)
+            return counts
+
+        at_start, elsewhere = honest_rejections(mlp(20, (32,), 5), 0, 1)
+        assert at_start <= 3
+        assert elsewhere >= 270
+        (transferred,) = honest_rejections(logistic(20, 5), 1)
+        assert transferred <= 30
 
 
 class TestRunAggregated:
