@@ -3,7 +3,7 @@
 # lives in and prints a sorted sha256sum of every CSV and filter file it
 # wrote (manifest.txt and timing.txt hold paths and times, so they are
 # skipped). To compare two trees, run each tree's copy of this script into
-# its own fresh OUT and `diff` the two listings. Takes about 10 s on a
+# its own fresh OUT and `diff` the two listings. Takes about 11 s on a
 # 2-vCPU Xeon VM.
 #
 #   scripts/check_bits.sh OUT
@@ -11,7 +11,8 @@
 # Probes: train-filter (logistic, MLP hidden=32, 784-input wide MLP at 50
 # steps, MLP at 1000 steps under the inverse attack, whose gradients
 # depend on the server's parameters); run in rgcf, krum, bulyan (n=11,
-# f=2), median, trimmed_mean and mean mode; MLP median and bulyan (n=11,
+# f=2), median, trimmed_mean and mean mode; median and trimmed_mean at
+# n=40, a second size of the sorting network; MLP median and bulyan (n=11,
 # f=2) runs under the inverse attack; an all-Byzantine attack_scale=1e200
 # MLP mean run that diverges at its first step; the 80-cell MLP compare
 # grid at steps=25.
@@ -54,6 +55,10 @@ rgcf run --seed 0 --out "$OUT/run/rgcf" "${RUN[@]}" \
 for agg in krum median trimmed_mean mean; do
     rgcf run --seed 0 --out "$OUT/run/$agg" "${RUN[@]}" \
         --set mode=aggregator --set "aggregator=$agg"
+done
+for agg in median trimmed_mean; do
+    rgcf run --seed 0 --out "$OUT/run/$agg-n40" "${RUN[@]}" \
+        --set mode=aggregator --set "aggregator=$agg" --set n_workers=40
 done
 rgcf run --seed 0 --out "$OUT/run/bulyan" "${RUN[@]}" \
     --set mode=aggregator --set aggregator=bulyan \

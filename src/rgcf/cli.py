@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import core, models
+from . import core, kernels, models
 from .aggregators import BULYAN, AggregatorSpec, max_f_count
 from .attacks import INVERSE, AttackSpec
 from .config import ConfigError, ExperimentConfig, build_config, write_manifest
@@ -248,10 +248,20 @@ def _load_filter(cfg: ExperimentConfig, arch: Architecture) -> FilterNet:
     return filt
 
 
+def _load_kernels(cells: list[RunConfig]) -> None:
+    """Build or load the compiled kernels now if a cell's aggregator sorts
+    columns with them: without a compiler, the command then fails before
+    it writes any output, and compare's forked pool workers inherit the
+    loaded library."""
+    if any(cell.aggregator is not None and cell.aggregator.compiled for cell in cells):
+        kernels.library()
+
+
 def cmd_run(cfg: ExperimentConfig, specs: Specs) -> int:
     train_data, val_data = load_train(cfg), load_val(cfg)
     arch = build_arch(cfg, train_data)
     filt = _load_filter(cfg, arch) if cfg.mode == RGCF_MODE else None
+    _load_kernels([specs.run])
     os.makedirs(cfg.out, exist_ok=True)
     write_manifest(cfg, _outpath(cfg, "manifest.txt"))
     if filt is not None:
@@ -367,6 +377,8 @@ def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
     train_data, val_data = load_train(cfg), load_val(cfg)
     arch = build_arch(cfg, train_data)
     filt = _load_filter(cfg, arch) if "rgcf" in cfg.compare_methods else None
+    cells = [cell for *_, cell in specs.grid if cell is not None]
+    _load_kernels(cells)
     os.makedirs(cfg.out, exist_ok=True)
     write_manifest(cfg, _outpath(cfg, "manifest.txt"))
 
@@ -377,7 +389,6 @@ def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
     # grid order. Rows are written in grid order as their results arrive.
     # With the fork context the executor forks all its workers at the first
     # submit, before it starts a thread of its own.
-    cells = [cell for *_, cell in specs.grid if cell is not None]
     clean = {}  # aggregator spec -> its first cell's clean twin, the reference
     for cell in cells:
         if cell.aggregator is not None and cell.aggregator not in clean:

@@ -10,22 +10,15 @@ shape (fan_in, fan_out) in row-major order, then its bias vector.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .core import NonFiniteValueError, param_vector
 
-# The fused Adam kernel's source, and the command that builds it into a
-# shared library on the first `adam_step` call (never at import). No
-# contraction or fast-math: a fused multiply-add or a reciprocal changes
-# the bits.
-ADAM_SOURCE = Path(__file__).with_name("_adam.c")
-ADAM_CC = ("cc", "-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 # A large Adam step is split into parts of at least this many coordinates
 # (about 1.8 ms of the kernel's divides and square roots on a 2-vCPU Xeon),
 # at most one per CPU the process may use.
@@ -236,63 +229,6 @@ class FactoredGradient(NamedTuple):
     rest: np.ndarray
 
 
-def _build(command: tuple[str, ...], lib: Path) -> Path:
-    import subprocess
-    import threading
-
-    # one name per thread: two threads of a process may build at once
-    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    try:
-        subprocess.run([*command, "-o", str(tmp), str(ADAM_SOURCE), "-lm"], check=True, capture_output=True)
-        os.replace(tmp, lib)
-    except (OSError, subprocess.CalledProcessError) as e:
-        tmp.unlink(missing_ok=True)
-        stderr = getattr(e, "stderr", None)
-        reason = (stderr.decode(errors="replace").strip() if stderr else "") or str(e)
-        raise RuntimeError(f"cannot build the Adam kernel with {command[0]!r}: {reason.splitlines()[0]}") from e
-    return lib
-
-
-def _load(lib: Path):
-    import ctypes
-
-    fn = ctypes.CDLL(str(lib)).rgcf_adam_step
-    fn.restype = ctypes.c_int64
-    ptr, size = ctypes.c_void_p, ctypes.c_int64
-    fn.argtypes = [ptr, ptr, ptr, ptr, size, ptr, size, ptr, size] + [ctypes.c_double] * 6
-    return fn
-
-
-@functools.cache
-def _adam_kernel(command: tuple[str, ...]):
-    """The kernel built from ADAM_SOURCE by `command`, loaded through ctypes.
-
-    The library is cached in the package's __pycache__ under a name keyed
-    by the sha256 of the source and the command, written under a temporary
-    name and renamed into place, so concurrent builds never see a partial
-    file. Where that directory is not writable, it is built in a private
-    temporary directory, removed once the library is loaded. A failed
-    build is a RuntimeError."""
-    import hashlib
-    import tempfile
-
-    key = hashlib.sha256(ADAM_SOURCE.read_bytes() + "\0".join(command).encode()).hexdigest()
-    cache = ADAM_SOURCE.parent / "__pycache__"
-    lib = cache / f"_adam.{key[:16]}.so"
-    if not lib.exists():
-        try:
-            cache.mkdir(exist_ok=True)
-            writable = os.access(cache, os.W_OK)
-        except OSError:
-            writable = False
-        if not writable:
-            with tempfile.TemporaryDirectory() as private:
-                # a loaded library stays mapped once its file is removed
-                return _load(_build(command, Path(private) / lib.name))
-        _build(command, lib)
-    return _load(lib)
-
-
 def adam_parts(size: int) -> int:
     """How many parts `adam_step` splits a step of `size` coordinates
     into: one per CPU the process may use, each of at least ADAM_PART
@@ -303,7 +239,7 @@ def adam_parts(size: int) -> int:
 def adam_step(state: AdamState, params: np.ndarray, grad: FactoredGradient) -> None:
     """One Adam update with bias correction, in place on params, m and v.
 
-    One pass of a compiled kernel (_adam.c) runs the textbook operation
+    One pass of a compiled kernel (_kernels.c) runs the textbook operation
     order on each coordinate, so every bit equals the whole-array
     expressions, for g the flat gradient and beta1, beta2, eps the
     ADAM_ constants,
@@ -338,7 +274,7 @@ def adam_step(state: AdamState, params: np.ndarray, grad: FactoredGradient) -> N
     for name, a in (("params", params), ("m", state.m), ("v", state.v)):
         if a.dtype != np.float64 or not a.flags.c_contiguous or not a.flags.writeable:
             raise ValueError(f"adam_step: {name} must be a writable, C-contiguous float64 array")
-    kernel = _adam_kernel(ADAM_CC)
+    kernel = kernels.library().rgcf_adam_step
     state.t += 1
     c1, c2 = 1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t
     parts = adam_parts(params.shape[0]) if head else 1

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rgcf.aggregators import (
+    SORT_BLOCK,
     AggregatorSpec,
     _coord_median,
     _krum_scores,
@@ -228,6 +229,71 @@ def test_coord_median_equals_np_median():
             assert (np.signbit(got[differ]) != np.signbit(want[differ])).all()
 
 
+def assert_same_bits(got, want):
+    """The same bits, but that a zero may have the other sign and a NaN
+    another payload."""
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    differ = ~np.isnan(want) & (got.view(np.uint64) != want.view(np.uint64))
+    assert (got[differ] == 0).all() and (want[differ] == 0).all()
+
+
+def wide_cases():
+    """n in {40, 100, 400} at a d that is no multiple of the sort's block,
+    with the ties, infinities, NaNs and zeros of median_cases."""
+    r = rng(106)
+    d = 2 * SORT_BLOCK + 37
+    for n in (40, 100, 400):
+        g = np.round(2 * r.standard_normal((n, d))) / 2
+        u = r.random((n, d))
+        g[u < 0.02] = np.inf
+        g[(u >= 0.02) & (u < 0.04)] = -np.inf
+        g[(u >= 0.04) & (u < 0.05)] = np.nan
+        g[(u >= 0.05) & (u < 0.15)] = -0.0
+        g[:, :3] = r.standard_normal(3)  # columns without a NaN
+        yield g
+
+
+def test_trimmed_mean_equals_np_sort_trim():
+    # the sorting network's trimmed mean is the sorted rows f..n-f-1 added
+    # in order and divided by n-2f, as numpy's sort-and-mean, at every f
+    # for n up to 13 and at three f for the wide n
+    with np.errstate(invalid="ignore"):
+        for g in [*median_cases(), *wide_cases()]:
+            n = g.shape[0]
+            for f in range(1, (n + 1) // 2) if n < 40 else (1, n // 4, (n - 1) // 2):
+                assert_same_bits(agg_trimmed_mean(g, f), np.sort(g, axis=0)[f : n - f].mean(axis=0))
+
+
+def test_wide_median_equals_np_median():
+    with np.errstate(invalid="ignore"):
+        for g in wide_cases():
+            assert_same_bits(agg_coord_median(g), np.median(g, axis=0))
+
+
+@pytest.mark.parametrize("kind", ["median", "trimmed_mean"])
+def test_sorted_columns_read_every_row_layout_alike(kind):
+    # a list of rows, a C array, a Fortran array, a strided view and float32
+    # rows (converted to float64 first) give one output, bit for bit
+    r = rng(62)
+    g = r.standard_normal((11, SORT_BLOCK + 5)).astype(np.float32).astype(np.float64)
+    wide = np.zeros((11, 2 * g.shape[1]))
+    wide[:, ::2] = g
+    spec = AggregatorSpec(kind, 0 if kind == "median" else 3)
+    want = aggregate(spec, g).tobytes()
+    layouts = [list(g.copy()), np.asfortranarray(g), wide[:, ::2], list(wide[:, ::2]), list(g.astype(np.float32))]
+    for grads in layouts:
+        assert aggregate(spec, grads).tobytes() == want
+
+
+def test_bulyan_closeness_keys_ignore_the_median_zero_sign():
+    # a median of either zero sign gives |sel - med| the same bits, so the
+    # sign the network leaves on a zero median never reaches Bulyan
+    r = rng(63)
+    sel = r.choice([0.0, -0.0, 1.5, -1.5, np.inf, -np.inf], size=(8, 60))
+    assert np.abs(sel - 0.0).tobytes() == np.abs(sel - -0.0).tobytes()
+
+
 class TestHandCases:
     def test_krum_tie_breaks_to_lowest_index(self):
         g = [np.array([1.0, 1.0])] * 4
@@ -290,14 +356,16 @@ class TestPreconditions:
             AggregatorSpec("krum", -1)
 
 
+@pytest.mark.parametrize("kind", ["mean", "krum", "median", "trimmed_mean", "bulyan"])
 class TestInputValidation:
-    def test_empty(self):
+    def test_empty(self, kind):
         with pytest.raises(ValueError, match="no gradients to aggregate"):
-            agg_mean([])
+            aggregate(AggregatorSpec(kind), [])
 
-    def test_ragged(self):
+    def test_ragged(self, kind):
+        grads = [np.zeros(2)] * 6 + [np.zeros(3)]
         with pytest.raises(ValueError, match="length mismatch: expected 2, got 3"):
-            agg_mean([np.zeros(2), np.zeros(3)])
+            aggregate(AggregatorSpec(kind, 1), grads)
 
 
 def test_aggregate_dispatch_matches_direct():

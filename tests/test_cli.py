@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rgcf import cli, models, simulation
+from rgcf import cli, kernels, models, simulation
 from rgcf.aggregators import AGGREGATOR_KINDS, AggregatorSpec, max_f_count
 from rgcf.cli import clamped_f_count, convergence_verdict, fmt, main, resolve
 from rgcf.config import build_config
@@ -113,22 +113,55 @@ class TestTrainFilter:
         assert capsys.readouterr().err == "runtime failure: non-finite value at coordinate 0\n"
         assert not os.path.exists(os.path.join(out, "filter.rgcf"))
 
-    def test_missing_compiler_fails_training_only(self, trained, tmp_path, monkeypatch, capsys):
-        # the Adam kernel is built on the first training step, so without a
-        # compiler train-filter is a one-line runtime failure before any
-        # training output, while run and compare never load the kernel
-        monkeypatch.setattr(models, "ADAM_CC", ("no-such-compiler", *models.ADAM_CC[1:]))
+    def test_missing_compiler_fails_the_compiled_rules_only(self, trained, tmp_path, monkeypatch, capsys):
+        # the compiled kernels are built on first use, never at import: the
+        # Adam step in train-filter, and the column sort of median, trimmed
+        # mean at f_count > 0 and Bulyan, which run and compare load before
+        # they write any output. Without a compiler each of those is a
+        # one-line runtime failure; rgcf, Krum, mean and trimmed mean at
+        # f_count=0 never load the kernels
+        monkeypatch.setattr(kernels, "CC", ("no-such-compiler", *kernels.CC[1:]))
+        failure = "runtime failure: cannot build the compiled kernels with 'no-such-compiler'"
+        filter_file = ["--set", f"filter_file={trained}/filter.rgcf"]
+        compare = ["--set", "compare_attacks=inverse", "--set", "compare_fractions=0.5"]
+
+        def agg(kind):
+            return ["--set", "mode=aggregator", "--set", f"aggregator={kind}"]
+
         out = str(tmp_path / "nocc")
         assert run_cli("train-filter", "--out", out, *FAST) == 2
         err = capsys.readouterr().err
-        assert err.startswith("runtime failure: cannot build the Adam kernel with 'no-such-compiler'")
-        assert err.count("\n") == 1
+        assert err.startswith(failure) and err.count("\n") == 1
         assert not os.path.exists(os.path.join(out, "filter.rgcf"))
         assert not os.path.exists(os.path.join(out, "filter_train.csv"))
-        filter_file = ["--set", f"filter_file={trained}/filter.rgcf"]
-        assert run_cli("run", "--out", str(tmp_path / "r"), *FAST, *filter_file) == 0
-        compare = ["--set", "compare_attacks=inverse", "--set", "compare_fractions=0.5"]
-        assert run_cli("compare", "--out", str(tmp_path / "c"), *FAST, *filter_file, *compare) == 0
+        compiled = [
+            ("run", agg("median")),
+            ("run", [*agg("trimmed_mean"), "--set", "byzantine_fraction=0.2"]),
+            ("run", [*agg("bulyan"), "--set", "n_workers=7", "--set", "f_count=1"]),
+            ("compare", [*filter_file, *compare, "--set", "compare_methods=rgcf,krum,median"]),
+        ]
+        for i, (command, args) in enumerate(compiled):
+            out = tmp_path / f"compiled{i}"
+            assert run_cli(command, "--out", str(out), *FAST, *args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(failure) and err.count("\n") == 1
+            assert not out.exists()  # so no convergence_matrix.csv either
+        plain = [
+            ("run", filter_file),
+            ("run", [*agg("krum"), "--set", "byzantine_fraction=0.2"]),
+            ("run", agg("mean")),
+            ("run", agg("trimmed_mean")),
+            ("compare", [*filter_file, *compare, "--set", "compare_methods=rgcf,krum"]),
+        ]
+        for i, (command, args) in enumerate(plain):
+            assert run_cli(command, "--out", str(tmp_path / f"plain{i}"), *FAST, *args) == 0
+
+    def test_import_loads_no_library(self):
+        # the kernels are built and loaded on first use, so importing the
+        # program runs no compiler and opens no shared library of its own
+        code = "import rgcf.cli, rgcf.kernels as k; assert k._library.cache_info().currsize == 0"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_overflowing_training_attack_is_runtime_failure(self, tmp_path, capsys):
         # random_gaussian noise at scale 1e308 overflows at the first draw

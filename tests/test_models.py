@@ -3,13 +3,14 @@ import re
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgcf import models
+from rgcf import kernels, models
 from rgcf.core import NonFiniteValueError, param_vector
 from rgcf.models import (
     ADAM_PART,
@@ -45,18 +46,18 @@ def pin_cpus(monkeypatch, count: int) -> None:
 def wrap_kernel(monkeypatch, before) -> None:
     """Make every Adam kernel call run before(args) first, in the calling
     thread."""
-    real = models._adam_kernel
+    real = kernels.library
 
-    def wrapped(command):
-        kernel = real(command)
+    def wrapped():
+        lib = real()
 
         def call(*args):
             before(args)
-            return kernel(*args)
+            return lib.rgcf_adam_step(*args)
 
-        return call
+        return SimpleNamespace(rgcf_adam_step=call)
 
-    monkeypatch.setattr(models, "_adam_kernel", wrapped)
+    monkeypatch.setattr(kernels, "library", wrapped)
 
 
 def kernel_threads(monkeypatch) -> list[int]:
@@ -568,10 +569,10 @@ class TestAdam:
         # a command of its own misses every cached build; the cache gains
         # no file, and the private directory is gone once the library is
         # loaded
-        monkeypatch.setattr(models, "ADAM_CC", (*models.ADAM_CC, "-O2"))
-        monkeypatch.setattr(models.os, "access", lambda path, mode: False)
+        monkeypatch.setattr(kernels, "CC", (*kernels.CC, "-O2"))
+        monkeypatch.setattr(kernels.os, "access", lambda path, mode: False)
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        cache = models.ADAM_SOURCE.parent / "__pycache__"
+        cache = kernels.SOURCE.parent / "__pycache__"
         cached = set(cache.iterdir())
         r = rng(9)
         params, grad = r.standard_normal(40), r.standard_normal(40)
@@ -585,10 +586,10 @@ class TestAdam:
         # both threads miss every cached build and compile the same library
         # into one directory at once; each builds under a name of its own,
         # so both load a whole library, and both steps equal textbook Adam
-        source = tmp_path / "_adam.c"
-        source.write_bytes(models.ADAM_SOURCE.read_bytes())
-        monkeypatch.setattr(models, "ADAM_SOURCE", source)
-        monkeypatch.setattr(models, "ADAM_CC", (*models.ADAM_CC, "-DRGCF_TWO_THREAD_BUILD"))
+        source = tmp_path / "_kernels.c"
+        source.write_bytes(kernels.SOURCE.read_bytes())
+        monkeypatch.setattr(kernels, "SOURCE", source)
+        monkeypatch.setattr(kernels, "CC", (*kernels.CC, "-DRGCF_TWO_THREAD_BUILD"))
         r = rng(12)
         params, grad = r.standard_normal(40), r.standard_normal(40)
         _, _, ref = textbook_adam(np.zeros(40), np.zeros(40), 1, params, grad, 0.001)
