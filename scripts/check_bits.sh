@@ -15,7 +15,9 @@
 # n=40, a second size of the sorting network; MLP median and bulyan (n=11,
 # f=2) runs under the inverse attack; an all-Byzantine attack_scale=1e200
 # MLP mean run that diverges at its first step; the 80-cell MLP compare
-# grid at steps=25.
+# grid at steps=25; its 16 rgcf cells at attack_scale=0.003, where the
+# filter accepts gradient_shift gradients, so the cells' oracle twins part
+# from them.
 #
 # The probes run on one BLAS thread. Byte-reproducibility holds at a fixed
 # BLAS thread count, not across counts: with OpenBLAS, the wide probe's
@@ -78,6 +80,9 @@ rgcf run --seed 0 --out "$OUT/run/diverge" "${MLP[@]}" \
 rgcf compare --seed 0 --out "$OUT/compare" "${MLP[@]}" \
     --set steps=25 --set n_workers=10 \
     --set "filter_file=$OUT/mlp/filter.rgcf"
+rgcf compare --seed 0 --out "$OUT/compare-twins" "${MLP[@]}" \
+    --set steps=25 --set n_workers=10 --set attack_scale=0.003 \
+    --set compare_methods=rgcf --set "filter_file=$OUT/mlp/filter.rgcf"
 
 cd "$OUT"
 find . -type f \( -name '*.csv' -o -name '*.rgcf' \) | LC_ALL=C sort | xargs sha256sum

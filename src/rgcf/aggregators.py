@@ -103,7 +103,17 @@ def _sorted_columns(grads: Gradients, trim: int) -> np.ndarray:
 
 
 def agg_mean(grads: Gradients) -> np.ndarray:
-    return _stack(grads).mean(axis=0)
+    """The mean of the rows, added in row order onto zeros, so a list of
+    rows is never stacked. For d >= 2 it has the bits of
+    np.stack(grads).mean(axis=0), the sign of a zero included; at d=1 numpy
+    sums the one contiguous column pairwise, so the last bits may differ
+    there (no model has d=1)."""
+    n = _row_count(grads)
+    out = np.zeros(grads[0].shape[0])
+    for g in grads:
+        out += g
+    out /= n
+    return out
 
 
 def _squared_distances(g: np.ndarray) -> np.ndarray:
@@ -141,19 +151,14 @@ def agg_krum(grads: Gradients, f_count: int) -> tuple[int, np.ndarray]:
     return idx, grads[idx]
 
 
-def _coord_median(g: Gradients) -> np.ndarray:
-    """Median of each column of g from one sort down the columns: the middle
-    row for odd n, the mean of the two middle rows for even n, and NaN in
-    any column holding a NaN (the sort puts NaN last, as np.sort does). It
-    equals np.median(g, axis=0) in value; only the sign of a zero median
+def agg_coord_median(grads: Gradients) -> np.ndarray:
+    """Median of each column from one sort down the columns: the middle row
+    for odd n, the mean of the two middle rows for even n, and NaN in any
+    column holding a NaN (the sort puts NaN last, as np.sort does). It
+    equals np.median(grads, axis=0) in value; only the sign of a zero median
     may differ, as a sorting network may order zeros of opposite sign
     otherwise than np.sort."""
-    return _sorted_columns(g, -1)
-
-
-def agg_coord_median(grads: Gradients) -> np.ndarray:
-    """Per-coordinate median; even n averages the two middle order statistics."""
-    return _coord_median(grads)
+    return _sorted_columns(grads, -1)
 
 
 def agg_trimmed_mean(grads: Gradients, f_count: int) -> np.ndarray:
@@ -183,7 +188,7 @@ def agg_bulyan(grads: Gradients, f_count: int) -> np.ndarray:
         selected.append(pool.pop(best))
     sel = g[selected]
     beta = theta - 2 * f_count
-    med = _coord_median(sel)
+    med = agg_coord_median(sel)
     # Stable argsort keeps selection order among equidistant values.
     order = np.argsort(np.abs(sel - med), axis=0, kind="stable")[:beta]
     return np.take_along_axis(sel, order, axis=0).mean(axis=0)

@@ -327,9 +327,7 @@ def convergence_verdict(m: RunMetrics, ref: float) -> tuple[str, float, float | 
     least ref - CONVERGENCE_TOLERANCE, ✗ otherwise. The margin is how far the
     accuracy is from flipping the verdict: acc - (ref - tolerance) for ✓, its
     negation for ✗, and None for a ✗ from divergence or a non-finite value.
-    The filter's reference is its oracle twin (ground-truth filtering, same
-    seed; the run itself when it made no wrong decision); an aggregator's is
-    the same aggregator and f_count with zero Byzantine workers."""
+    A compare cell's reference is the run of `reference(cell)`."""
     acc = m.final_accuracy
     loss = m.val_losses[-1] if m.val_losses else float("nan")
     if m.diverged or not np.isfinite([loss, acc, ref]).all():
@@ -348,24 +346,26 @@ def _init_cell_worker(*inputs) -> None:
     _cell_inputs = inputs
 
 
-def _cell_job(cell: RunConfig) -> tuple[RunMetrics, float | None]:
-    """A cell's run, cut to what its verdict reads, and for a filtered run
-    its reference accuracy."""
+def reference(cell: RunConfig) -> tuple[RunConfig, bool]:
+    """The run a compare cell is scored against, as (config, ground_truth):
+    for an aggregator cell the same aggregator and f_count with no Byzantine
+    worker, for a filtered cell its oracle twin. Neither lets an attack reach
+    the model, so both take one fixed attack: the filtered cells at one
+    fraction share one twin, and the aggregator cells of one spec one run."""
+    attack = AttackSpec(INVERSE, 1.0)
+    if cell.aggregator is not None:
+        return replace(cell, byzantine_fraction=0.0, attack=attack), False
+    return replace(cell, attack=attack), True
+
+
+def _cell_job(cell: RunConfig, ground_truth: bool = False) -> RunMetrics:
+    """One run of a compare job, cut to what a verdict reads."""
     train_data, val_data, arch, filt = _cell_inputs
     if cell.aggregator is not None:
-        m, ref = run_aggregated(cell, train_data, val_data, arch), None
+        m = run_aggregated(cell, train_data, val_data, arch)
     else:
-        m = run_rgcf(cell, train_data, val_data, arch, filt)
-        # the twin shares the run's picks, batches, attack noise and
-        # initial weights, so it parts from the run only at a wrong
-        # decision; without one it is the run, bit for bit
-        ref = m.final_accuracy
-        if m.rejected_honest or m.accepted_byz:
-            ref = run_rgcf(cell, train_data, val_data, arch, filt, ground_truth=True).final_accuracy
-    outcome = RunMetrics(
-        val_accuracies=m.val_accuracies[-1:], val_losses=m.val_losses[-1:], diverged=m.diverged
-    )
-    return outcome, ref
+        m = run_rgcf(cell, train_data, val_data, arch, filt, ground_truth=ground_truth)
+    return RunMetrics(val_accuracies=m.val_accuracies[-1:], val_losses=m.val_losses[-1:], diverged=m.diverged)
 
 
 def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
@@ -382,26 +382,21 @@ def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     write_manifest(cfg, _outpath(cfg, "manifest.txt"))
 
-    # The cells are independent experiments, so they run as jobs on a pool
-    # of forked workers that inherit the loaded inputs, unpickled: first one
-    # clean reference per distinct aggregator spec (the cell's aggregator
-    # and f_count with zero Byzantine workers), then every runnable cell in
+    # The cells and their references are independent runs, so they run as
+    # jobs on a pool of forked workers that inherit the loaded inputs,
+    # unpickled: first each distinct reference, then every runnable cell in
     # grid order. Rows are written in grid order as their results arrive.
     # With the fork context the executor forks all its workers at the first
     # submit, before it starts a thread of its own.
-    clean = {}  # aggregator spec -> its first cell's clean twin, the reference
-    for cell in cells:
-        if cell.aggregator is not None and cell.aggregator not in clean:
-            clean[cell.aggregator] = replace(cell, byzantine_fraction=0.0, attack=AttackSpec(INVERSE, 1.0))
-    jobs = len(clean) + len(cells)
+    keys = dict.fromkeys(reference(cell) for cell in cells)
     pool = concurrent.futures.ProcessPoolExecutor(
-        max(1, min(len(os.sched_getaffinity(0)), jobs)),
+        max(1, min(len(os.sched_getaffinity(0)), len(keys) + len(cells))),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_cell_worker,
         initargs=(train_data, val_data, arch, filt),
     )
     try:
-        refs = {spec: pool.submit(_cell_job, cell) for spec, cell in clean.items()}
+        refs = {key: pool.submit(_cell_job, *key) for key in keys}
         results = iter([pool.submit(_cell_job, cell) for cell in cells])
         path = _outpath(cfg, "convergence_matrix.csv")
         header = "method,attack,fraction,f_count,final_accuracy,clean_reference,verdict,margin"
@@ -412,11 +407,8 @@ def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
                 if cell is None:
                     row = (method, attack_kind, fraction, None, None, None, SKIPPED, None)
                 else:
-                    m, ref = next(results).result()
-                    f_count = None
-                    if cell.aggregator is not None:
-                        ref = refs[cell.aggregator].result()[0].final_accuracy
-                        f_count = cell.aggregator.f_count
+                    m, ref = next(results).result(), refs[reference(cell)].result().final_accuracy
+                    f_count = None if cell.aggregator is None else cell.aggregator.f_count
                     verdict, acc, margin = convergence_verdict(m, ref)
                     row = (method, attack_kind, fraction, f_count, acc, ref, verdict, margin)
                 f.write(",".join(fmt(c) for c in row) + "\n")

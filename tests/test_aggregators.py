@@ -10,7 +10,6 @@ import pytest
 from rgcf.aggregators import (
     SORT_BLOCK,
     AggregatorSpec,
-    _coord_median,
     _krum_scores,
     _squared_distances,
     agg_bulyan,
@@ -220,7 +219,7 @@ def test_coord_median_equals_np_median():
     # positions; where the bits differ, both are zeros of opposite sign
     with np.errstate(invalid="ignore"):
         for g in median_cases():
-            got, want = _coord_median(g), np.median(g, axis=0)
+            got, want = agg_coord_median(g), np.median(g, axis=0)
             assert np.array_equal(np.isnan(got), np.isnan(want))
             num = ~np.isnan(want)
             assert (got[num] == want[num]).all()
@@ -269,6 +268,18 @@ def test_wide_median_equals_np_median():
     with np.errstate(invalid="ignore"):
         for g in wide_cases():
             assert_same_bits(agg_coord_median(g), np.median(g, axis=0))
+
+
+def test_mean_equals_np_stack_mean():
+    # the mean added row by row onto zeros has the bits of numpy's axis-0
+    # mean of the stacked rows, zero signs included, for a list or an
+    # array, at every d >= 2 (at d=1 numpy sums the column pairwise instead)
+    r = rng(64)
+    cases = [r.standard_normal((n, d)) for n in (*range(1, 42, 4), 100, 400) for d in (2, 3, 17, 33)]
+    with np.errstate(invalid="ignore"):
+        for g in [*cases, *(g for g in median_cases() if g.shape[1] >= 2)]:
+            want = np.stack(list(g)).mean(axis=0).tobytes()
+            assert agg_mean(g).tobytes() == agg_mean(list(g)).tobytes() == want
 
 
 @pytest.mark.parametrize("kind", ["median", "trimmed_mean"])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import os
 import re
@@ -5,8 +6,6 @@ import struct
 import subprocess
 import sys
 import threading
-from collections import defaultdict
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -413,18 +412,20 @@ class TestCompare:
         )
         assert code == 1
 
-    def test_oracle_twin_runs_only_after_a_wrong_decision(self, mlp_filter, tmp_path, monkeypatch):
-        # only the gradient_shift cell runs its oracle twin, and reports the
-        # twin's accuracy as its reference; the inverse cell's reference is
-        # its own. The cells run in forked workers, which inherit the spy:
-        # it logs one line per call to a file, and cells may interleave.
+    def test_one_oracle_twin_runs_per_fraction(self, mlp_filter, tmp_path, monkeypatch):
+        # the filtered cells at one fraction share one oracle twin, run
+        # once, and its accuracy is each one's reference: the inverse cell,
+        # which makes no wrong decision, is its twin; the gradient_shift
+        # cell parts from it. The cells run in forked workers, which
+        # inherit the spy: it logs one line per call to a file, and cells
+        # may interleave.
         log = tmp_path / "calls.txt"
         real = cli.run_rgcf
 
         def spy(cell, *args, **kwargs):
             m = real(cell, *args, **kwargs)
             with open(log, "a") as f:
-                f.write(f"{cell.attack.kind} {kwargs.get('ground_truth', False)} "
+                f.write(f"{cell.attack.kind} {cell.byzantine_fraction} {kwargs.get('ground_truth', False)} "
                         f"{m.rejected_honest} {m.accepted_byz} {m.final_accuracy!r}\n")
             return m
 
@@ -435,32 +436,54 @@ class TestCompare:
             "--set", f"filter_file={mlp_filter}",
             "--set", "compare_methods=rgcf",
             "--set", "compare_attacks=inverse,gradient_shift",
-            "--set", "compare_fractions=0.5",
+            "--set", "compare_fractions=0.2,0.5",
             "--set", "attack_scale=0.003",
             "--set", "steps=25",
             "--set", "n_workers=10",
         )
         assert code == 0
-        calls = defaultdict(list)  # per cell, in call order
-        for line in log.read_text().splitlines():
-            kind, twin, rejected_honest, accepted_byz, acc = line.split()
-            calls[kind].append((twin == "True", int(rejected_honest), int(accepted_byz), float(acc)))
-        assert {kind: [c[0] for c in cell] for kind, cell in calls.items()} == {
-            "inverse": [False],
-            "gradient_shift": [False, True],
+        runs = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(fraction for _, fraction, twin, *_ in runs if twin == "True") == ["0.2", "0.5"]
+        twins = {fraction: float(acc) for _, fraction, twin, *_, acc in runs if twin == "True"}
+        cells = {
+            (kind, fraction): (int(rejected_honest), int(accepted_byz), float(acc))
+            for kind, fraction, twin, rejected_honest, accepted_byz, acc in runs
+            if twin == "False"
         }
-        (clean,), (shifted, twin) = calls["inverse"], calls["gradient_shift"]
-        assert clean[1] == clean[2] == 0
-        assert shifted[2] > 0
-        assert twin[3] != shifted[3]
+        assert len(cells) == 4
         lines = open(os.path.join(out, "convergence_matrix.csv")).read().splitlines()
-        rows = {r[1]: r for r in (ln.split(",") for ln in lines[1:])}
-        assert rows["inverse"][4:6] == [fmt(clean[3])] * 2
-        assert rows["gradient_shift"][4:6] == [fmt(shifted[3]), fmt(twin[3])]
+        rows = {(r[1], r[2]): r for r in (ln.split(",") for ln in lines[1:])}
+        for (kind, fraction), (*_, acc) in cells.items():
+            assert rows[(kind, fraction)][4:6] == [fmt(acc), fmt(twins[fraction])]
+        inverse, shifted = cells[("inverse", "0.5")], cells[("gradient_shift", "0.5")]
+        assert inverse == (0, 0, twins["0.5"])
+        assert shifted[1] > 0 and shifted[2] != twins["0.5"]
+
+    def test_a_grid_submits_one_job_per_reference(self, mlp_filter, tmp_path, monkeypatch):
+        # the default grid's references are four oracle twins, one per
+        # fraction, and one clean run per aggregator spec, each submitted
+        # once before the cells
+        submitted = []
+        real = concurrent.futures.ProcessPoolExecutor.submit
+
+        def spy(pool, fn, *args):
+            submitted.append(args)
+            return real(pool, fn, *args)
+
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", spy)
+        overrides = {**MLP, "seed": "0", "out": str(tmp_path / "cmp"), "filter_file": mlp_filter, "steps": "1"}
+        assert run_cli("compare", *sets(overrides)) == 0
+        cells = [cell for *_, cell in resolve(build_config(None, overrides)).grid if cell is not None]
+        refs, jobs = submitted[: -len(cells)], submitted[-len(cells) :]
+        assert jobs == [(cell,) for cell in cells]
+        twins = [cell for cell, ground_truth in refs if ground_truth]
+        assert sorted(cell.byzantine_fraction for cell in twins) == [0.2, 0.33, 0.5, 0.9]
+        clean = [cell.aggregator for cell, ground_truth in refs if not ground_truth]
+        assert sorted(clean, key=repr) == sorted({cell.aggregator for cell in cells} - {None}, key=repr)
 
     def test_matrix_equals_the_serial_runs(self, mlp_filter, tmp_path, capsys):
-        # the pool's matrix and stdout are those of running every cell in
-        # turn in this process, with each method's clean reference
+        # the pool's matrix and stdout are those of running every cell and
+        # its reference in turn in this process
         overrides = {
             **MLP, "seed": "0", "out": str(tmp_path / "cmp"), "filter_file": mlp_filter,
             "compare_methods": "rgcf,median,trimmed_mean,bulyan",
@@ -472,27 +495,27 @@ class TestCompare:
         cfg = build_config(None, overrides)
         train, val = cli.load_train(cfg), cli.load_val(cfg)
         arch, filt = cli.build_arch(cfg, train), load_filter(mlp_filter)
+
+        def run(cell, ground_truth=False):
+            if cell.aggregator is None:
+                return run_rgcf(cell, train, val, arch, filt, ground_truth=ground_truth)
+            return run_aggregated(cell, train, val, arch)
+
         header = "method,attack,fraction,f_count,final_accuracy,clean_reference,verdict,margin"
-        rows, lines, twins = [header], [], 0
+        rows, lines, parted = [header], [], 0
         for method, attack, fraction, cell in resolve(cfg).grid:
             if cell is None:
                 row = (method, attack, fraction, None, None, None, cli.SKIPPED, None)
-            elif cell.aggregator is None:
-                m = run_rgcf(cell, train, val, arch, filt)
-                ref = m.final_accuracy
-                if m.rejected_honest or m.accepted_byz:
-                    twins += 1
-                    ref = run_rgcf(cell, train, val, arch, filt, ground_truth=True).final_accuracy
-                verdict, acc, margin = convergence_verdict(m, ref)
-                row = (method, attack, fraction, None, acc, ref, verdict, margin)
             else:
-                ref = run_aggregated(replace(cell, byzantine_fraction=0.0), train, val, arch).final_accuracy
-                verdict, acc, margin = convergence_verdict(run_aggregated(cell, train, val, arch), ref)
-                row = (method, attack, fraction, cell.aggregator.f_count, acc, ref, verdict, margin)
+                ref = run(*cli.reference(cell)).final_accuracy
+                verdict, acc, margin = convergence_verdict(run(cell), ref)
+                f_count = None if cell.aggregator is None else cell.aggregator.f_count
+                row = (method, attack, fraction, f_count, acc, ref, verdict, margin)
+                parted += cell.aggregator is None and acc != ref
             rows.append(",".join(fmt(c) for c in row))
             lines.append(f"compare {attack} f={fraction:.0%} {method}: {row[6]}")
         assert ("bulyan", cli.SKIPPED) in {(r.split(",")[0], r.split(",")[6]) for r in rows[1:]}
-        assert twins > 0
+        assert parted > 0
         assert read(os.path.join(overrides["out"], "convergence_matrix.csv")) == "".join(
             r + "\n" for r in rows
         ).encode()

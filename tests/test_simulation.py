@@ -5,7 +5,7 @@ import pytest
 
 from rgcf import core, filter, models, simulation
 from rgcf.aggregators import AggregatorSpec
-from rgcf.attacks import AttackSpec, apply_attack
+from rgcf.attacks import ATTACK_KINDS, AttackSpec, apply_attack
 from rgcf.core import NonFiniteValueError, param_vector, stream
 from rgcf.data import Dataset, sample_minibatch, shard, synth_gaussian_blobs
 from rgcf.filter import FilterNet, filter_init
@@ -316,6 +316,28 @@ class TestRunRgcf:
         picks = [int(pick_rng.integers(0, cfg.n_workers)) for _ in range(cfg.steps)]
         assert m.ground_truths == [int(workers[i].byzantine) for i in picks]
         assert 0 < sum(m.ground_truths) < cfg.steps
+
+    def test_the_oracle_twin_is_one_run_per_fraction(self, blobs, blobs_val, monkeypatch):
+        # what compare's reference table rests on: the twin drops every
+        # Byzantine gradient, so at one fraction it is the same run under
+        # each attack; and a filtered run that makes no wrong decision is
+        # its twin, bit for bit
+        arch = mlp(blobs.in_dim, (8,), blobs.classes)
+        filt = accept_all_filter(arch.param_count)
+
+        def twin(kind):
+            m = run_rgcf(run_config(attack=AttackSpec(kind)), blobs, blobs_val, arch, filt, ground_truth=True)
+            return m.final_params.tobytes(), np.array(m.val_accuracies).tobytes(), m.rejected_byz
+
+        twins = {kind: twin(kind) for kind in ATTACK_KINDS}
+        assert len(set(twins.values())) == 1
+        assert twins["inverse"][2] > 0
+
+        # a filter that rejects exactly the all-ones gradients
+        monkeypatch.setattr(filter, "filter_forward", lambda filt, grad, loss: float((grad == 1.0).all()))
+        m = run_rgcf(run_config(attack=AttackSpec("all_ones")), blobs, blobs_val, arch, filt)
+        assert m.rejected_honest == m.accepted_byz == 0 < m.rejected_byz
+        assert (m.final_params.tobytes(), np.array(m.val_accuracies).tobytes()) == twins["all_ones"][:2]
 
     def test_confusion_counts_sum_to_steps(self, blobs, blobs_val):
         arch = logistic(blobs.in_dim, blobs.classes)
