@@ -4,12 +4,14 @@
 
 Reads the `steps.csv` of each `rgcf run` output directory, in filter mode,
 where the `decision` column holds the filter's probability p that the step's
-gradient is Byzantine and `predicted` is 1 when p reached the threshold.
+gradient is Byzantine and `predicted` is 1 when p reached 0.5, the one cut
+every filter decides at (`rgcf.filter.THRESHOLD`).
 Prints one line per directory: the steps, the honest gradients rejected,
 the Byzantine gradients accepted, the first step with a wrong decision, the
 largest p of an honest gradient and the smallest p of a Byzantine one ("-"
-where there is none). The gap between those two is how far the threshold
-could move before a decision of the run changed.
+where there is none). The gap between those two shows how far the cut
+could have sat from 0.5 before a decision of the run changed; a filter's
+operating point moves through `positive_weight` when it is trained.
 
 A directory of an aggregator run, whose steps have no ground truth, is
 refused with exit 1, as is one without a `steps.csv`.

@@ -24,10 +24,10 @@ from .attacks import INVERSE, AttackSpec
 from .config import ConfigError, ExperimentConfig, build_config, write_manifest
 from .core import stream
 from .data import Dataset, load_idx, synth_gaussian_blobs
-from .filter import FilterNet, load_filter, save_filter
+from .filter import FilterNet, load_filter, save_filter, start_digest
 from .models import Architecture
 from .simulation import FilterTrainConfig, RunConfig, RunMetrics, bench_filtering, bench_spec
-from .simulation import run_aggregated, run_rgcf, train_filter
+from .simulation import run_aggregated, run_rgcf, server_start, train_filter
 
 RGCF_MODE = "rgcf"
 AGGREGATOR_MODE = "aggregator"
@@ -147,11 +147,10 @@ def resolve(cfg: ExperimentConfig) -> Specs:
             server_lr=cfg.server_lr,
             batch_size=cfg.batch_size,
             attack=AttackSpec(cfg.train_attack, cfg.train_attack_scale),
-            threshold=cfg.threshold,
         )
         for method in cfg.bench_methods:
             for n in cfg.bench_n:
-                bench_spec(method, n, cfg.bench_d, cfg.bench_reps, cfg.bench_f_count)
+                bench_spec(method, n, cfg.bench_d, cfg.bench_reps)
         attacks = [AttackSpec(kind, cfg.attack_scale) for kind in cfg.compare_attacks]
         bases = [replace(run, byzantine_fraction=x, aggregator=None) for x in cfg.compare_fractions]
         grid = []
@@ -233,7 +232,8 @@ def cmd_train_filter(cfg: ExperimentConfig, specs: Specs) -> int:
 
 def _load_filter(cfg: ExperimentConfig, arch: Architecture) -> FilterNet:
     """The configured filter file, which must exist, fit the model and
-    decide at the configured threshold."""
+    guard the run's start: its training run started the server where this
+    run starts the model."""
     if not os.path.exists(cfg.filter_file):
         raise ConfigError(f"filter file not found: {cfg.filter_file}")
     filt = load_filter(cfg.filter_file)
@@ -241,9 +241,9 @@ def _load_filter(cfg: ExperimentConfig, arch: Architecture) -> FilterNet:
         raise ConfigError(
             f"filter dimension {filt.d} does not match model dimension {arch.param_count}"
         )
-    if filt.threshold != cfg.threshold:
+    if filt.start != start_digest(server_start(arch, cfg.seed)):
         raise ConfigError(
-            f"threshold={cfg.threshold!r}, but {cfg.filter_file} was trained at threshold={filt.threshold!r}"
+            f"{cfg.filter_file} was not trained from this run's model start: train it at seed={cfg.seed}"
         )
     return filt
 
@@ -288,9 +288,7 @@ def cmd_bench(cfg: ExperimentConfig, specs: Specs) -> int:
     rows = []
     for method in cfg.bench_methods:
         for n in cfg.bench_n:
-            mean, std = bench_filtering(
-                method, n, cfg.bench_d, cfg.bench_reps, seed=cfg.seed, f_count=cfg.bench_f_count
-            )
+            mean, std = bench_filtering(method, n, cfg.bench_d, cfg.bench_reps, seed=cfg.seed)
             rows.append((method, n, cfg.bench_d, cfg.bench_reps, mean, std))
             print(f"bench {method} n={n}: {mean:.6f} +/- {std:.6f} s")
     write_csv(

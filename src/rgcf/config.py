@@ -59,7 +59,6 @@ class ExperimentConfig:
     filter_lr: float = 0.002
     train_attack: str = "random_gaussian"
     train_attack_scale: float | None = None  # empty = attack default
-    threshold: float = 0.5
     filter_file: str = "filter.rgcf"
 
     # deployment run
@@ -78,7 +77,6 @@ class ExperimentConfig:
     bench_n: tuple[int, ...] = (10,)
     bench_d: int = 100000
     bench_reps: int = 100
-    bench_f_count: int = 1
 
     # compare grid
     compare_methods: tuple[str, ...] = ("rgcf", "krum", "median", "trimmed_mean", "bulyan")

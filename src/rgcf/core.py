@@ -37,11 +37,12 @@ def assert_finite(v: np.ndarray) -> None:
 
 # Every RNG stream id, split off one experiment seed. Each id keeps its
 # value forever, so adding a stream never perturbs an existing one and every
-# output stays byte-reproducible. The server init stream is shared by filter
-# training and deployment runs: with one experiment seed, the filter's one
-# training run and the deployed run start from the same weights. The MLP
+# output stays byte-reproducible. The server init stream is read only by
+# `simulation.server_start`, where filter training and deployment runs both
+# start: with one experiment seed, they start from the same weights. The MLP
 # filter depends on this; deployed from another start, it rejects nearly
-# every honest gradient.
+# every honest gradient, so its file records its start's digest, and `run`
+# and `compare` refuse a filter whose digest is not their own start's.
 SID_FILTER_INIT = 10
 SID_SERVER_INIT = 11
 SID_FILTER_PICK = 12  # filter training: honest or Byzantine worker

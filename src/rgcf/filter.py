@@ -11,6 +11,7 @@ worker turn, is `simulation.train_filter`.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -37,7 +38,9 @@ from .models import apply_update  # noqa: F401
 PRED_CLAMP = 1e-7
 
 MAGIC = b"RGCF"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+THRESHOLD = 0.5  # a gradient the net scores at p >= THRESHOLD is rejected
+NO_START = bytes(32)  # the start digest of a filter that guards no start
 
 
 @dataclass(frozen=True)
@@ -47,12 +50,15 @@ class FilterNet:
     The gradient block of the input is rescaled to norm sqrt(d) before the
     net sees it, so classification depends on the gradient's direction
     alone, not its magnitude; the scalar loss passes through unscaled.
+    `start` is the `start_digest` of the server weights its training run
+    started from, the only start it guards.
     """
 
     d: int
     params: np.ndarray
     hidden: tuple[int, ...] = (64, 32)
-    threshold: float = 0.5
+    start: bytes = NO_START
+    threshold = THRESHOLD  # not a field: every filter decides at THRESHOLD
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -64,18 +70,16 @@ class FilterNet:
         expected = Architecture(self.d + 1, self.hidden, 1).param_count
         if self.params.shape != (expected,):
             raise ValueError(f"filter params {self.params.shape} != expected ({expected},)")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie in (0,1)")
 
 
-def filter_init(
-    d: int,
-    rng: np.random.Generator,
-    hidden: tuple[int, ...] = (64, 32),
-    threshold: float = 0.5,
-) -> FilterNet:
-    params = init_params(Architecture(d + 1, hidden, 1), rng)
-    return FilterNet(d=d, params=params, hidden=hidden, threshold=threshold)
+def filter_init(d: int, rng: np.random.Generator, hidden: tuple[int, ...] = (64, 32)) -> FilterNet:
+    """A fresh filter that guards no start yet."""
+    return FilterNet(d=d, params=init_params(Architecture(d + 1, hidden, 1), rng), hidden=hidden)
+
+
+def start_digest(params: np.ndarray) -> bytes:
+    """sha256 of a server's initial weights as little-endian float64."""
+    return hashlib.sha256(np.ascontiguousarray(params, dtype="<f8")).digest()
 
 
 def _filter_input(filt: FilterNet, grad: np.ndarray, loss: float) -> np.ndarray:
@@ -152,25 +156,23 @@ def filter_train_step(
 
 
 def save_filter(filt: FilterNet, path: str) -> None:
-    """Versioned binary format: magic, version, d, layer sizes, threshold,
-    the normalize byte (always 1: the input is direction-only), then
+    """Versioned binary format: magic, version, d, the layer-size count and
+    the layer sizes (uint32 each), the 32-byte start digest, then
     little-endian float64 weights in canonical flattening order."""
     sizes = filt.layer_sizes
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<II", FORMAT_VERSION, filt.d))
-        f.write(struct.pack("<I", len(sizes)))
-        f.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        f.write(struct.pack("<d", filt.threshold))
-        f.write(struct.pack("<B", 1))
+        f.write(struct.pack(f"<III{len(sizes)}I", FORMAT_VERSION, filt.d, len(sizes), *sizes))
+        f.write(filt.start)
         f.write(np.asarray(filt.params, dtype="<f8").tobytes())
 
 
 def load_filter(path: str) -> FilterNet:
     """Parse a file written by save_filter. Every field must be complete,
     the layer sizes must run from d+1 to 1 with no hidden width below 1,
-    the normalize byte must be 1, and nothing may follow the weights;
-    anything else raises ValueError."""
+    and nothing may follow the weights; anything else, a file of another
+    format version included, raises ValueError. The start digest is read,
+    not judged: which start a run needs is the caller's to say."""
     with open(path, "rb") as f:
 
         def unpack(fmt: str) -> tuple:
@@ -180,17 +182,14 @@ def load_filter(path: str) -> FilterNet:
             raise ValueError(f"{path}: not a filter file (bad magic)")
         version, d = unpack("<II")
         if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
+            raise ValueError(f"{path}: unsupported format version {version}; retrain the filter")
         (n_sizes,) = unpack("<I")
         sizes = unpack(f"<{n_sizes}I")
         if n_sizes < 2 or sizes[0] != d + 1 or sizes[-1] != 1:
             raise ValueError(f"{path}: layer sizes {sizes} do not run from d+1={d + 1} to 1")
-        (threshold,) = unpack("<d")
-        (normalize,) = unpack("<B")
-        if normalize != 1:
-            raise ValueError(f"{path}: normalize byte {normalize}, expected 1")
+        start = read_exact(f, len(NO_START), path)
         count = Architecture(sizes[0], sizes[1:-1], sizes[-1]).param_count
         params = np.frombuffer(read_exact(f, 8 * count, path), dtype="<f8")
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the weight block")
-    return FilterNet(d, param_vector(params), tuple(sizes[1:-1]), threshold)
+    return FilterNet(d, param_vector(params), tuple(sizes[1:-1]), start)

@@ -178,7 +178,6 @@ class FilterTrainConfig:
     server_lr: float = 0.01
     batch_size: int = 128
     attack: AttackSpec = field(default_factory=lambda: AttackSpec(RANDOM_GAUSSIAN, 1.0))
-    threshold: float = 0.5
 
     def __post_init__(self):
         if self.steps < 0:
@@ -187,8 +186,12 @@ class FilterTrainConfig:
             raise ValueError("batch_size must be >= 1")
         if min(self.positive_weight, self.filter_lr, self.server_lr) <= 0:
             raise ValueError("positive_weight and learning rates must be positive")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie in (0,1)")
+
+
+def server_start(arch: Architecture, seed: int) -> np.ndarray:
+    """The server model's initial weights at a seed: where every deployed
+    run starts, and where filter training starts its simulated server."""
+    return init_params(arch, stream(seed, core.SID_SERVER_INIT))
 
 
 @dataclass
@@ -209,14 +212,15 @@ def train_filter(
     with equal probability for each worker_step turn. The simulated server
     is updated with the ground-truth label (drop every Byzantine gradient),
     not the filter's prediction, so filter quality cannot disturb the
-    server trajectory it learns from. The simulated server starts where
-    _run starts the deployed model at the same seed."""
-    filt = filter_init(server_arch.param_count, stream(seed, core.SID_FILTER_INIT), threshold=cfg.threshold)
+    server trajectory it learns from. The simulated server starts at
+    server_start, where _run starts the deployed model at the same seed,
+    and the filter records that start's digest."""
+    params = server_start(server_arch, seed)
+    filt = filter_init(server_arch.param_count, stream(seed, core.SID_FILTER_INIT))
     # the weights and the Adam moments are allocated once and updated in
     # place; the weights are frozen when training ends
-    filt = replace(filt, params=np.array(filt.params))
+    filt = replace(filt, params=np.array(filt.params), start=filter.start_digest(params))
     adam = adam_init(filt.params.shape[0], lr=cfg.filter_lr)
-    params = init_params(server_arch, stream(seed, core.SID_SERVER_INIT))
     pick_rng = stream(seed, core.SID_FILTER_PICK)
     streams = stream(seed, core.SID_FILTER_BATCH), stream(seed, core.SID_FILTER_ATTACK)
     workers = [WorkerSpec(np.arange(local_data.size), a, *streams) for a in (None, cfg.attack)]
@@ -232,7 +236,7 @@ def train_filter(
             grad, server_loss = grads[0], float(losses[0])
             params = apply_update(params, grad, cfg.server_lr, byz)
             loss, pred = filter.filter_train_step(filt, adam, grad, server_loss, byz, cfg.positive_weight)
-            correct += int((pred >= filt.threshold) == byz)
+            correct += int((pred >= filter.THRESHOLD) == byz)
             log.steps.append(step)
             log.losses.append(loss)
             log.running_accuracy.append(correct / step)
@@ -293,7 +297,7 @@ def _run(
     the run as diverged."""
     workers = build_workers(cfg, train_data)
     pick_rng = stream(cfg.seed, core.SID_WORKER_PICK)
-    params = init_params(arch, stream(cfg.seed, core.SID_SERVER_INIT))
+    params = server_start(arch, cfg.seed)
 
     m = RunMetrics()
     clock = time.perf_counter
@@ -317,8 +321,7 @@ def _run(
             else:
                 update, loss, truth = grads[0], float(losses[0]), int(queried[0].byzantine)
                 p = filter.filter_forward(filt, update, loss)
-                # a gradient scored at the threshold is rejected
-                b = truth if ground_truth else int(p >= filt.threshold)
+                b = truth if ground_truth else int(p >= filter.THRESHOLD)
             t2 = clock()
             params = apply_update(params, update, cfg.server_lr, b)
             t3 = clock()
@@ -353,23 +356,21 @@ def _run(
     return m
 
 
-def bench_spec(method: str, n: int, d: int, reps: int, f_count: int = 1) -> AggregatorSpec | None:
+def bench_spec(method: str, n: int, d: int, reps: int) -> AggregatorSpec | None:
     """Check the arguments of a bench_filtering call and return the
-    aggregator it times, or None for the filter ("rgcf")."""
+    aggregator it times, at f_count=1, or None for the filter ("rgcf")."""
     if reps < 10:
         raise ValueError("reps must be >= 10")
     if min(n, d) < 1:
         raise ValueError("bench n and d must be >= 1")
     if method == "rgcf":
         return None
-    spec = AggregatorSpec(method, f_count=f_count)
+    spec = AggregatorSpec(method, f_count=1)
     spec.check_preconditions(n)
     return spec
 
 
-def bench_filtering(
-    method: str, n: int, d: int, reps: int, seed: int = 0, f_count: int = 1
-) -> tuple[float, float]:
+def bench_filtering(method: str, n: int, d: int, reps: int, seed: int = 0) -> tuple[float, float]:
     """Wall time per filtering/aggregation decision over synthetic random
     gradients, excluding gradient generation. Returns (mean, stddev) seconds.
 
@@ -378,7 +379,7 @@ def bench_filtering(
     touch of fresh memory and for a multi-threaded BLAS waking idle cores
     (on a 2-vCPU VM the first ~60 d=10^5 filter decisions took 15 ms, not 2).
     """
-    spec = bench_spec(method, n, d, reps, f_count)
+    spec = bench_spec(method, n, d, reps)
     rng = stream(seed, core.SID_BENCH)
     filt = filter_init(d, rng) if spec is None else None
 

@@ -300,7 +300,7 @@ def test_criterion_8_runtime_ordering():
     t = {}
     for method, n in [("rgcf", 10), ("rgcf", 100), ("krum", 10), ("krum", 40),
                       ("median", 10), ("trimmed_mean", 10), ("bulyan", 10)]:
-        t[(method, n)], _ = bench_filtering(method, n, d, reps, seed=0, f_count=1)
+        t[(method, n)], _ = bench_filtering(method, n, d, reps, seed=0)
     speedup = t[("krum", 10)] / t[("rgcf", 10)]
     next_slowest = max(t[(m, 10)] for m in ("rgcf", "krum", "median", "trimmed_mean"))
     bulyan_slowest = t[("bulyan", 10)] > next_slowest

@@ -16,7 +16,7 @@ from rgcf.cli import clamped_f_count, convergence_verdict, fmt, main, resolve
 from rgcf.config import build_config
 from rgcf.core import MAX_WORKERS, stream
 from rgcf.data import synth_gaussian_blobs
-from rgcf.filter import load_filter
+from rgcf.filter import NO_START, filter_init, load_filter, save_filter
 from rgcf.simulation import run_aggregated, run_rgcf
 from tests.test_data import write_idx
 from tests.test_models import kernel_threads
@@ -141,7 +141,7 @@ class TestTrainFilter:
         ]
         for i, (command, args) in enumerate(compiled):
             out = tmp_path / f"compiled{i}"
-            assert run_cli(command, "--out", str(out), *FAST, *args) == 2
+            assert run_cli(command, "--seed", "1", "--out", str(out), *FAST, *args) == 2
             err = capsys.readouterr().err
             assert err.startswith(failure) and err.count("\n") == 1
             assert not out.exists()  # so no convergence_matrix.csv either
@@ -153,7 +153,7 @@ class TestTrainFilter:
             ("compare", [*filter_file, *compare, "--set", "compare_methods=rgcf,krum"]),
         ]
         for i, (command, args) in enumerate(plain):
-            assert run_cli(command, "--out", str(tmp_path / f"plain{i}"), *FAST, *args) == 0
+            assert run_cli(command, "--seed", "1", "--out", str(tmp_path / f"plain{i}"), *FAST, *args) == 0
 
     def test_import_loads_no_library(self):
         # the kernels are built and loaded on first use, so importing the
@@ -254,10 +254,10 @@ class TestRun:
             assert run_cli("run", "--out", out, *FAST, "--set", f"filter_file={path}") == 2
 
     def test_header_beyond_the_file_is_runtime_failure(self, tmp_path, capsys):
-        # a 45-byte filter file whose header claims d = 2**32 - 2 fails on
+        # a 77-byte filter file whose header claims d = 2**32 - 2 fails on
         # its length, naming the file, not on a 2.2 TB allocation
         path = tmp_path / "huge.rgcf"
-        path.write_bytes(struct.pack("<4sIII5Id", b"RGCF", 1, 2**32 - 2, 5, 2**32 - 1, 64, 32, 16, 1, 0.5) + b"\x01")
+        path.write_bytes(struct.pack("<4sIII5I", b"RGCF", 2, 2**32 - 2, 5, 2**32 - 1, 64, 32, 16, 1) + bytes(41))
         out = str(tmp_path / "r")
         assert run_cli("run", "--out", out, *FAST, "--set", f"filter_file={path}") == 2
         assert capsys.readouterr().err.startswith(f"runtime failure: {path}: truncated, expected ")
@@ -297,7 +297,8 @@ class TestDecisionMargins:
         # extreme probabilities of steps.csv
         out = str(tmp_path / "run")
         filter_file = f"filter_file={trained}/filter.rgcf"
-        assert run_cli("run", "--out", out, *FAST, "--set", filter_file, "--set", "byzantine_fraction=0.5") == 0
+        code = run_cli("run", "--seed", "1", "--out", out, *FAST, "--set", filter_file, "--set", "byzantine_fraction=0.5")
+        assert code == 0
         summary = dict(zip(*(line.split(",") for line in open(os.path.join(out, "summary.csv")))))
         rows = [line.split(",") for line in open(os.path.join(out, "steps.csv")).read().splitlines()[1:]]
         wrong = [step for step, _, truth, predicted, _ in rows if truth != predicted]
@@ -617,7 +618,6 @@ INVALID_CONFIGS = [
     ("bench", ["--set", "bench_reps=5"]),
     ("bench", ["--set", "bench_n=2", "--set", "bench_methods=krum"]),
     ("train-filter", ["--set", "blobs_classes=7"]),  # FAST has blobs_in_dim=6
-    ("train-filter", ["--set", "threshold=1.5"]),
     ("run", ["--set", "batch_size=0"]),
     ("train-filter", ["--set", "filter_lr=0"]),
     ("run", ["--set", "server_lr=0"]),
@@ -631,9 +631,7 @@ INVALID_CONFIGS = [
     # 120,000 examples, but worker 99,000's batch stream would be worker 0's attack stream
     ("run", ["--set", "blobs_per_class=40000", "--set", f"n_workers={MAX_WORKERS + 1}"]),
     ("run", ["--set", "normalize=true"]),  # the filter input is always direction-only
-    # the filter was trained at threshold 0.5 and decides at the threshold it was trained at
-    ("run", ["--set", "threshold=0.999"]),
-    ("compare", ["--set", "threshold=0.999"]),
+    ("compare", ["--set", "threshold=0.5"]),  # every filter decides at p >= 0.5
     ("compare", ["--set", "f_count=1"]),  # each cell assumes its true Byzantine count
     # a manifest line cannot hold '#' or a line break
     ("train-filter", ["--set", "train_images=a#b"]),  # read only by the idx task
@@ -648,11 +646,38 @@ INVALID_CONFIGS = [
 
 
 @pytest.mark.parametrize("command,args", INVALID_CONFIGS)
-def test_invalid_config_exits_1_before_writing(trained, tmp_path, command, args):
+def test_invalid_config_exits_1_before_writing(trained, tmp_path, capsys, command, args):
+    # at the seed the filter was trained at, so each row fails for its own reason
     out = str(tmp_path / "x")
-    code = run_cli(command, "--out", out, *FAST, "--set", f"filter_file={trained}/filter.rgcf", *args)
+    code = run_cli(command, "--seed", "1", "--out", out, *FAST, "--set", f"filter_file={trained}/filter.rgcf", *args)
     assert code == 1
+    assert "model start" not in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+class TestFilterStart:
+    """A filter guards the model start its training run started from: run
+    and compare refuse one trained at another seed, or one that records no
+    start, with exit 1 before any output."""
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_filter_from_another_seed_exits_1_before_writing(self, mlp_filter, tmp_path, capsys, command):
+        out = str(tmp_path / "x")
+        assert run_cli(command, "--seed", "1", "--out", out, *sets(MLP), "--set", f"filter_file={mlp_filter}") == 1
+        message = f"error: {mlp_filter} was not trained from this run's model start: train it at seed=1\n"
+        assert capsys.readouterr().err == message
+        assert not os.path.exists(out)
+
+    def test_filter_without_a_start_exits_1_before_writing(self, tmp_path, capsys):
+        # filter_init's filter records the zero digest, which no start has
+        path = str(tmp_path / "fresh.rgcf")
+        fresh = filter_init(models.logistic(6, 3).param_count, stream(0, 10))  # FAST's model
+        assert fresh.start == NO_START
+        save_filter(fresh, path)
+        out = str(tmp_path / "x")
+        assert run_cli("run", "--out", out, *FAST, "--set", f"filter_file={path}") == 1
+        assert "model start" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestIdx:

@@ -11,6 +11,7 @@ from rgcf.attacks import AttackSpec, apply_attack
 from rgcf.core import NonFiniteValueError, param_vector, stream
 from rgcf.data import sample_minibatch, synth_gaussian_blobs
 from rgcf.filter import (
+    NO_START,
     PRED_CLAMP,
     FilterNet,
     _filter_input,
@@ -21,6 +22,7 @@ from rgcf.filter import (
     filter_train_step,
     load_filter,
     save_filter,
+    start_digest,
 )
 from rgcf.models import (
     Architecture,
@@ -32,7 +34,7 @@ from rgcf.models import (
     logistic,
     mlp_forward,
 )
-from rgcf.simulation import FilterTrainConfig, train_filter, worker_step
+from rgcf.simulation import FilterTrainConfig, server_start, train_filter, worker_step
 from tests.conftest import rng
 from tests.test_data import spy_reads
 from tests.test_models import textbook_adam, textbook_backprop
@@ -62,9 +64,9 @@ def assembled(grad):
     return np.concatenate([np.outer(grad.x, grad.delta).ravel(), grad.rest])
 
 
-def zero_filter(d, hidden=(4, 3), threshold=0.5):
+def zero_filter(d, hidden=(4, 3)):
     count = Architecture(d + 1, hidden, 1).param_count
-    return FilterNet(d=d, params=param_vector(np.zeros(count)), hidden=hidden, threshold=threshold)
+    return FilterNet(d=d, params=param_vector(np.zeros(count)), hidden=hidden)
 
 
 class TestForward:
@@ -288,7 +290,7 @@ class TestTrainFilter:
 def reference_train_filter(cfg, data, server_arch, seed):
     """train_filter's loop with a fresh frozen filter per step and the
     textbook whole-array Adam; returns the filter and the filter losses."""
-    filt = filter_init(server_arch.param_count, stream(seed, core.SID_FILTER_INIT), threshold=cfg.threshold)
+    filt = filter_init(server_arch.param_count, stream(seed, core.SID_FILTER_INIT))
     m = v = np.zeros(filt.params.shape)
     params = init_params(server_arch, stream(seed, core.SID_SERVER_INIT))
     pick_rng = stream(seed, core.SID_FILTER_PICK)
@@ -320,41 +322,45 @@ class TestSerialization:
         assert np.array_equal(loaded.params, filt.params)
         assert loaded.d == filt.d
         assert loaded.hidden == filt.hidden
-        assert loaded.threshold == filt.threshold
+        # the file keeps the start the filter's training run started from
+        assert loaded.start == filt.start == start_digest(server_start(arch, 9))
+        assert loaded.start != NO_START
         g = rng(1).standard_normal(filt.d)
         assert filter_forward(loaded, g, 0.2) == filter_forward(filt, g, 0.2)
 
-    def test_normalize_byte_must_be_one(self, tmp_path):
-        # the byte after the threshold is always 1 (direction-only input);
-        # a file with 0 there asks for a raw input mode that does not exist
+    def test_header_length(self, tmp_path):
+        # magic, version, d and the size count (16 bytes), 4 bytes per
+        # layer size, the 32-byte start digest, then the weights
         path = tmp_path / "f.rgcf"
-        save_filter(zero_filter(4), str(path))
-        blob = bytearray(path.read_bytes())
-        # magic, version, d, size count, four sizes, threshold: 40 bytes
-        assert blob[40] == 1
-        blob[40] = 0
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="normalize byte 0"):
-            load_filter(str(path))
+        filt = replace(zero_filter(4), start=bytes(range(32)))
+        save_filter(filt, str(path))
+        blob = path.read_bytes()
+        header = 16 + 4 * len(filt.layer_sizes) + 32
+        assert len(blob) == header + 8 * filt.params.size
+        assert struct.unpack_from("<4sIII", blob) == (b"RGCF", 2, 4, 4)
+        assert blob[header - 32 : header] == filt.start
+        assert load_filter(str(path)).start == filt.start
 
-    def test_other_format_version(self, tmp_path):
+    def test_other_format_versions(self, tmp_path):
+        # version 1, which stored a threshold and a normalize byte, and any
+        # later version are refused: the message names the version and
+        # says to retrain
         path = tmp_path / "f.rgcf"
         save_filter(zero_filter(4), str(path))
-        blob = bytearray(path.read_bytes())
-        struct.pack_into("<I", blob, 4, 2)  # the version follows the magic
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="unsupported format version 2"):
-            load_filter(str(path))
+        for version in (1, 3):
+            blob = bytearray(path.read_bytes())
+            struct.pack_into("<I", blob, 4, version)  # the version follows the magic
+            path.write_bytes(bytes(blob))
+            message = f"{path}: unsupported format version {version}; retrain the filter"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_filter(str(path))
 
-    def test_stored_threshold_outside_the_unit_interval(self, tmp_path):
+    def test_cut_inside_the_start_digest(self, tmp_path):
         path = tmp_path / "f.rgcf"
         save_filter(zero_filter(4), str(path))
-        blob = bytearray(path.read_bytes())
-        # magic, version, d, size count and four sizes: 32 bytes
-        assert struct.unpack_from("<d", blob, 32) == (0.5,)
-        struct.pack_into("<d", blob, 32, 1.5)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="threshold"):
+        # magic, version, d, size count and four sizes: 32 bytes, then the digest
+        path.write_bytes(path.read_bytes()[: 32 + 20])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated, expected 32 more bytes, got 20")):
             load_filter(str(path))
 
     def test_bad_magic(self, tmp_path):
@@ -380,21 +386,21 @@ class TestSerialization:
             load_filter(str(path))
 
     def test_header_lengths_beyond_the_file_are_not_read(self, tmp_path, monkeypatch):
-        # in a 45-byte file, d = 2**32 - 2 claims a 2.2 TB weight block, and
+        # in a 77-byte file, d = 2**32 - 2 claims a 2.2 TB weight block, and
         # 2**28 layer sizes claim a 1 GB size list: each length is refused
         # against the file's, so no read asks for more than the file holds
         path = tmp_path / "f.rgcf"
-        huge_d = struct.pack("<4sIII5Id", b"RGCF", 1, 2**32 - 2, 5, 2**32 - 1, 64, 32, 16, 1, 0.5) + b"\x01"
-        many_sizes = struct.pack("<4sIII", b"RGCF", 1, 4, 2**28) + bytes(29)
+        huge_d = struct.pack("<4sIII5I", b"RGCF", 2, 2**32 - 2, 5, 2**32 - 1, 64, 32, 16, 1) + bytes(41)
+        many_sizes = struct.pack("<4sIII", b"RGCF", 2, 4, 2**28) + bytes(61)
         sizes = spy_reads(monkeypatch, "rgcf.filter")
         weights = 8 * Architecture(2**32 - 1, (64, 32, 16), 1).param_count
         for blob, wanted in ((huge_d, weights), (many_sizes, 2**30)):
-            assert len(blob) == 45
+            assert len(blob) == 77
             path.write_bytes(blob)
             message = f"{path}: truncated, expected {wanted} more bytes, got"
             with pytest.raises(ValueError, match=re.escape(message)):
                 load_filter(str(path))
-        assert 0 < max(sizes) <= 45
+        assert 0 < max(sizes) <= 77
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "f.rgcf"
@@ -416,8 +422,8 @@ class TestSerialization:
                 load_filter(str(path))
         # a zero-width hidden layer: sizes (5, 0, 1) hold one weight, an
         # output bias, so the net would score every gradient alike
-        header = struct.pack("<4sIII3Id", b"RGCF", 1, 4, 3, 5, 0, 1, 0.5)
-        path.write_bytes(header + struct.pack("<Bd", 1, 3.0))
+        header = struct.pack("<4sIII3I", b"RGCF", 2, 4, 3, 5, 0, 1) + NO_START
+        path.write_bytes(header + struct.pack("<d", 3.0))
         with pytest.raises(ValueError, match="layer sizes"):
             load_filter(str(path))
 
@@ -431,8 +437,5 @@ def test_config_validation():
         FilterTrainConfig(steps=-1)
     with pytest.raises(ValueError):
         FilterTrainConfig(batch_size=0)
-    for threshold in (0.0, 1.0, 1.5, float("nan")):
-        with pytest.raises(ValueError, match="threshold"):
-            FilterTrainConfig(threshold=threshold)
     with pytest.raises(ValueError):
         FilterNet(d=3, params=param_vector(np.zeros(10)))

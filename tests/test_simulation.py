@@ -8,7 +8,7 @@ from rgcf.aggregators import AggregatorSpec
 from rgcf.attacks import ATTACK_KINDS, AttackSpec, apply_attack
 from rgcf.core import NonFiniteValueError, param_vector, stream
 from rgcf.data import Dataset, sample_minibatch, shard, synth_gaussian_blobs
-from rgcf.filter import FilterNet, filter_init
+from rgcf.filter import FilterNet, filter_init, start_digest
 from rgcf.models import (
     Architecture,
     apply_update,
@@ -26,6 +26,7 @@ from rgcf.simulation import (
     evaluate,
     run_aggregated,
     run_rgcf,
+    server_start,
     train_filter,
     worker_step,
 )
@@ -364,6 +365,8 @@ class TestRunRgcf:
             filt, _ = train_filter(FilterTrainConfig(), train, arch, seed=0)
             counts = []
             for run_seed in run_seeds:
+                # the CLI refuses the filter at every seed but its own
+                assert (filt.start == start_digest(server_start(arch, run_seed))) == (run_seed == 0)
                 cfg = RunConfig(10, 0.0, AttackSpec("inverse"), steps=300, seed=run_seed)
                 m = run_rgcf(cfg, train, val, arch, filt)
                 assert m.accepted_honest + m.rejected_honest == 300
@@ -464,7 +467,7 @@ class TestBench:
     def test_returns_positive_times(self):
         mean, std = bench_filtering("rgcf", 10, 50, 10)
         assert mean > 0.0 and std >= 0.0
-        mean, _ = bench_filtering("krum", 6, 50, 10, f_count=1)
+        mean, _ = bench_filtering("krum", 6, 50, 10)
         assert mean > 0.0
 
     def test_reps_floor(self):
@@ -473,4 +476,4 @@ class TestBench:
 
     def test_infeasible_aggregator(self):
         with pytest.raises(ValueError):
-            bench_filtering("bulyan", 5, 10, 10, f_count=1)
+            bench_filtering("bulyan", 5, 10, 10)
