@@ -47,6 +47,7 @@ import resource
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -54,12 +55,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from rgcf import cli, core, models  # noqa: E402
+from rgcf import cli, core  # noqa: E402
 from rgcf.aggregators import AggregatorSpec, aggregate  # noqa: E402
-from rgcf.attacks import AttackSpec  # noqa: E402
-from rgcf.data import synth_gaussian_blobs  # noqa: E402
-from rgcf.filter import filter_init  # noqa: E402
-from rgcf.simulation import FilterTrainConfig, RunConfig, run_aggregated, run_rgcf, train_filter  # noqa: E402
+from rgcf.config import build_config  # noqa: E402
+from rgcf.simulation import run_aggregated, run_rgcf, train_filter  # noqa: E402
 
 RUNS = 9
 SEED = 0
@@ -73,39 +72,39 @@ PHASES = ("worker_s", "decision_s", "update_s", "eval_s")
 AGGREGATE_D = 100_000
 AGGREGATE_CALLS = (("median", 10), ("trimmed_mean", 10), ("bulyan", 10), ("median", 40), ("trimmed_mean", 40))
 MLP = ["--set", "arch=mlp", "--set", "hidden=32"]
+RUN = ["--set", f"n_workers={N_WORKERS}", "--set", "byzantine_fraction=0.3",
+       "--set", "attack=gradient_shift", "--set", f"f_count={F_COUNT}"]
 GRID_STEPS = 25
 GRID = [*MLP, "--set", f"steps={GRID_STEPS}", "--set", f"n_workers={N_WORKERS}"]
 
 
 def setup(in_dim: int, classes: int):
-    train = synth_gaussian_blobs(classes, 400, in_dim, 10.0, core.stream(SEED, core.SID_BLOBS_TRAIN))
-    val = synth_gaussian_blobs(classes, 200, in_dim, 10.0, core.stream(SEED, core.SID_BLOBS_VAL))
-    arch = models.mlp(in_dim, (32,), classes)
-    filt = filter_init(arch.param_count, core.stream(SEED, core.SID_FILTER_INIT))
-    return train, val, arch, filt
+    """The config, data and model of one MLP, as `rgcf run` builds them,
+    and a filter for it fresh from its initialisation: the filter of a
+    zero-step training run."""
+    args = [*MLP, *RUN, "--set", f"seed={SEED}", "--set", f"blobs_in_dim={in_dim}", "--set", f"blobs_classes={classes}"]
+    cfg = build_config(None, dict(arg.split("=", 1) for arg in args[1::2]))
+    train = cli.load_train(cfg)
+    arch = cli.build_arch(cfg, train)
+    filt, _ = train_filter(replace(cli.resolve(cfg).filter_train, steps=0), train, arch, SEED)
+    return cfg, train, cli.load_val(cfg), arch, filt
 
 
-def run(method: str, steps: int, train, val, arch, filt):
-    cfg = RunConfig(
-        n_workers=N_WORKERS,
-        byzantine_fraction=0.3,
-        attack=AttackSpec("gradient_shift"),
-        steps=steps,
-        seed=SEED,
-        aggregator=None if method == "rgcf" else AggregatorSpec(method, F_COUNT),
-    )
+def run(method: str, steps: int, cfg, train, val, arch, filt):
     if method == "rgcf":
-        return run_rgcf(cfg, train, val, arch, filt)
-    return run_aggregated(cfg, train, val, arch)
+        return run_rgcf(cli.resolve(replace(cfg, steps=steps)).run, train, val, arch, filt)
+    spec = cli.resolve(replace(cfg, steps=steps, mode=cli.AGGREGATOR_MODE, aggregator=method)).run
+    return run_aggregated(spec, train, val, arch)
 
 
-def train_s_per_step(steps: int, train, arch) -> float:
+def train_s_per_step(steps: int, cfg, train, arch) -> float:
     """Seconds per step of a train_filter run, less its set-up: the
     filter's initialisation and streams, timed by a zero-step run."""
     times = []
     for n in (0, steps):
+        spec = replace(cli.resolve(cfg).filter_train, steps=n)
         t0 = time.perf_counter()
-        train_filter(FilterTrainConfig(steps=n), train, arch, SEED)
+        train_filter(spec, train, arch, SEED)
         times.append(time.perf_counter() - t0)
     return (times[1] - times[0]) / steps
 
@@ -208,13 +207,13 @@ def main(argv: list[str]) -> int:
             if rep:
                 aggregate_samples.append(sample)
             for name, method in cells:
-                train, val, arch, filt = inputs[name]
+                cfg, train, val, arch, filt = inputs[name]
                 if method == "train_filter":
                     steps = MODELS[name][3]
-                    per_step = [train_s_per_step(steps if rep else 2, train, arch)]
+                    per_step = [train_s_per_step(steps if rep else 2, cfg, train, arch)]
                 else:
                     steps = MODELS[name][2]
-                    m = run(method, steps if rep else 10, train, val, arch, filt)
+                    m = run(method, steps if rep else 10, cfg, train, val, arch, filt)
                     per_step = [getattr(m, p) / steps for p in PHASES] + [m.wall_time / steps]
                 if rep:
                     samples[name, method].append(per_step)
@@ -223,7 +222,7 @@ def main(argv: list[str]) -> int:
     for (name, method), rows in samples.items():
         q1, med, q3 = np.percentile(np.array(rows) * 1e3, [25, 50, 75], axis=0)
         training = method == "train_filter"
-        cell = {"model": name, "d": inputs[name][2].param_count, "method": method,
+        cell = {"model": name, "d": inputs[name][3].param_count, "method": method,
                 "n": 2 if training else N_WORKERS, "steps": MODELS[name][3 if training else 2],
                 "runs": RUNS}
         for i, phase in enumerate(("train_s",) if training else PHASES + ("wall_s",)):
@@ -240,7 +239,7 @@ def main(argv: list[str]) -> int:
         print(f"aggregate d={AGGREGATE_D} {kind:13s} n={n:<3d} ms_per_call={med[i]:.3f} "
               f"(q1 {q1[i]:.3f}, q3 {q3[i]:.3f})")
     q1, med, q3 = np.percentile(grid_samples, [25, 50, 75], axis=0)
-    grid = {"cells": 80, "n": N_WORKERS, "steps": GRID_STEPS, "d": inputs["default"][2].param_count, "runs": RUNS}
+    grid = {"cells": 80, "n": N_WORKERS, "steps": GRID_STEPS, "d": inputs["default"][3].param_count, "runs": RUNS}
     for i, key in enumerate(("wall_s", "children_cpu_s")):
         grid[key] = {"median": med[i], "q1": q1[i], "q3": q3[i]}
     print(f"compare  80 cells, n={N_WORKERS}, {GRID_STEPS} steps: wall={med[0]:.3f} s "

@@ -12,6 +12,7 @@ raised before any output is written.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -151,6 +152,11 @@ def resolve(cfg: ExperimentConfig) -> Specs:
         for method in cfg.bench_methods:
             for n in cfg.bench_n:
                 bench_spec(method, n, cfg.bench_d, cfg.bench_reps)
+        # a row of the grid is keyed by (method, attack, fraction)
+        for key in ("compare_methods", "compare_attacks", "compare_fractions"):
+            values = getattr(cfg, key)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} lists an entry twice: {','.join(map(str, values))}")
         attacks = [AttackSpec(kind, cfg.attack_scale) for kind in cfg.compare_attacks]
         bases = [replace(run, byzantine_fraction=x, aggregator=None) for x in cfg.compare_fractions]
         grid = []
@@ -175,7 +181,7 @@ def _write_run_outputs(cfg: ExperimentConfig, m: RunMetrics) -> None:
     write_csv(
         _outpath(cfg, "steps.csv"),
         ["step", "train_loss", "ground_truth", "predicted", "decision"],
-        zip(m.steps, m.train_losses, m.ground_truths, m.predictions, m.decisions),
+        zip(itertools.count(1), m.train_losses, m.ground_truths, m.predictions, m.decisions),
     )
     write_csv(
         _outpath(cfg, "eval.csv"),
@@ -224,7 +230,7 @@ def cmd_train_filter(cfg: ExperimentConfig, specs: Specs) -> int:
     write_csv(
         _outpath(cfg, "filter_train.csv"),
         ["step", "loss", "running_accuracy"],
-        zip(log.steps, log.losses, log.running_accuracy),
+        zip(itertools.count(1), log.losses, log.running_accuracy),
     )
     print(f"trained filter (d={filt.d}) -> {_outpath(cfg, cfg.filter_file)}")
     return 0

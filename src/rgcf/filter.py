@@ -1,6 +1,7 @@
 """The gradient-classification filter.
 
-A small ReLU net with a sigmoid head takes a flat gradient with the scalar
+Every filter is one ReLU net with a sigmoid head, (d+1) -> 64 -> 32 -> 1
+(`HIDDEN` holds the widths). It takes a flat gradient with the scalar
 training loss appended as the final input coordinate and outputs the
 probability that the gradient is Byzantine. This module holds the net, its
 input, its weighted-BCE loss and gradient, one Adam training step on one
@@ -14,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,14 +40,20 @@ from .models import apply_update  # noqa: F401
 PRED_CLAMP = 1e-7
 
 MAGIC = b"RGCF"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+HIDDEN = (64, 32)  # the hidden widths of every filter
 THRESHOLD = 0.5  # a gradient the net scores at p >= THRESHOLD is rejected
 NO_START = bytes(32)  # the start digest of a filter that guards no start
 
 
+def filter_arch(d: int) -> Architecture:
+    """The filter net over d-dimensional gradients: (d+1) -> HIDDEN -> 1."""
+    return Architecture(d + 1, HIDDEN, 1)
+
+
 @dataclass(frozen=True)
 class FilterNet:
-    """Classifier over (gradient, loss) inputs: (d+1) -> 64 -> 32 -> 1.
+    """Classifier over (gradient, loss) inputs, the net `filter_arch(d)`.
 
     The gradient block of the input is rescaled to norm sqrt(d) before the
     net sees it, so classification depends on the gradient's direction
@@ -56,25 +64,22 @@ class FilterNet:
 
     d: int
     params: np.ndarray
-    hidden: tuple[int, ...] = (64, 32)
     start: bytes = NO_START
     threshold = THRESHOLD  # not a field: every filter decides at THRESHOLD
 
-    @property
+    @cached_property  # read by filter_forward at every decision
     def layer_sizes(self) -> tuple[int, ...]:
-        return (self.d + 1, *self.hidden, 1)
+        return filter_arch(self.d).layer_sizes
 
     def __post_init__(self):
-        if min(self.hidden, default=1) < 1:
-            raise ValueError(f"layer sizes {self.layer_sizes}: every hidden width must be >= 1")
-        expected = Architecture(self.d + 1, self.hidden, 1).param_count
+        expected = filter_arch(self.d).param_count
         if self.params.shape != (expected,):
             raise ValueError(f"filter params {self.params.shape} != expected ({expected},)")
 
 
-def filter_init(d: int, rng: np.random.Generator, hidden: tuple[int, ...] = (64, 32)) -> FilterNet:
+def filter_init(d: int, rng: np.random.Generator) -> FilterNet:
     """A fresh filter that guards no start yet."""
-    return FilterNet(d=d, params=init_params(Architecture(d + 1, hidden, 1), rng), hidden=hidden)
+    return FilterNet(d=d, params=init_params(filter_arch(d), rng))
 
 
 def start_digest(params: np.ndarray) -> bytes:
@@ -156,40 +161,30 @@ def filter_train_step(
 
 
 def save_filter(filt: FilterNet, path: str) -> None:
-    """Versioned binary format: magic, version, d, the layer-size count and
-    the layer sizes (uint32 each), the 32-byte start digest, then
-    little-endian float64 weights in canonical flattening order."""
-    sizes = filt.layer_sizes
+    """Versioned binary format: magic, version and d (uint32 each), the
+    32-byte start digest, then the little-endian float64 weights of
+    `filter_arch(d)` in canonical flattening order."""
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack(f"<III{len(sizes)}I", FORMAT_VERSION, filt.d, len(sizes), *sizes))
+        f.write(struct.pack("<II", FORMAT_VERSION, filt.d))
         f.write(filt.start)
         f.write(np.asarray(filt.params, dtype="<f8").tobytes())
 
 
 def load_filter(path: str) -> FilterNet:
-    """Parse a file written by save_filter. Every field must be complete,
-    the layer sizes must run from d+1 to 1 with no hidden width below 1,
+    """Parse a file written by save_filter. Every field must be complete
     and nothing may follow the weights; anything else, a file of another
     format version included, raises ValueError. The start digest is read,
     not judged: which start a run needs is the caller's to say."""
     with open(path, "rb") as f:
-
-        def unpack(fmt: str) -> tuple:
-            return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt), path))
-
         if read_exact(f, len(MAGIC), path) != MAGIC:
             raise ValueError(f"{path}: not a filter file (bad magic)")
-        version, d = unpack("<II")
+        version, d = struct.unpack("<II", read_exact(f, 8, path))
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}; retrain the filter")
-        (n_sizes,) = unpack("<I")
-        sizes = unpack(f"<{n_sizes}I")
-        if n_sizes < 2 or sizes[0] != d + 1 or sizes[-1] != 1:
-            raise ValueError(f"{path}: layer sizes {sizes} do not run from d+1={d + 1} to 1")
         start = read_exact(f, len(NO_START), path)
-        count = Architecture(sizes[0], sizes[1:-1], sizes[-1]).param_count
+        count = filter_arch(d).param_count
         params = np.frombuffer(read_exact(f, 8 * count, path), dtype="<f8")
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the weight block")
-    return FilterNet(d, param_vector(params), tuple(sizes[1:-1]), start)
+    return FilterNet(d, param_vector(params), start)

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import core, filter, models
 from .aggregators import AggregatorSpec, aggregate
-from .attacks import RANDOM_GAUSSIAN, AttackSpec, apply_attack
+from .attacks import AttackSpec, apply_attack
+from .config import ExperimentConfig
 from .core import NonFiniteValueError, assert_finite, param_vector, stream
 from .data import Dataset, sample_minibatch, shard
 from .filter import FilterNet, filter_init
@@ -49,9 +50,9 @@ class RunConfig:
     steps: int
     seed: int
     aggregator: AggregatorSpec | None = None
-    server_lr: float = 0.01
-    eval_every: int = 25
-    batch_size: int = 128
+    server_lr: float = ExperimentConfig.server_lr
+    eval_every: int = ExperimentConfig.eval_every
+    batch_size: int = ExperimentConfig.batch_size
 
     def __post_init__(self):
         if not 0.0 <= self.byzantine_fraction <= 1.0:
@@ -75,8 +76,7 @@ class RunConfig:
 
 @dataclass
 class RunMetrics:
-    # per step
-    steps: list[int] = field(default_factory=list)
+    # per step, steps 1, 2, ...
     train_losses: list[float] = field(default_factory=list)
     ground_truths: list[int | None] = field(default_factory=list)
     predictions: list[int | None] = field(default_factory=list)
@@ -172,12 +172,12 @@ def build_workers(cfg: RunConfig, train_data: Dataset) -> list[WorkerSpec]:
 
 @dataclass(frozen=True)
 class FilterTrainConfig:
-    steps: int = 500
-    positive_weight: float = 10.0
-    filter_lr: float = 0.002
-    server_lr: float = 0.01
-    batch_size: int = 128
-    attack: AttackSpec = field(default_factory=lambda: AttackSpec(RANDOM_GAUSSIAN, 1.0))
+    steps: int = ExperimentConfig.filter_steps
+    positive_weight: float = ExperimentConfig.positive_weight
+    filter_lr: float = ExperimentConfig.filter_lr
+    server_lr: float = ExperimentConfig.server_lr
+    batch_size: int = ExperimentConfig.batch_size
+    attack: AttackSpec = AttackSpec(ExperimentConfig.train_attack, ExperimentConfig.train_attack_scale)
 
     def __post_init__(self):
         if self.steps < 0:
@@ -196,7 +196,7 @@ def server_start(arch: Architecture, seed: int) -> np.ndarray:
 
 @dataclass
 class FilterTrainLog:
-    steps: list[int] = field(default_factory=list)
+    # per step, steps 1, 2, ...
     losses: list[float] = field(default_factory=list)
     running_accuracy: list[float] = field(default_factory=list)
 
@@ -237,7 +237,6 @@ def train_filter(
             params = apply_update(params, grad, cfg.server_lr, byz)
             loss, pred = filter.filter_train_step(filt, adam, grad, server_loss, byz, cfg.positive_weight)
             correct += int((pred >= filter.THRESHOLD) == byz)
-            log.steps.append(step)
             log.losses.append(loss)
             log.running_accuracy.append(correct / step)
     return replace(filt, params=param_vector(filt.params)), log
@@ -328,7 +327,6 @@ def _run(
             m.worker_s += t1 - t0
             m.decision_s += t2 - t1
             m.update_s += t3 - t2
-            m.steps.append(t)
             m.ground_truths.append(truth)
             if filt is None:
                 m.train_losses.append(float(np.mean(losses)))

@@ -104,7 +104,7 @@ def test_criterion_1_gradient_oracle():
     h = 1e-5
     for _ in range(10):
         d = int(r.integers(3, 8))
-        filt = filter_init(d, r, hidden=(5, 3))
+        filt = filter_init(d, r)
         # biases start at zero, so a unit whose inputs are all dead sits
         # exactly on the ReLU kink where finite differences are invalid;
         # jitter the parameters and require a margin around every kink

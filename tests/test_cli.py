@@ -254,13 +254,27 @@ class TestRun:
             assert run_cli("run", "--out", out, *FAST, "--set", f"filter_file={path}") == 2
 
     def test_header_beyond_the_file_is_runtime_failure(self, tmp_path, capsys):
-        # a 77-byte filter file whose header claims d = 2**32 - 2 fails on
+        # a 77-byte filter file whose header claims d = 2**32 - 1 fails on
         # its length, naming the file, not on a 2.2 TB allocation
         path = tmp_path / "huge.rgcf"
-        path.write_bytes(struct.pack("<4sIII5I", b"RGCF", 2, 2**32 - 2, 5, 2**32 - 1, 64, 32, 16, 1) + bytes(41))
+        path.write_bytes(struct.pack("<4sII", b"RGCF", 3, 2**32 - 1) + bytes(65))
         out = str(tmp_path / "r")
         assert run_cli("run", "--out", out, *FAST, "--set", f"filter_file={path}") == 2
         assert capsys.readouterr().err.startswith(f"runtime failure: {path}: truncated, expected ")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_format_version_is_runtime_failure(self, trained, tmp_path, capsys, version):
+        # a filter file from before format 3 must be retrained; no old
+        # reader is kept
+        path = tmp_path / "old.rgcf"
+        blob = bytearray(read(os.path.join(trained, "filter.rgcf")))
+        struct.pack_into("<I", blob, 4, version)  # the version follows the magic
+        path.write_bytes(bytes(blob))
+        out = str(tmp_path / "r")
+        assert run_cli("run", "--seed", "1", "--out", out, *FAST, "--set", f"filter_file={path}") == 2
+        message = f"runtime failure: {path}: unsupported format version {version}; retrain the filter\n"
+        assert capsys.readouterr().err == message
         assert not os.path.exists(out)
 
     def test_infeasible_aggregator_is_validation_error(self, tmp_path):
@@ -642,6 +656,10 @@ INVALID_CONFIGS = [
     ("train-filter", ["--set", "task=idx"]),  # no dataset files
     ("run", ["--set", "task=idx", "--set", "train_images=/no/such/images"]),
     ("run", ["--set", "arch=mlp"]),  # the filter was trained for the logistic model
+    # a grid row is keyed by (method, attack, fraction), so no entry repeats
+    ("compare", ["--set", "compare_methods=rgcf,krum,rgcf"]),
+    ("compare", ["--set", "compare_attacks=inverse,inverse"]),
+    ("run", ["--set", "compare_fractions=0.2,0.20"]),
 ]
 
 
@@ -761,6 +779,15 @@ class TestArgs:
         cfg = build_config(os.path.join(out, "manifest.txt"))
         assert cfg.seed == 9
         assert cfg.out == out
+
+
+def test_empty_config_resolves_to_the_specs_own_defaults():
+    # the tests that build FilterTrainConfig() or a RunConfig from its
+    # defaults build what the CLI runs from a config that sets nothing
+    specs = resolve(build_config(None, {}))
+    assert specs.filter_train == simulation.FilterTrainConfig()
+    run = specs.run
+    assert run == simulation.RunConfig(run.n_workers, run.byzantine_fraction, run.attack, run.steps, run.seed)
 
 
 class TestFCount:

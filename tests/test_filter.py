@@ -1,7 +1,9 @@
+import ast
 import os
 import re
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from rgcf.attacks import AttackSpec, apply_attack
 from rgcf.core import NonFiniteValueError, param_vector, stream
 from rgcf.data import sample_minibatch, synth_gaussian_blobs
 from rgcf.filter import (
+    HIDDEN,
     NO_START,
     PRED_CLAMP,
     FilterNet,
     _filter_input,
+    filter_arch,
     filter_forward,
     filter_gradient,
     filter_init,
@@ -25,7 +29,6 @@ from rgcf.filter import (
     start_digest,
 )
 from rgcf.models import (
-    Architecture,
     adam_init,
     adam_parts,
     apply_update,
@@ -64,9 +67,8 @@ def assembled(grad):
     return np.concatenate([np.outer(grad.x, grad.delta).ravel(), grad.rest])
 
 
-def zero_filter(d, hidden=(4, 3)):
-    count = Architecture(d + 1, hidden, 1).param_count
-    return FilterNet(d=d, params=param_vector(np.zeros(count)), hidden=hidden)
+def zero_filter(d):
+    return FilterNet(d=d, params=param_vector(np.zeros(filter_arch(d).param_count)))
 
 
 class TestForward:
@@ -76,7 +78,7 @@ class TestForward:
 
     def test_matches_batched_training_forward(self):
         r = rng(11)
-        filt = filter_init(8, r, hidden=(6, 4))
+        filt = filter_init(8, r)
         g = r.standard_normal(8)
         z, _ = mlp_forward(filt.params, filt.layer_sizes, _filter_input(filt, g, 0.3))
         ref = float(1.0 / (1.0 + np.exp(-z[0, 0])))
@@ -128,7 +130,7 @@ class TestTrainStep:
     def test_backprop_matches_finite_differences(self):
         r = rng(20)
         d = 6
-        filt = filter_init(d, r, hidden=(5, 3))
+        filt = filter_init(d, r)
         example = self._example(r, d)
         for label in (0, 1):
             x = _filter_input(filt, *example)
@@ -165,30 +167,30 @@ class TestTrainStep:
             last, _ = filter_train_step(filt, adam, *example, 1, 10.0)
         assert last < first
 
-    @pytest.mark.parametrize("hidden", [(64, 32), (48, 16), (5, 3)])
-    def test_factored_gradient_equals_dense_textbook(self, hidden):
+    def test_factored_gradient_equals_dense_textbook(self):
         # [outer(x, delta), rest] is the textbook gradient: byte-equal,
         # except that a BLAS product writes +0 where np.outer keeps a
         # zero's sign (which adam_step never lets reach the weights)
         r = rng(23)
         for d in (4, 300):
-            filt = filter_init(d, r, hidden=hidden)
+            filt = filter_init(d, r)
             jitter = 0.1 * r.standard_normal(filt.params.shape)
             filt = replace(filt, params=param_vector(filt.params + jitter))
             example = self._example(r, d)
             for label in (0, 1):
                 grad, loss, pred = filter_gradient(filt, *example, label, 10.0)
-                assert grad.x.shape == (d + 1,) and grad.delta.shape == (hidden[0],)
+                assert grad.x.shape == (d + 1,) and grad.delta.shape == (HIDDEN[0],)
                 ref, ref_loss, ref_pred = dense_filter_gradient(filt, *example, label, 10.0)
                 assert (assembled(grad) + 0.0).tobytes() == (ref + 0.0).tobytes()
                 assert (loss, pred) == (ref_loss, ref_pred)
 
-    @pytest.mark.parametrize("bad", [341, 40_000, 1605 * 48 + 500])
+    @pytest.mark.parametrize("bad", [341, 40_000, 77_540, 1605 * 64 + 500])
     def test_non_finite_weight_raises_at_textbook_coordinate(self, bad):
-        # a huge first moment sends one weight to -inf, in an early or a
-        # late row of the 1605 x 48 first layer or in the weights after it
+        # a huge first moment sends one weight to -inf, in an early, a
+        # middle or a late row of the 1605 x 64 first layer or in the
+        # weights after it
         r = rng(24)
-        filt = writable(filter_init(1604, r, hidden=(48, 16)))
+        filt = writable(filter_init(1604, r))
         example = self._example(r, 1604)
         adam = adam_init(filt.params.shape[0])
         adam.m[bad] = 1e308
@@ -215,7 +217,7 @@ class TestTrainFilter:
         arch = logistic(blobs.in_dim, blobs.classes)
         cfg = FilterTrainConfig(steps=300)
         filt, log = train_filter(cfg, blobs, arch, seed=5)
-        assert len(log.steps) == 300
+        assert len(log.losses) == 300
         assert log.running_accuracy[-1] > 0.8
         assert filt.d == arch.param_count
 
@@ -232,7 +234,7 @@ class TestTrainFilter:
         filt, log = train_filter(FilterTrainConfig(steps=0), blobs, arch, seed=6)
         ref = filter_init(arch.param_count, rng(6, 10))
         assert np.array_equal(filt.params, ref.params)
-        assert log.steps == []
+        assert log.losses == []
 
     def test_server_trajectory_ignores_filter_quality(self, blobs, monkeypatch):
         # Algorithm invariant: the simulated server is updated with the
@@ -321,7 +323,6 @@ class TestSerialization:
         loaded = load_filter(path)
         assert np.array_equal(loaded.params, filt.params)
         assert loaded.d == filt.d
-        assert loaded.hidden == filt.hidden
         # the file keeps the start the filter's training run started from
         assert loaded.start == filt.start == start_digest(server_start(arch, 9))
         assert loaded.start != NO_START
@@ -329,25 +330,24 @@ class TestSerialization:
         assert filter_forward(loaded, g, 0.2) == filter_forward(filt, g, 0.2)
 
     def test_header_length(self, tmp_path):
-        # magic, version, d and the size count (16 bytes), 4 bytes per
-        # layer size, the 32-byte start digest, then the weights
+        # magic, version and d (12 bytes), the 32-byte start digest, then
+        # the weights of filter_arch(d)
         path = tmp_path / "f.rgcf"
         filt = replace(zero_filter(4), start=bytes(range(32)))
         save_filter(filt, str(path))
         blob = path.read_bytes()
-        header = 16 + 4 * len(filt.layer_sizes) + 32
-        assert len(blob) == header + 8 * filt.params.size
-        assert struct.unpack_from("<4sIII", blob) == (b"RGCF", 2, 4, 4)
-        assert blob[header - 32 : header] == filt.start
+        assert len(blob) == 44 + 8 * filter_arch(4).param_count
+        assert struct.unpack_from("<4sII", blob) == (b"RGCF", 3, 4)
+        assert blob[12:44] == filt.start
         assert load_filter(str(path)).start == filt.start
 
     def test_other_format_versions(self, tmp_path):
-        # version 1, which stored a threshold and a normalize byte, and any
-        # later version are refused: the message names the version and
-        # says to retrain
+        # version 1, which stored a threshold and a normalize byte, version
+        # 2, which stored the layer sizes, and any later version are
+        # refused: the message names the version and says to retrain
         path = tmp_path / "f.rgcf"
         save_filter(zero_filter(4), str(path))
-        for version in (1, 3):
+        for version in (1, 2, 4):
             blob = bytearray(path.read_bytes())
             struct.pack_into("<I", blob, 4, version)  # the version follows the magic
             path.write_bytes(bytes(blob))
@@ -358,8 +358,8 @@ class TestSerialization:
     def test_cut_inside_the_start_digest(self, tmp_path):
         path = tmp_path / "f.rgcf"
         save_filter(zero_filter(4), str(path))
-        # magic, version, d, size count and four sizes: 32 bytes, then the digest
-        path.write_bytes(path.read_bytes()[: 32 + 20])
+        # magic, version and d: 12 bytes, then the digest
+        path.write_bytes(path.read_bytes()[: 12 + 20])
         with pytest.raises(ValueError, match=re.escape(f"{path}: truncated, expected 32 more bytes, got 20")):
             load_filter(str(path))
 
@@ -386,20 +386,15 @@ class TestSerialization:
             load_filter(str(path))
 
     def test_header_lengths_beyond_the_file_are_not_read(self, tmp_path, monkeypatch):
-        # in a 77-byte file, d = 2**32 - 2 claims a 2.2 TB weight block, and
-        # 2**28 layer sizes claim a 1 GB size list: each length is refused
-        # against the file's, so no read asks for more than the file holds
+        # in a 77-byte file, d = 2**32 - 1 claims a 2.2 TB weight block: the
+        # length is refused against the file's, so no read asks for more
+        # than the file holds
         path = tmp_path / "f.rgcf"
-        huge_d = struct.pack("<4sIII5I", b"RGCF", 2, 2**32 - 2, 5, 2**32 - 1, 64, 32, 16, 1) + bytes(41)
-        many_sizes = struct.pack("<4sIII", b"RGCF", 2, 4, 2**28) + bytes(61)
+        path.write_bytes(struct.pack("<4sII", b"RGCF", 3, 2**32 - 1) + bytes(65))
         sizes = spy_reads(monkeypatch, "rgcf.filter")
-        weights = 8 * Architecture(2**32 - 1, (64, 32, 16), 1).param_count
-        for blob, wanted in ((huge_d, weights), (many_sizes, 2**30)):
-            assert len(blob) == 77
-            path.write_bytes(blob)
-            message = f"{path}: truncated, expected {wanted} more bytes, got"
-            with pytest.raises(ValueError, match=re.escape(message)):
-                load_filter(str(path))
+        message = f"{path}: truncated, expected {8 * filter_arch(2**32 - 1).param_count} more bytes, got 33"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_filter(str(path))
         assert 0 < max(sizes) <= 77
 
     def test_trailing_bytes(self, tmp_path):
@@ -407,24 +402,6 @@ class TestSerialization:
         save_filter(zero_filter(4), str(path))
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
-            load_filter(str(path))
-
-    def test_layer_sizes_must_fit_d(self, tmp_path):
-        path = tmp_path / "f.rgcf"
-        save_filter(zero_filter(4), str(path))
-        blob = bytearray(path.read_bytes())
-        # sizes start after magic, version, d and the size count: (5, 4, 3, 1)
-        for index, wrong in ((0, 6), (3, 2)):
-            bad = bytearray(blob)
-            struct.pack_into("<I", bad, 16 + 4 * index, wrong)
-            path.write_bytes(bytes(bad))
-            with pytest.raises(ValueError, match="layer sizes"):
-                load_filter(str(path))
-        # a zero-width hidden layer: sizes (5, 0, 1) hold one weight, an
-        # output bias, so the net would score every gradient alike
-        header = struct.pack("<4sIII3I", b"RGCF", 2, 4, 3, 5, 0, 1) + NO_START
-        path.write_bytes(header + struct.pack("<d", 3.0))
-        with pytest.raises(ValueError, match="layer sizes"):
             load_filter(str(path))
 
 
@@ -439,3 +416,15 @@ def test_config_validation():
         FilterTrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         FilterNet(d=3, params=param_vector(np.zeros(10)))
+
+
+def test_decide_reference_checks_the_filter_widths():
+    # perfbench's decide-1e5 checks each filter decision against a dense
+    # reference net whose hidden widths it writes out; read, never edited
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    calls = [
+        node
+        for node in ast.walk(ast.parse(workloads.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "filter_probability"
+    ]
+    assert [ast.literal_eval(call.args[2]) for call in calls] == [HIDDEN]

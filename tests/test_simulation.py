@@ -8,9 +8,8 @@ from rgcf.aggregators import AggregatorSpec
 from rgcf.attacks import ATTACK_KINDS, AttackSpec, apply_attack
 from rgcf.core import NonFiniteValueError, param_vector, stream
 from rgcf.data import Dataset, sample_minibatch, shard, synth_gaussian_blobs
-from rgcf.filter import FilterNet, filter_init, start_digest
+from rgcf.filter import FilterNet, filter_arch, filter_init, start_digest
 from rgcf.models import (
-    Architecture,
     apply_update,
     backward,
     init_params,
@@ -37,7 +36,7 @@ def constant_filter(d, bias):
     # zero weights except the output bias: every gradient scores
     # sigmoid(bias), so -50 accepts all, 50 rejects all and 0 scores
     # exactly the 0.5 threshold
-    params = np.zeros(Architecture(d + 1, (64, 32), 1).param_count)
+    params = np.zeros(filter_arch(d).param_count)
     params[-1] = bias
     return FilterNet(d=d, params=param_vector(params))
 
@@ -231,7 +230,7 @@ class TestRunRgcf:
         arch = logistic(blobs.in_dim, blobs.classes)
         m = run_rgcf(run_config(), blobs, blobs_val, arch, accept_all_filter(arch.param_count))
         assert m.transferred_gradients == 30
-        assert len(m.steps) == 30
+        assert len(m.train_losses) == 30
 
     def test_deterministic(self, blobs, blobs_val):
         arch = logistic(blobs.in_dim, blobs.classes)
@@ -425,7 +424,7 @@ class TestRunAggregated:
         )
         m = run_aggregated(cfg, blobs, blobs_val, arch)
         assert m.diverged
-        assert len(m.steps) < 10
+        assert len(m.train_losses) < 10
 
     def test_overflowing_loss_sets_diverged(self, blobs, blobs_val):
         # once the parameters overflow, a worker can report a finite
@@ -435,7 +434,7 @@ class TestRunAggregated:
             cfg = self.agg_config(attack=AttackSpec(kind, 1e156), steps=60)
             m = run_aggregated(cfg, blobs, blobs_val, arch)
             assert m.diverged
-            assert len(m.steps) < 60
+            assert len(m.train_losses) < 60
 
     def test_other_errors_propagate(self, blobs, blobs_val, monkeypatch):
         # only a non-finite value means divergence; any other ValueError
