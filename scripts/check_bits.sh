@@ -13,11 +13,13 @@
 # depend on the server's parameters); run in rgcf, krum, bulyan (n=11,
 # f=2), median, trimmed_mean and mean mode; median and trimmed_mean at
 # n=40, a second size of the sorting network; MLP median and bulyan (n=11,
-# f=2) runs under the inverse attack; an all-Byzantine attack_scale=1e200
-# MLP mean run that diverges at its first step; the 80-cell MLP compare
-# grid at steps=25; its 16 rgcf cells at attack_scale=0.003, where the
-# filter accepts gradient_shift gradients, so the cells' oracle twins part
-# from them.
+# f=2) runs under the inverse attack; a mean run under all_ones at
+# attack_scale=3, whose scale reaches the applied aggregate (the `decision`
+# column of steps.csv holds its norm); an all-Byzantine
+# attack_scale=1e200 MLP mean run that diverges at its first step; the
+# 80-cell MLP compare grid at steps=25; its 16 rgcf cells at
+# attack_scale=0.003, where the filter accepts gradient_shift gradients,
+# so the cells' oracle twins part from them.
 #
 # The probes run on one BLAS thread. Byte-reproducibility holds at a fixed
 # BLAS thread count, not across counts: with OpenBLAS, the wide probe's
@@ -73,6 +75,9 @@ rgcf run --seed 0 --out "$OUT/run/mlp-median" "${MLP[@]}" "${RUN[@]}" \
 rgcf run --seed 0 --out "$OUT/run/mlp-bulyan" "${MLP[@]}" "${RUN[@]}" \
     --set attack=inverse --set mode=aggregator --set aggregator=bulyan \
     --set n_workers=11 --set f_count=2
+rgcf run --seed 0 --out "$OUT/run/mean-all-ones" "${RUN[@]}" \
+    --set mode=aggregator --set aggregator=mean \
+    --set attack=all_ones --set attack_scale=3
 rgcf run --seed 0 --out "$OUT/run/diverge" "${MLP[@]}" \
     --set mode=aggregator --set aggregator=mean \
     --set byzantine_fraction=1.0 --set attack_scale=1e200 --set steps=300

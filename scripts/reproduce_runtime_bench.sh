@@ -2,9 +2,13 @@
 # Per-decision filtering cost at d=100000 (bench_d's default, over bench_reps'
 # default of 100 timed calls): the filter's single forward pass
 # vs. one aggregation call for each baseline, at n = 10, 20, 40 workers.
-# Results land in runs/bench/bench.csv. Timings depend on the machine; rgcf
-# is the cheapest and flat in n, and krum/bulyan grow ~quadratically. Takes
-# about 3.5 minutes on a 2-vCPU Xeon VM.
+# Results land in runs/bench/bench.csv. Timings depend on the machine.
+# The filter's rows at different n time the same call, since its decision
+# never reads n; each decision streams the filter's 51 MB float64 first
+# layer, so memory bandwidth sets its cost. Krum and Bulyan grow
+# ~quadratically in n. The coordinate median and trimmed mean cost less
+# than the filter at n=10 and cross it near n=12-14. Takes about 1.5
+# minutes on a 2-vCPU Xeon VM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

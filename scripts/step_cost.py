@@ -1,7 +1,7 @@
 """Per-step cost of a training run, split by phase, for the filter and
 three aggregators at n=10 workers, and of a filter-training step; the cost
-of one aggregator call at d=100,000; and the wall time of a whole `compare`
-grid.
+of one aggregator call at d=100,000, as `rgcf bench` times it; and the wall
+time of a whole `compare` grid.
 
     python3 scripts/step_cost.py OUT.json
 
@@ -17,15 +17,15 @@ divided by its step count. The `compare` row is the wall time of
 `rgcf compare` in-process over the 80-cell grid of perfbench's grid-wide
 workload (all five methods, 4 attacks x 4 fractions, default MLP, n=10,
 25 steps, with a filter trained at the default config), beside the CPU
-seconds its pool workers used (RUSAGE_CHILDREN). The `aggregate` rows time
-one `aggregate` call on a list of n rows of a fixed pool of standard normal
-gradients at d=100,000, with f_count=1: median, trimmed mean and Bulyan at
-n=10, and median and trimmed mean at n=40. Every cell runs once untimed,
-then RUNS times, the cells interleaved so that machine drift hits all of
-them alike. OUT.json holds, per cell and phase, the median and the
-quartiles over the runs in milliseconds per step, the same per `aggregate`
-call, the same for the `compare` row in seconds, and the machine. One BLAS
-thread.
+seconds its pool workers used (RUSAGE_CHILDREN). Every one of these cells
+runs once untimed, then RUNS times, the cells interleaved so that machine
+drift hits all of them alike. After them, each `aggregate` row is one
+`simulation.bench_filtering` call, with its warm-up and AGGREGATE_REPS timed
+calls at d=100,000 and f_count=1: median, trimmed mean and Bulyan at n=10,
+and median and trimmed mean at n=40. OUT.json holds, per cell and phase, the
+median and the quartiles over the runs in milliseconds per step, the same
+over the timed calls of each `aggregate` row in milliseconds per call, the
+same for the `compare` row in seconds, and the machine. One BLAS thread.
 
 The rows that use more than one CPU, `compare` and the wide `train_filter`
 (whose Adam steps are split across threads), depend on whether a second
@@ -55,10 +55,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from rgcf import cli, core  # noqa: E402
-from rgcf.aggregators import AggregatorSpec, aggregate  # noqa: E402
+from rgcf import cli  # noqa: E402
 from rgcf.config import build_config  # noqa: E402
-from rgcf.simulation import run_aggregated, run_rgcf, train_filter  # noqa: E402
+from rgcf.simulation import bench_filtering, run_aggregated, run_rgcf, train_filter  # noqa: E402
 
 RUNS = 9
 SEED = 0
@@ -68,8 +67,9 @@ F_COUNT = 3
 MODELS = {"default": (20, 5, 400, 100), "wide": (784, 10, 60, 20)}
 METHODS = ("rgcf", "krum", "median", "trimmed_mean", "train_filter")
 PHASES = ("worker_s", "decision_s", "update_s", "eval_s")
-# one aggregator call at d=AGGREGATE_D: (rule, n), each at f_count=1
+# one aggregator call at d=AGGREGATE_D: (rule, n), each at bench's f_count=1
 AGGREGATE_D = 100_000
+AGGREGATE_REPS = 10
 AGGREGATE_CALLS = (("median", 10), ("trimmed_mean", 10), ("bulyan", 10), ("median", 40), ("trimmed_mean", 40))
 MLP = ["--set", "arch=mlp", "--set", "hidden=32"]
 RUN = ["--set", f"n_workers={N_WORKERS}", "--set", "byzantine_fraction=0.3",
@@ -107,18 +107,6 @@ def train_s_per_step(steps: int, cfg, train, arch) -> float:
         train_filter(spec, train, arch, SEED)
         times.append(time.perf_counter() - t0)
     return (times[1] - times[0]) / steps
-
-
-def aggregate_s(pool: list[np.ndarray]) -> list[float]:
-    """Seconds of one `aggregate` call per AGGREGATE_CALLS row, on the
-    pool's first n rows."""
-    times = []
-    for kind, n in AGGREGATE_CALLS:
-        spec, rows = AggregatorSpec(kind, 1), pool[:n]
-        t0 = time.perf_counter()
-        aggregate(spec, rows)
-        times.append(time.perf_counter() - t0)
-    return times
 
 
 def rgcf_cli(*argv: str) -> None:
@@ -192,9 +180,7 @@ def main(argv: list[str]) -> int:
     inputs = {name: setup(in_dim, classes) for name, (in_dim, classes, _, _) in MODELS.items()}
     cells = [(name, method) for name in MODELS for method in METHODS]
     samples: dict[tuple[str, str], list] = {cell: [] for cell in cells}
-    grid_samples, aggregate_samples = [], []
-    rng = core.stream(SEED, core.SID_BENCH)
-    pool = [rng.standard_normal(AGGREGATE_D) for _ in range(max(n for _, n in AGGREGATE_CALLS))]
+    grid_samples = []
     two_cpu = {"before": two_cpu_ratio()}
     with tempfile.TemporaryDirectory() as grid_dir:
         filter_file = os.path.join(grid_dir, "filter.rgcf")
@@ -203,9 +189,6 @@ def main(argv: list[str]) -> int:
             sample = compare_s(grid_dir, filter_file)
             if rep:
                 grid_samples.append(sample)
-            sample = aggregate_s(pool)
-            if rep:
-                aggregate_samples.append(sample)
             for name, method in cells:
                 cfg, train, val, arch, filt = inputs[name]
                 if method == "train_filter":
@@ -217,6 +200,8 @@ def main(argv: list[str]) -> int:
                     per_step = [getattr(m, p) / steps for p in PHASES] + [m.wall_time / steps]
                 if rep:
                     samples[name, method].append(per_step)
+    aggregate_ms = {call: bench_filtering(*call, AGGREGATE_D, AGGREGATE_REPS, seed=SEED) * 1e3
+                    for call in AGGREGATE_CALLS}
     two_cpu["after"] = two_cpu_ratio()
     results = []
     for (name, method), rows in samples.items():
@@ -232,12 +217,12 @@ def main(argv: list[str]) -> int:
         print(f"{name:8s} d={cell['d']:<6d} {method:13s} "
               + " ".join(f"{k[:-12]}={cell[k]['median']:.3f}" for k in cell if k.endswith("_ms_per_step")))
     calls = []
-    q1, med, q3 = np.percentile(np.array(aggregate_samples) * 1e3, [25, 50, 75], axis=0)
-    for i, (kind, n) in enumerate(AGGREGATE_CALLS):
-        calls.append({"method": kind, "n": n, "d": AGGREGATE_D, "f_count": 1, "runs": RUNS,
-                      "ms_per_call": {"median": med[i], "q1": q1[i], "q3": q3[i]}})
-        print(f"aggregate d={AGGREGATE_D} {kind:13s} n={n:<3d} ms_per_call={med[i]:.3f} "
-              f"(q1 {q1[i]:.3f}, q3 {q3[i]:.3f})")
+    for (kind, n), ms in aggregate_ms.items():
+        q1, med, q3 = np.percentile(ms, [25, 50, 75])
+        calls.append({"method": kind, "n": n, "d": AGGREGATE_D, "f_count": 1, "reps": AGGREGATE_REPS,
+                      "ms_per_call": {"median": med, "q1": q1, "q3": q3}})
+        print(f"aggregate d={AGGREGATE_D} {kind:13s} n={n:<3d} ms_per_call={med:.3f} "
+              f"(q1 {q1:.3f}, q3 {q3:.3f})")
     q1, med, q3 = np.percentile(grid_samples, [25, 50, 75], axis=0)
     grid = {"cells": 80, "n": N_WORKERS, "steps": GRID_STEPS, "d": inputs["default"][3].param_count, "runs": RUNS}
     for i, key in enumerate(("wall_s", "children_cpu_s")):
@@ -246,8 +231,8 @@ def main(argv: list[str]) -> int:
           f"(q1 {q1[0]:.3f}, q3 {q3[0]:.3f}), children cpu={med[1]:.3f} s")
     print(f"two spinners / one: {two_cpu['before']:.2f} before the rows, {two_cpu['after']:.2f} after")
     record = {"what": "milliseconds per training step by phase, and per filter-training step; "
-                      "milliseconds per aggregate call at d=100,000; "
-                      "seconds per compare grid; median and quartiles over runs; "
+                      "milliseconds per aggregate call at d=100,000 over one bench's timed calls; "
+                      "seconds per compare grid; median and quartiles; "
                       "two forked spinners' throughput over one's, before and after the rows",
               "machine": machine(), "seconds": round(time.perf_counter() - start, 1), "cells": results,
               "aggregate": calls, "compare": grid, "two_cpu_ratio": two_cpu}

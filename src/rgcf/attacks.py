@@ -19,7 +19,8 @@ GRADIENT_SHIFT = "gradient_shift"
 ATTACK_KINDS = (RANDOM_GAUSSIAN, INVERSE, ALL_ONES, GRADIENT_SHIFT)
 
 # The only scale with a stated source is the shift attack's 50; the scaled
-# Gaussian and inverse attacks default to 1 and are sweep knobs.
+# Gaussian, inverse and all-ones attacks default to 1 and are sweep knobs
+# (all_ones sends every coordinate equal to its scale).
 DEFAULT_SCALES = {
     RANDOM_GAUSSIAN: 1.0,
     INVERSE: 1.0,
@@ -53,7 +54,7 @@ def apply_attack(
     if spec.kind == INVERSE:
         return -spec.scale * true_grad
     if spec.kind == ALL_ONES:
-        return np.ones(d)
+        return np.full(d, spec.scale)
     if spec.kind == GRADIENT_SHIFT:
         return true_grad + spec.scale * rng.standard_normal(d)
     raise AssertionError(f"unreachable: {spec.kind}")

@@ -152,9 +152,11 @@ def resolve(cfg: ExperimentConfig) -> Specs:
         for method in cfg.bench_methods:
             for n in cfg.bench_n:
                 bench_spec(method, n, cfg.bench_d, cfg.bench_reps)
-        # a row of the grid is keyed by (method, attack, fraction)
-        for key in ("compare_methods", "compare_attacks", "compare_fractions"):
+        for key in ("bench_methods", "bench_n", "compare_methods", "compare_attacks", "compare_fractions"):
             values = getattr(cfg, key)
+            if not values:
+                raise ConfigError(f"{key} is empty")
+            # a grid row is keyed by (method, attack, fraction), a bench row by (method, n)
             if len(set(values)) < len(values):
                 raise ConfigError(f"{key} lists an entry twice: {','.join(map(str, values))}")
         attacks = [AttackSpec(kind, cfg.attack_scale) for kind in cfg.compare_attacks]
@@ -294,7 +296,8 @@ def cmd_bench(cfg: ExperimentConfig, specs: Specs) -> int:
     rows = []
     for method in cfg.bench_methods:
         for n in cfg.bench_n:
-            mean, std = bench_filtering(method, n, cfg.bench_d, cfg.bench_reps, seed=cfg.seed)
+            times = bench_filtering(method, n, cfg.bench_d, cfg.bench_reps, seed=cfg.seed)
+            mean, std = float(times.mean()), float(times.std())
             rows.append((method, n, cfg.bench_d, cfg.bench_reps, mean, std))
             print(f"bench {method} n={n}: {mean:.6f} +/- {std:.6f} s")
     write_csv(

@@ -11,6 +11,7 @@ communication cost (one gradient per step vs. n). Plus the decision bench.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -112,6 +113,8 @@ class RunMetrics:
 
 
 BENCH_WARMUP_S = 2.0
+# pool rows beyond the k that one bench decision reads
+BENCH_SPARE_ROWS = 8
 
 
 def worker_step(
@@ -368,11 +371,14 @@ def bench_spec(method: str, n: int, d: int, reps: int) -> AggregatorSpec | None:
     return spec
 
 
-def bench_filtering(method: str, n: int, d: int, reps: int, seed: int = 0) -> tuple[float, float]:
-    """Wall time per filtering/aggregation decision over synthetic random
-    gradients, excluding gradient generation. Returns (mean, stddev) seconds.
+def bench_filtering(method: str, n: int, d: int, reps: int, seed: int = 0) -> np.ndarray:
+    """Wall seconds of each of `reps` filtering/aggregation decisions over
+    synthetic random gradients, excluding their generation.
 
-    method: "rgcf" or an aggregator kind. Up to reps untimed decisions, at
+    method: "rgcf" or an aggregator kind. A decision gets fresh copies, as
+    a list, of k rows (k = n for an aggregator, 1 for the filter): a window
+    that moves one row per call through a pool of k + BENCH_SPARE_ROWS
+    rows, each with a loss, drawn once. Up to reps untimed decisions, at
     least one and BENCH_WARMUP_S at most, run first: they pay for the first
     touch of fresh memory and for a multi-threaded BLAS waking idle cores
     (on a 2-vCPU VM the first ~60 d=10^5 filter decisions took 15 ms, not 2).
@@ -380,21 +386,22 @@ def bench_filtering(method: str, n: int, d: int, reps: int, seed: int = 0) -> tu
     spec = bench_spec(method, n, d, reps)
     rng = stream(seed, core.SID_BENCH)
     filt = filter_init(d, rng) if spec is None else None
+    k = 1 if spec is None else n
+    pool = [rng.standard_normal(d) for _ in range(k + BENCH_SPARE_ROWS)]
+    losses = np.abs(rng.standard_normal(len(pool)))
+    starts = itertools.cycle(range(len(pool)))
 
     def decision() -> float:
+        first = next(starts)
+        rows = [pool[(first + i) % len(pool)].copy() for i in range(k)]
+        t0 = time.perf_counter()
         if spec is None:
-            grad = rng.standard_normal(d)
-            loss = float(abs(rng.standard_normal()))
-            t0 = time.perf_counter()
-            filter.filter_forward(filt, grad, loss)
+            filter.filter_forward(filt, rows[0], float(losses[first]))
         else:
-            grads = [rng.standard_normal(d) for _ in range(n)]
-            t0 = time.perf_counter()
-            aggregate(spec, grads)
+            aggregate(spec, rows)
         return time.perf_counter() - t0
 
     warmup = [decision()]
     while len(warmup) < reps and sum(warmup) < BENCH_WARMUP_S:
         warmup.append(decision())
-    times = np.array([decision() for _ in range(reps)])
-    return float(times.mean()), float(times.std())
+    return np.array([decision() for _ in range(reps)])

@@ -300,7 +300,7 @@ def test_criterion_8_runtime_ordering():
     t = {}
     for method, n in [("rgcf", 10), ("rgcf", 100), ("krum", 10), ("krum", 40),
                       ("median", 10), ("trimmed_mean", 10), ("bulyan", 10)]:
-        t[(method, n)], _ = bench_filtering(method, n, d, reps, seed=0)
+        t[(method, n)] = bench_filtering(method, n, d, reps, seed=0).mean()
     speedup = t[("krum", 10)] / t[("rgcf", 10)]
     next_slowest = max(t[(m, 10)] for m in ("rgcf", "krum", "median", "trimmed_mean"))
     bulyan_slowest = t[("bulyan", 10)] > next_slowest
@@ -314,7 +314,9 @@ def test_criterion_8_runtime_ordering():
         f"krum/rgcf at n=10: {speedup:.1f}x (need >= 3); bulyan slowest: {bulyan_slowest} "
         f"({t[('bulyan', 10)] / next_slowest:.2f}x the next-slowest n=10 method, need > 1); "
         f"rgcf n=100 vs n=10: {t[('rgcf', 100)] / t[('rgcf', 10)]:.2f}x (need <= 2); "
-        f"krum n=40 vs n=10: {krum_growth:.1f}x (need >= 8); ms per call: {ms}",
+        f"krum n=40 vs n=10: {krum_growth:.1f}x (need >= 8); not gated, n=10 median/rgcf "
+        f"{t[('median', 10)] / t[('rgcf', 10)]:.2f}x, trimmed_mean/rgcf "
+        f"{t[('trimmed_mean', 10)] / t[('rgcf', 10)]:.2f}x; ms per call: {ms}",
     )
 
 

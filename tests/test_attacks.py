@@ -44,6 +44,12 @@ def test_all_ones_ignores_gradient():
     assert np.array_equal(out, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("scale", [3.0, -0.5, 0.0])
+def test_all_ones_sends_its_scale(scale):
+    out = apply_attack(AttackSpec(ALL_ONES, scale), np.array([5.0, -5.0, 0.0]), rng(0))
+    assert np.array_equal(out, [scale] * 3)
+
+
 def test_gradient_shift_adds_scaled_noise():
     g = np.array([1.0, 2.0, 3.0, 4.0])
     noise = rng(9, 1).standard_normal(4)

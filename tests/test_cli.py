@@ -660,6 +660,15 @@ INVALID_CONFIGS = [
     ("compare", ["--set", "compare_methods=rgcf,krum,rgcf"]),
     ("compare", ["--set", "compare_attacks=inverse,inverse"]),
     ("run", ["--set", "compare_fractions=0.2,0.20"]),
+    # an empty list would write a header-only matrix or bench.csv
+    ("compare", ["--set", "compare_methods="]),
+    ("compare", ["--set", "compare_attacks=,"]),
+    ("compare", ["--set", "compare_fractions="]),
+    ("bench", ["--set", "bench_methods="]),
+    ("bench", ["--set", "bench_n="]),
+    # a bench.csv row is keyed by (method, n)
+    ("bench", ["--set", "bench_methods=krum,median,krum"]),
+    ("bench", ["--set", "bench_n=10,10"]),
 ]
 
 

@@ -464,10 +464,23 @@ class TestEvaluate:
 
 class TestBench:
     def test_returns_positive_times(self):
-        mean, std = bench_filtering("rgcf", 10, 50, 10)
-        assert mean > 0.0 and std >= 0.0
-        mean, _ = bench_filtering("krum", 6, 50, 10)
-        assert mean > 0.0
+        for method, n in (("rgcf", 10), ("krum", 6)):
+            times = bench_filtering(method, n, 50, 12)
+            assert times.shape == (12,) and (times > 0.0).all()
+
+    def test_decisions_read_fresh_copies_of_a_rotating_window(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(simulation, "aggregate", lambda spec, rows: seen.append(rows))
+        bench_filtering("krum", 4, 6, 10)
+        pool = 4 + simulation.BENCH_SPARE_ROWS
+        assert len(seen) >= pool + 1 and all(len(rows) == 4 for rows in seen)
+        # each call's window starts one pool row on, and wraps
+        assert np.array_equal(seen[1][0], seen[0][1])
+        assert np.array_equal(seen[pool - 1][1], seen[0][0])
+        assert np.array_equal(seen[pool][0], seen[0][0])
+        assert not np.array_equal(seen[0][0], seen[0][1])
+        # no two calls share an array
+        assert len({id(row) for rows in seen for row in rows}) == 4 * len(seen)
 
     def test_reps_floor(self):
         with pytest.raises(ValueError):
