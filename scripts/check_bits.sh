@@ -19,7 +19,9 @@
 # attack_scale=1e200 MLP mean run that diverges at its first step; the
 # 80-cell MLP compare grid at steps=25; its 16 rgcf cells at
 # attack_scale=0.003, where the filter accepts gradient_shift gradients,
-# so the cells' oracle twins part from them.
+# so the cells' oracle twins part from them; wide krum and median runs
+# (n=10, 30% gradient_shift, 100 steps), whose worker turns are large
+# enough to split across two CPUs.
 #
 # The probes run on one BLAS thread. Byte-reproducibility holds at a fixed
 # BLAS thread count, not across counts: with OpenBLAS, the wide probe's
@@ -81,6 +83,12 @@ rgcf run --seed 0 --out "$OUT/run/mean-all-ones" "${RUN[@]}" \
 rgcf run --seed 0 --out "$OUT/run/diverge" "${MLP[@]}" \
     --set mode=aggregator --set aggregator=mean \
     --set byzantine_fraction=1.0 --set attack_scale=1e200 --set steps=300
+
+for agg in krum median; do
+    rgcf run --seed 0 --out "$OUT/run/wide-$agg" "${WIDE[@]}" \
+        --set mode=aggregator --set "aggregator=$agg" --set n_workers=10 \
+        --set byzantine_fraction=0.3 --set attack=gradient_shift --set steps=100
+done
 
 rgcf compare --seed 0 --out "$OUT/compare" "${MLP[@]}" \
     --set steps=25 --set n_workers=10 \

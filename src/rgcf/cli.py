@@ -348,9 +348,10 @@ def convergence_verdict(m: RunMetrics, ref: float) -> tuple[str, float, float | 
 _cell_inputs: tuple[Dataset, Dataset, Architecture, FilterNet | None] | None = None
 
 
-def _init_cell_worker(*inputs) -> None:
+def _init_cell_worker(workers: int, *inputs) -> None:
     global _cell_inputs
     _cell_inputs = inputs
+    core.share_cpus(workers)
 
 
 def reference(cell: RunConfig) -> tuple[RunConfig, bool]:
@@ -394,13 +395,15 @@ def cmd_compare(cfg: ExperimentConfig, specs: Specs) -> int:
     # unpickled: first each distinct reference, then every runnable cell in
     # grid order. Rows are written in grid order as their results arrive.
     # With the fork context the executor forks all its workers at the first
-    # submit, before it starts a thread of its own.
+    # submit, before it starts a thread of its own. Each worker splits its
+    # own turns and Adam steps over its share of the CPUs only.
     keys = dict.fromkeys(reference(cell) for cell in cells)
+    workers = core.cpu_parts(len(keys) + len(cells), 1)
     pool = concurrent.futures.ProcessPoolExecutor(
-        max(1, min(len(os.sched_getaffinity(0)), len(keys) + len(cells))),
+        workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_cell_worker,
-        initargs=(train_data, val_data, arch, filt),
+        initargs=(workers, train_data, val_data, arch, filt),
     )
     try:
         refs = {key: pool.submit(_cell_job, *key) for key in keys}

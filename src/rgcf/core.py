@@ -1,6 +1,11 @@
-"""Flat parameter vectors, their non-finite check and the deterministic RNG contract."""
+"""Flat parameter vectors, their non-finite check, the deterministic RNG
+contract, and the one rule for splitting a call's work across CPUs."""
 
 from __future__ import annotations
+
+import contextvars
+import os
+from collections.abc import Callable
 
 import numpy as np
 
@@ -68,3 +73,44 @@ def stream(seed: int, stream_id: int) -> np.random.Generator:
     distinct stream ids under one seed are independent streams.
     """
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(stream_id)))
+
+
+# How many processes, this one included, run at once on the CPUs it may
+# use: set by `share_cpus` in a compare pool worker, else 1.
+_sharers = 1
+
+
+def share_cpus(processes: int) -> None:
+    """Record that this process is one of `processes` that run at once on
+    the CPUs it may use, so `cpu_parts` counts only its share of them: a
+    compare pool as large as the CPU count keeps every cell's work whole."""
+    global _sharers
+    _sharers = processes
+
+
+def cpu_parts(size: int, part: int) -> int:
+    """How many parts a job of `size` units of work splits into: one per
+    CPU of this process's share of the CPUs it may use, each of at least
+    `part` units, and at least one."""
+    return max(1, min(len(os.sched_getaffinity(0)) // _sharers, size // part))
+
+
+def run_parts(count: int, part: Callable[[int], object]) -> list:
+    """part(0), ..., part(count - 1), in order of their results: this thread
+    runs the last part while helper threads run the others, each in a copy
+    of this thread's contextvars context, so numpy's errstate holds in
+    every part. The helpers live for this call alone and are joined before
+    it returns, so none outlives it into a later fork. The lowest failed
+    part's exception is raised, as a serial loop's would be."""
+    if count == 1:
+        return [part(0)]
+    import concurrent.futures
+
+    with concurrent.futures.ThreadPoolExecutor(count - 1) as pool:
+        results = [pool.submit(contextvars.copy_context().run, part, i) for i in range(count - 1)]
+        last: concurrent.futures.Future = concurrent.futures.Future()
+        try:
+            last.set_result(part(count - 1))
+        except Exception as e:
+            last.set_exception(e)
+    return [f.result() for f in (*results, last)]

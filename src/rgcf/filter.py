@@ -168,7 +168,8 @@ def save_filter(filt: FilterNet, path: str) -> None:
         f.write(MAGIC)
         f.write(struct.pack("<II", FORMAT_VERSION, filt.d))
         f.write(filt.start)
-        f.write(np.asarray(filt.params, dtype="<f8").tobytes())
+        # the array's own buffer, not a bytes copy of every weight
+        f.write(np.ascontiguousarray(filt.params, dtype="<f8"))
 
 
 def load_filter(path: str) -> FilterNet:

@@ -10,13 +10,12 @@ shape (fan_in, fan_out) in row-major order, then its bias vector.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
+from . import core, kernels
 from .core import NonFiniteValueError, param_vector
 
 # A large Adam step is split into parts of at least this many coordinates
@@ -162,7 +161,11 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def backward(
-    arch: Architecture, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray
+    arch: Architecture,
+    params: np.ndarray,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Gradient of the mean batch loss w.r.t. the flat parameters, and that
     loss. Neither is checked here: the caller checks what it sends.
@@ -170,8 +173,26 @@ def backward(
     Inputs (b, in_dim) with labels (b,) give a (d,) gradient and a float.
     A stack of k batches, inputs (k, b, in_dim) with labels (k, b), gives a
     (k, d) gradient array and k losses from one pass; row j and loss j are
-    bit-identical to the 2-D call on batch j.
+    bit-identical to the 2-D call on batch j. out=(grads, losses) of those
+    shapes, say rows of a caller's larger arrays, receives a stack's
+    result, which is then returned in them.
     """
+    lead = inputs.shape[:-2]
+    grad, losses = (np.empty(lead + params.shape), np.empty(lead)) if out is None else out
+    backward_into(arch, params, inputs, labels, (grad, losses))
+    return grad, (losses if lead else float(losses))
+
+
+def backward_into(
+    arch: Architecture,
+    params: np.ndarray,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """`backward`'s pass, written into out=(grad, losses). perfbench's
+    tracer does not wrap this name, so a helper thread may call it."""
+    grad, losses = out
     logits, acts = mlp_forward(params, arch.layer_sizes, inputs)
     b = inputs.shape[-2]
     rows = logits.reshape(-1, logits.shape[-1])
@@ -180,14 +201,11 @@ def backward(
     dlogits /= total
     dlogits.reshape(-1)[at] -= 1.0
     dlogits /= b
-    grad = np.empty(logits.shape[:-2] + params.shape)
     first_w = unflatten(grad, arch.layer_sizes)[0][0]
     rest = grad[..., arch.in_dim * arch.layer_sizes[1] :]
     delta = mlp_backward(params, arch.layer_sizes, acts, dlogits.reshape(logits.shape), rest)
     np.matmul(np.swapaxes(inputs, -1, -2), delta, out=first_w)
-    if inputs.ndim == 2:
-        return grad, float(np.mean(nll))
-    return grad, nll.reshape(-1, b).mean(axis=1)
+    np.mean(nll.reshape(inputs.shape[:-2] + (b,)), axis=-1, out=losses)
 
 
 def apply_update(params: np.ndarray, grad: np.ndarray, alpha: float, b: int) -> np.ndarray:
@@ -229,13 +247,6 @@ class FactoredGradient(NamedTuple):
     rest: np.ndarray
 
 
-def adam_parts(size: int) -> int:
-    """How many parts `adam_step` splits a step of `size` coordinates
-    into: one per CPU the process may use, each of at least ADAM_PART
-    coordinates."""
-    return max(1, min(len(os.sched_getaffinity(0)), size // ADAM_PART))
-
-
 def adam_step(state: AdamState, params: np.ndarray, grad: FactoredGradient) -> None:
     """One Adam update with bias correction, in place on params, m and v.
 
@@ -251,13 +262,13 @@ def adam_step(state: AdamState, params: np.ndarray, grad: FactoredGradient) -> N
     zero only when m is, and a sum is -0 only when both terms are, so m is
     never -0; and ((1-beta2)*g)*g is +0 for either zero.
 
-    A step of an outer product is split into `adam_parts` parts of whole
-    outer-product rows, `rest` in the last: this thread runs the last part
-    while helper threads run the others, each one kernel call on its own
-    coordinates. The helpers live for this step alone, joined before it
-    returns, so none outlives it into a later fork. Each coordinate gets
-    the same operations either way, so the bits do not depend on the
-    number of parts.
+    A step of an outer product is split into `core.cpu_parts(size,
+    ADAM_PART)` parts of whole outer-product rows, `rest` in the last, run
+    by `core.run_parts`: this thread runs the last part while helper
+    threads, joined before the step returns, run the others, each one
+    kernel call on its own coordinates. Each coordinate gets the same
+    operations either way, so the bits do not depend on the number of
+    parts.
 
     params, m and v must be writable, C-contiguous float64 arrays; any
     other is refused with ValueError, untouched, never copied. An update
@@ -277,7 +288,7 @@ def adam_step(state: AdamState, params: np.ndarray, grad: FactoredGradient) -> N
     kernel = kernels.library().rgcf_adam_step
     state.t += 1
     c1, c2 = 1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t
-    parts = adam_parts(params.shape[0]) if head else 1
+    parts = core.cpu_parts(params.shape[0], ADAM_PART) if head else 1
     # part i updates rows bounds[i]:bounds[i+1], split by coordinate count
     bounds = [0, *(min(rows, i * params.shape[0] // (parts * width)) for i in range(1, parts)), rows]
 
@@ -291,17 +302,7 @@ def adam_step(state: AdamState, params: np.ndarray, grad: FactoredGradient) -> N
         )
         return off + bad if bad >= 0 else -1
 
-    if parts == 1:
-        found = [update(0)]
-    else:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(parts - 1) as pool:
-            helpers = [pool.submit(update, i) for i in range(parts - 1)]
-            last = update(parts - 1)
-        # result() raises a helper's own exception here
-        found = [*(f.result() for f in helpers), last]
     # the lowest part's first non-finite coordinate is the first of all
-    bad = [b for b in found if b >= 0]
+    bad = [b for b in core.run_parts(parts, update) if b >= 0]
     if bad:
         raise NonFiniteValueError(bad[0])

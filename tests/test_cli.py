@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rgcf import cli, kernels, models, simulation
+from rgcf import cli, core, kernels, models, simulation
 from rgcf.aggregators import AGGREGATOR_KINDS, AggregatorSpec, max_f_count
 from rgcf.cli import clamped_f_count, convergence_verdict, fmt, main, resolve
 from rgcf.config import build_config
@@ -535,6 +535,34 @@ class TestCompare:
             r + "\n" for r in rows
         ).encode()
         assert stdout.splitlines() == lines
+
+    def test_pool_workers_split_over_their_share_of_the_cpus(self, tmp_path, monkeypatch, capsys):
+        # on two CPUs a lone wide aggregator run splits each turn in two,
+        # while compare's two pool workers hold one CPU each and keep every
+        # turn of the same run whole
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        log, real = tmp_path / "parts", core.run_parts
+
+        def logged(count, part):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {count}\n")
+            return real(count, part)
+
+        monkeypatch.setattr(core, "run_parts", logged)
+        wide = [*FAST, "--set", "blobs_in_dim=5500", "--set", "aggregator=median"]
+        assert run_cli("run", "--seed", "1", "--out", str(tmp_path / "run"), *wide,
+                       "--set", "mode=aggregator", "--set", "byzantine_fraction=0.5") == 0
+        assert log.read_text() == f"{os.getpid()} 2\n" * 30
+        log.unlink()
+        assert run_cli("compare", "--seed", "1", "--out", str(tmp_path / "compare"), *wide,
+                       "--set", "compare_methods=median",
+                       "--set", "compare_attacks=inverse",
+                       "--set", "compare_fractions=0.5") == 0
+        lines = log.read_text().splitlines()
+        assert len(lines) == 2 * 30 and {line.split()[1] for line in lines} == {"1"}
+        assert os.getpid() not in {int(line.split()[0]) for line in lines}
+        assert core.cpu_parts(10**6, 1) == 2
+        capsys.readouterr()
 
     def test_wide_training_leaves_no_thread_to_fork(self, tmp_path, monkeypatch, capsys):
         # a wide train-filter (1.06M filter weights) on two CPUs splits each

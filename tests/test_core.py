@@ -1,7 +1,10 @@
 import ast
+import contextvars
 import importlib
+import os
 import pickle
 import pkgutil
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -189,3 +192,43 @@ class TestErrorPickling:
                         types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
                         caught.update(ast.unparse(t).rsplit(".", 1)[-1] for t in types)
         assert {cls.__name__ for cls in rgcf_exceptions()} - caught == set()
+
+
+class TestRunParts:
+    def test_part_count(self, monkeypatch):
+        # one part per CPU, each of at least `part` units, and at least one
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert [core.cpu_parts(size, 10) for size in (0, 9, 19, 20, 29, 30, 1000)] == [1, 1, 1, 2, 2, 3, 3]
+
+    @pytest.mark.parametrize("sharers, parts", [(1, 4), (2, 2), (3, 1), (4, 1), (5, 1)])
+    def test_a_share_of_the_cpus(self, sharers, parts, monkeypatch):
+        # a process that shares four CPUs with others splits over its share
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(core, "_sharers", 1)
+        core.share_cpus(sharers)
+        assert core.cpu_parts(1000, 1) == parts
+
+    def test_parts_run_in_the_callers_context_and_in_order(self):
+        # helpers see this thread's context variables and numpy errstate,
+        # the results come back in part order, and no helper outlives the call
+        var = contextvars.ContextVar("var")
+        var.set("caller")
+        threads = threading.active_count()
+        with np.errstate(over="ignore"):
+            seen = core.run_parts(3, lambda i: (i, var.get(), np.geterr()["over"], threading.get_ident()))
+        assert [s[:3] for s in seen] == [(i, "caller", "ignore") for i in range(3)]
+        assert seen[2][3] == threading.get_ident() != seen[0][3]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failing", [[0], [1], [0, 2], [1, 2]])
+    def test_the_lowest_failed_part_raises(self, failing):
+        # as in a serial loop, whichever part finishes first
+        def part(i):
+            if i in failing:
+                raise ValueError(f"part {i}")
+            return i
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=f"part {failing[0]}"):
+            core.run_parts(3, part)
+        assert threading.active_count() == threads

@@ -29,8 +29,8 @@ from rgcf.filter import (
     start_digest,
 )
 from rgcf.models import (
+    ADAM_PART,
     adam_init,
-    adam_parts,
     apply_update,
     backward,
     init_params,
@@ -262,7 +262,7 @@ class TestTrainFilter:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         data = synth_gaussian_blobs(4, 30, 4100, 8.0, rng(7, 42))
         arch = logistic(data.in_dim, data.classes)
-        assert adam_parts(filter_init(arch.param_count, rng(0)).params.shape[0]) == 2
+        assert core.cpu_parts(filter_init(arch.param_count, rng(0)).params.shape[0], ADAM_PART) == 2
         cfg = FilterTrainConfig(steps=40, batch_size=16)
         filt, log = train_filter(cfg, data, arch, seed=3)
         ref, ref_losses = reference_train_filter(cfg, data, arch, seed=3)
@@ -340,6 +340,23 @@ class TestSerialization:
         assert struct.unpack_from("<4sII", blob) == (b"RGCF", 3, 4)
         assert blob[12:44] == filt.start
         assert load_filter(str(path)).start == filt.start
+
+    def test_writes_the_weights_without_a_copy(self, tmp_path):
+        # a 10 MB weight block goes to the file from the array's own
+        # buffer: saving allocates far less than the block, and the file
+        # holds the weights' little-endian bytes
+        import tracemalloc
+
+        filt = filter_init(20000, rng(3))
+        path = str(tmp_path / "f.rgcf")
+        tracemalloc.start()
+        try:
+            save_filter(filt, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert filt.params.nbytes > 10**7 and peak < 10**6
+        assert Path(path).read_bytes()[44:] == filt.params.astype("<f8").tobytes()
 
     def test_other_format_versions(self, tmp_path):
         # version 1, which stored a threshold and a normalize byte, version

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgcf import kernels, models
+from rgcf import core, kernels, models
 from rgcf.core import NonFiniteValueError, param_vector
 from rgcf.models import (
     ADAM_PART,
@@ -18,7 +18,6 @@ from rgcf.models import (
     FactoredGradient,
     _shifted_exp,
     adam_init,
-    adam_parts,
     adam_step,
     apply_update,
     backward,
@@ -448,7 +447,7 @@ class TestAdam:
         pin_cpus(monkeypatch, cpus)
         calls = kernel_threads(monkeypatch)
         size = rows * width + rest
-        assert adam_parts(size) == parts
+        assert core.cpu_parts(size, ADAM_PART) == parts
         r = rng(5, rows)
         lr = 0.003
         params = r.standard_normal(size)

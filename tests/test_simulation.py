@@ -1,3 +1,6 @@
+import sys
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +33,7 @@ from rgcf.simulation import (
     worker_step,
 )
 from tests.conftest import rng
+from tests.test_models import pin_cpus
 
 
 def constant_filter(d, bias):
@@ -223,6 +227,121 @@ class TestWorkers:
         run_config(n_workers=core.MAX_WORKERS)
         with pytest.raises(ValueError, match="n_workers"):
             run_config(n_workers=core.MAX_WORKERS + 1)
+
+
+def record_parts(monkeypatch) -> list[tuple[bool, int]]:
+    """Record each part of a turn as (on this thread, worker count): every
+    part's stacked gradient goes through models.backward_into."""
+    calls, real = [], models.backward_into
+
+    def recording(arch, params, inputs, *rest):
+        calls.append((threading.get_ident() == threading.main_thread().ident, len(inputs)))
+        return real(arch, params, inputs, *rest)
+
+    monkeypatch.setattr(models, "backward_into", recording)
+    return calls
+
+
+class TestSplitTurn:
+    @pytest.mark.parametrize(
+        "cpus, turn_part, parts",
+        [
+            (2, simulation.TURN_PART, [(False, 3), (True, 4)]),
+            # one worker per part: more threads than cores, switching often
+            (7, 1, [(False, 1)] * 6 + [(True, 1)]),
+        ],
+    )
+    def test_split_turn_has_the_one_part_bytes(self, cpus, turn_part, parts, monkeypatch):
+        # the mixed pool of the replay test (honest workers, all four
+        # attacks, shards of unequal size) at a model above two parts: split
+        # across helper threads, three turns send the bytes they send on one
+        # CPU, in one part, and every helper is joined when its turn returns
+        data = synth_gaussian_blobs(3, 40, 600, 8.0, rng(7, 40))
+        arch = mlp(data.in_dim, (32,), data.classes)
+        assert 7 * arch.param_count >= 2 * simulation.TURN_PART
+        shards = shard(data.size, 7, rng(4))
+        assert len({len(s) for s in shards}) == 2
+        attacks = [None, AttackSpec("random_gaussian"), AttackSpec("inverse"), None,
+                   AttackSpec("all_ones"), AttackSpec("gradient_shift"), None]
+        params = init_params(arch, rng(5))
+        calls = record_parts(monkeypatch)
+        sent = []
+        for n_cpus, expected in ((1, [(True, 7)]), (cpus, parts)):
+            pin_cpus(monkeypatch, n_cpus)
+            monkeypatch.setattr(simulation, "TURN_PART", turn_part)
+            workers = [
+                WorkerSpec(s, a, rng(6, core.SID_WORKER_BATCH + i), rng(6, core.SID_WORKER_ATTACK + i))
+                for i, (s, a) in enumerate(zip(shards, attacks))
+            ]
+            threads, interval = threading.active_count(), sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                turns = [worker_step(workers, data, params, arch, 16) for _ in range(3)]
+            finally:
+                sys.setswitchinterval(interval)
+            assert threading.active_count() == threads
+            assert sorted(calls) == sorted(expected * 3)
+            calls.clear()
+            sent.append([(g.tobytes(), losses.tobytes()) for g, losses in turns])
+        assert sent[0] == sent[1]
+
+    def test_one_part_for_the_default_grid_and_for_one_worker(self, monkeypatch):
+        # the default grid's turn (d=837, k=10) is below two parts, and a
+        # turn of one worker is one part at any size
+        pin_cpus(monkeypatch, 2)
+        calls = record_parts(monkeypatch)
+        data = synth_gaussian_blobs(5, 40, 20, 8.0, rng(7, 40))
+        arch = mlp(data.in_dim, (32,), data.classes)
+        assert arch.param_count == 837
+        params = init_params(arch, rng(5))
+        workers = [WorkerSpec(np.arange(data.size), None, rng(2, i), rng(3, i)) for i in range(10)]
+        worker_step(workers, data, params, arch, 16)
+        monkeypatch.setattr(simulation, "TURN_PART", 1)
+        worker_step(workers[:1], data, params, arch, 16)
+        assert calls == [(True, 10), (True, 1)]
+
+    def test_error_order_across_parts(self, monkeypatch):
+        # the data of test_worker_step_error_order, one worker per part: a
+        # bad worker in the helper's part beats a later one in this
+        # thread's, a bad worker only in the last part raises at its own
+        # coordinate, and no RuntimeWarning escapes a helper, which runs
+        # under the caller's errstate
+        pin_cpus(monkeypatch, 2)
+        monkeypatch.setattr(simulation, "TURN_PART", 1)
+        calls = record_parts(monkeypatch)
+        data = Dataset(np.array([[1.0, 0.0], [0.0, 1e150]]), np.array([1, 0]), 2)
+        arch = logistic(2, 2)
+        params = param_vector([1e308, -1e308, 0.0, 0.0, 0.0, 0.0])
+        inverse = AttackSpec("inverse", 1e200)
+        for workers, index in [
+            (((0, None), (1, inverse)), 6),  # the helper's bad loss
+            (((1, inverse), (0, None)), 2),  # the helper's bad gradient
+            (((1, None), (1, inverse)), 2),  # the last part's bad gradient
+            (((1, None), (0, None)), 6),  # the last part's bad loss
+        ]:
+            picked = [WorkerSpec(np.array([row]), attack, rng(2), rng(3)) for row, attack in workers]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(NonFiniteValueError) as err, np.errstate(over="ignore", invalid="ignore"):
+                    worker_step(picked, data, params, arch, 4)
+            assert err.value.index == index
+            assert sorted(calls) == [(False, 1), (True, 1)]
+            calls.clear()
+
+    def test_a_diverging_split_run_ends_as_diverged(self, blobs, blobs_val, monkeypatch):
+        # the helpers' overflows stay silent under the run's errstate, so
+        # the run stops as diverged rather than failing with a warning
+        pin_cpus(monkeypatch, 2)
+        monkeypatch.setattr(simulation, "TURN_PART", 1)
+        calls = record_parts(monkeypatch)
+        arch = mlp(blobs.in_dim, (8,), blobs.classes)
+        cfg = run_config(aggregator=AggregatorSpec("mean"), byzantine_fraction=1.0,
+                         attack=AttackSpec("gradient_shift", 1e200), steps=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            m = run_aggregated(cfg, blobs, blobs_val, arch)
+        assert m.diverged and len(m.train_losses) < 10
+        assert (False, 2) in calls
 
 
 class TestRunRgcf:

@@ -9,10 +9,15 @@ tests read the tracer as it is and never edit it.
 
 import importlib
 import importlib.util
+import os
 from collections import Counter
 from pathlib import Path
 
-from rgcf import core
+from rgcf import core, simulation
+from rgcf.attacks import AttackSpec
+from rgcf.data import synth_gaussian_blobs
+from rgcf.models import mlp
+from rgcf.simulation import RunConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -137,3 +142,35 @@ def test_filter_training_queries_workers_through_worker_step(tmp_path):
     assert spans["data.sample_minibatch"] == steps
     assert spans["attacks.apply_attack"] == byzantine
     assert spans["filter.filter_train_step"] == steps
+
+
+def test_a_split_turn_keeps_the_spans_nested(monkeypatch):
+    # the tracer keeps one span stack for all threads, so a helper part
+    # calls none of the names it wraps: this thread's part records its
+    # batches, its backward pass and its attacks inside the turn's span,
+    # and every span lies inside its parent's interval
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    data = synth_gaussian_blobs(3, 40, 600, 8.0, core.stream(7, 40))
+    arch = mlp(data.in_dim, (32,), data.classes)
+    cfg = RunConfig(10, 0.3, AttackSpec("gradient_shift"), steps=1, seed=0)
+    assert 10 * arch.param_count >= 2 * simulation.TURN_PART
+    workers = simulation.build_workers(cfg, data)
+    params = simulation.server_start(arch, 0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        simulation.worker_step(workers, data, params, arch, 16)
+    finally:
+        tracer.uninstall()
+    spans = Counter(tracer.names)
+    last = workers[5:]  # this thread's part, of two
+    assert spans == Counter({
+        "simulation.worker_step": 1,
+        "data.sample_minibatch": len(last),
+        "models.backward": 1,
+        "attacks.apply_attack": sum(w.byzantine for w in last),
+    })
+    for i, parent in enumerate(tracer.parents):
+        assert (parent == -1) == (i == 0)
+        if parent >= 0:
+            assert tracer.starts[parent] <= tracer.starts[i] <= tracer.ends[i] <= tracer.ends[parent]
