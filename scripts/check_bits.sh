@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Seed-0 bit check: runs a fixed probe set with the checkout this script
+# Bit check: runs a fixed probe set with the checkout this script
 # lives in and prints a sorted sha256sum of every CSV and filter file it
 # wrote (manifest.txt and timing.txt hold paths and times, so they are
 # skipped). To compare two trees, run each tree's copy of this script into
-# its own fresh OUT and `diff` the two listings. Takes about 11 s on a
+# its own fresh OUT and `diff` the two listings. Takes about 13 s on a
 # 2-vCPU Xeon VM.
 #
 #   scripts/check_bits.sh OUT
@@ -21,7 +21,9 @@
 # attack_scale=0.003, where the filter accepts gradient_shift gradients,
 # so the cells' oracle twins part from them; wide krum and median runs
 # (n=10, 30% gradient_shift, 100 steps), whose worker turns are large
-# enough to split across two CPUs.
+# enough to split across two CPUs; a seed-1 MLP filter and its 2000-step
+# run under 20% gradient_shift, whose summary.csv has all four decision
+# counts nonzero.
 #
 # The probes run on one BLAS thread. Byte-reproducibility holds at a fixed
 # BLAS thread count, not across counts: with OpenBLAS, the wide probe's
@@ -89,6 +91,11 @@ for agg in krum median; do
         --set mode=aggregator --set "aggregator=$agg" --set n_workers=10 \
         --set byzantine_fraction=0.3 --set attack=gradient_shift --set steps=100
 done
+
+rgcf train-filter --seed 1 --out "$OUT/mlp-seed1" "${MLP[@]}"
+rgcf run --seed 1 --out "$OUT/run/mlp-seed1" "${MLP[@]}" \
+    --set attack=gradient_shift --set byzantine_fraction=0.2 \
+    --set "filter_file=$OUT/mlp-seed1/filter.rgcf"
 
 rgcf compare --seed 0 --out "$OUT/compare" "${MLP[@]}" \
     --set steps=25 --set n_workers=10 \

@@ -27,13 +27,17 @@ median and the quartiles over the runs in milliseconds per step, the same
 over the timed calls of each `aggregate` row in milliseconds per call, the
 same for the `compare` row in seconds, and the machine. One BLAS thread.
 
-The rows that use more than one CPU, `compare` and the wide `train_filter`
-(whose Adam steps are split across threads), depend on whether a second
-CPU is free, which on a shared VM can change within the hour. So before
-and after the rows, the script times two forked pure-Python spinners
-against one, and OUT.json holds the ratio of their throughputs: near 2
-when a second CPU was free, near 1 when it was taken. Takes 40–60 s on a
-2-vCPU VM.
+The rows that use more than one CPU, `compare`, the wide `train_filter`
+(whose Adam steps are split across threads) and the wide aggregator runs
+(whose worker turns are), depend on whether a second CPU is free for
+numpy work, which on a shared VM can change within minutes. So before and
+after the rows, the script times two forked processes, each sorting
+300,000 doubles five times (SORT_SIZE, SORT_REPS), against one, and
+OUT.json holds the ratio of their wall times (`two_sorts_time_ratio`):
+near 1 when a second CPU was free, 2 or more when it was taken. On a
+2-vCPU Xeon VM, split wide worker turns gained in 24 of 24 alternating
+pairs taken after a reading under 2.0, and in 2 of 6 after one of 2.0 or
+more. Takes 40–60 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -76,6 +80,9 @@ RUN = ["--set", f"n_workers={N_WORKERS}", "--set", "byzantine_fraction=0.3",
        "--set", "attack=gradient_shift", "--set", f"f_count={F_COUNT}"]
 GRID_STEPS = 25
 GRID = [*MLP, "--set", f"steps={GRID_STEPS}", "--set", f"n_workers={N_WORKERS}"]
+# the host probe: each forked process sorts SORT_SIZE doubles SORT_REPS times
+SORT_SIZE = 300_000
+SORT_REPS = 5
 
 
 def setup(in_dim: int, classes: int):
@@ -129,31 +136,28 @@ def compare_s(out: str, filter_file: str) -> list[float]:
     return [time.perf_counter() - t0, children_cpu() - cpu]
 
 
-def spinners(k: int, seconds: float) -> int:
-    """Loop turns that k forked pure-Python spinners complete in
-    `seconds` each, summed."""
-    pipes = []
+def sorts(k: int, data: np.ndarray) -> float:
+    """Wall seconds until k forked processes have each sorted data
+    SORT_REPS times."""
+    t0 = time.perf_counter()
+    pids = []
     for _ in range(k):
-        r, w = os.pipe()
-        if os.fork() == 0:
-            n, end = 0, time.perf_counter() + seconds
-            while time.perf_counter() < end:
-                n += 1
-            os.write(w, str(n).encode())
+        pid = os.fork()
+        if pid == 0:
+            for _ in range(SORT_REPS):
+                np.sort(data)
             os._exit(0)
-        os.close(w)
-        pipes.append(r)
-    total = 0
-    for r in pipes:
-        with os.fdopen(r) as f:
-            total += int(f.read())
-        os.wait()
-    return total
+        pids.append(pid)
+    for pid in pids:
+        os.waitpid(pid, 0)
+    return time.perf_counter() - t0
 
 
-def two_cpu_ratio(pairs: int = 3, seconds: float = 0.4) -> float:
-    """Median over alternating pairs of two spinners' throughput over one's."""
-    return float(np.median([spinners(2, seconds) / spinners(1, seconds) for _ in range(pairs)]))
+def two_sorts_time_ratio(pairs: int = 3) -> float:
+    """Median over alternating pairs of two forked sorting processes'
+    wall time over one's."""
+    data = np.random.default_rng(SEED).random(SORT_SIZE)
+    return float(np.median([sorts(2, data) / sorts(1, data) for _ in range(pairs)]))
 
 
 def machine() -> dict:
@@ -181,7 +185,7 @@ def main(argv: list[str]) -> int:
     cells = [(name, method) for name in MODELS for method in METHODS]
     samples: dict[tuple[str, str], list] = {cell: [] for cell in cells}
     grid_samples = []
-    two_cpu = {"before": two_cpu_ratio()}
+    two_sorts = {"before": two_sorts_time_ratio()}
     with tempfile.TemporaryDirectory() as grid_dir:
         filter_file = os.path.join(grid_dir, "filter.rgcf")
         rgcf_cli("train-filter", "--seed", str(SEED), "--out", grid_dir, *MLP)
@@ -202,7 +206,7 @@ def main(argv: list[str]) -> int:
                     samples[name, method].append(per_step)
     aggregate_ms = {call: bench_filtering(*call, AGGREGATE_D, AGGREGATE_REPS, seed=SEED) * 1e3
                     for call in AGGREGATE_CALLS}
-    two_cpu["after"] = two_cpu_ratio()
+    two_sorts["after"] = two_sorts_time_ratio()
     results = []
     for (name, method), rows in samples.items():
         q1, med, q3 = np.percentile(np.array(rows) * 1e3, [25, 50, 75], axis=0)
@@ -229,13 +233,13 @@ def main(argv: list[str]) -> int:
         grid[key] = {"median": med[i], "q1": q1[i], "q3": q3[i]}
     print(f"compare  80 cells, n={N_WORKERS}, {GRID_STEPS} steps: wall={med[0]:.3f} s "
           f"(q1 {q1[0]:.3f}, q3 {q3[0]:.3f}), children cpu={med[1]:.3f} s")
-    print(f"two spinners / one: {two_cpu['before']:.2f} before the rows, {two_cpu['after']:.2f} after")
+    print(f"two sorts / one, wall time: {two_sorts['before']:.2f} before the rows, {two_sorts['after']:.2f} after")
     record = {"what": "milliseconds per training step by phase, and per filter-training step; "
                       "milliseconds per aggregate call at d=100,000 over one bench's timed calls; "
                       "seconds per compare grid; median and quartiles; "
-                      "two forked spinners' throughput over one's, before and after the rows",
+                      "wall time of two forked sorting processes over one's, before and after the rows",
               "machine": machine(), "seconds": round(time.perf_counter() - start, 1), "cells": results,
-              "aggregate": calls, "compare": grid, "two_cpu_ratio": two_cpu}
+              "aggregate": calls, "compare": grid, "two_sorts_time_ratio": two_sorts}
     Path(argv[0]).write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {argv[0]} in {record['seconds']} s")
     return 0

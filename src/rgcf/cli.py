@@ -57,14 +57,14 @@ def _head(data: Dataset, n: int) -> Dataset:
     return Dataset(inputs=data.inputs[:n], labels=data.labels[:n], classes=data.classes)
 
 
+# the blobs task's distance of each class mean from the origin
+BLOBS_SEPARATION = 10.0
+
+
 def _blobs(cfg: ExperimentConfig, per_class: int, sid: int) -> Dataset:
     try:
         return synth_gaussian_blobs(
-            cfg.blobs_classes,
-            per_class,
-            cfg.blobs_in_dim,
-            cfg.blobs_separation,
-            stream(cfg.seed, sid),
+            cfg.blobs_classes, per_class, cfg.blobs_in_dim, BLOBS_SEPARATION, stream(cfg.seed, sid)
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -190,27 +190,10 @@ def _write_run_outputs(cfg: ExperimentConfig, m: RunMetrics) -> None:
         ["step", "val_accuracy", "val_loss"],
         zip(m.eval_steps, m.val_accuracies, m.val_losses),
     )
-    write_csv(
-        _outpath(cfg, "summary.csv"),
-        [
-            "accepted_honest",
-            "rejected_honest",
-            "accepted_byz",
-            "rejected_byz",
-            "transferred_gradients",
-            "diverged",
-        ],
-        [
-            (
-                m.accepted_honest,
-                m.rejected_honest,
-                m.accepted_byz,
-                m.rejected_byz,
-                m.transferred_gradients,
-                int(m.diverged),
-            )
-        ],
-    )
+    # each summary column is the RunMetrics field of its name, diverged as 0 or 1
+    summary = ["accepted_honest", "rejected_honest", "accepted_byz", "rejected_byz",
+               "transferred_gradients", "diverged"]
+    write_csv(_outpath(cfg, "summary.csv"), summary, [[int(getattr(m, key)) for key in summary]])
     # Wall time, in total and by phase, is the one nondeterministic output;
     # kept out of the CSVs so a rerun from the manifest reproduces them
     # byte-identically.

@@ -38,7 +38,6 @@ class ExperimentConfig:
     blobs_classes: int = 5
     blobs_per_class: int = 400
     blobs_in_dim: int = 20
-    blobs_separation: float = 10.0
     blobs_val_per_class: int = 200
     train_images: str = ""
     train_labels: str = ""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -87,7 +88,7 @@ class RunMetrics:
     eval_steps: list[int] = field(default_factory=list)
     val_accuracies: list[float] = field(default_factory=list)
     val_losses: list[float] = field(default_factory=list)
-    # summary
+    # summary; the four decision counts tally the per-step (ground_truth, predicted) pairs
     accepted_honest: int = 0
     rejected_honest: int = 0
     accepted_byz: int = 0
@@ -351,33 +352,25 @@ def _run(
                 break
             m.transferred_gradients += len(grads)
             t1 = clock()
+            # the decision's time ends at t2, before an aggregator step's loss mean and norm
             if filt is None:
-                update, truth, b = aggregate(cfg.aggregator, grads), None, 0
+                update, drop = aggregate(cfg.aggregator, grads), 0
+                t2 = clock()
+                loss, truth, pred, decision = float(np.mean(losses)), None, None, float(np.linalg.norm(update))
             else:
                 update, loss, truth = grads[0], float(losses[0]), int(queried[0].byzantine)
-                p = filter.filter_forward(filt, update, loss)
-                b = truth if ground_truth else int(p >= filter.THRESHOLD)
-            t2 = clock()
-            params = apply_update(params, update, cfg.server_lr, b)
+                decision = filter.filter_forward(filt, update, loss)
+                pred = drop = truth if ground_truth else int(decision >= filter.THRESHOLD)
+                t2 = clock()
             t3 = clock()
+            params = apply_update(params, update, cfg.server_lr, drop)
+            m.update_s += clock() - t3
             m.worker_s += t1 - t0
             m.decision_s += t2 - t1
-            m.update_s += t3 - t2
+            m.train_losses.append(loss)
             m.ground_truths.append(truth)
-            if filt is None:
-                m.train_losses.append(float(np.mean(losses)))
-                m.predictions.append(None)
-                m.decisions.append(float(np.linalg.norm(update)))
-            else:
-                m.train_losses.append(loss)
-                m.predictions.append(b)
-                m.decisions.append(p)
-                if truth:
-                    m.rejected_byz += b
-                    m.accepted_byz += 1 - b
-                else:
-                    m.rejected_honest += b
-                    m.accepted_honest += 1 - b
+            m.predictions.append(pred)
+            m.decisions.append(decision)
             if t % cfg.eval_every == 0 or t == cfg.steps:
                 t4 = clock()
                 acc, val_loss = evaluate(arch, params, val_data)
@@ -387,6 +380,10 @@ def _run(
                 m.val_losses.append(val_loss)
     m.wall_time = clock() - start
     m.final_params = params
+    # each decided step's (ground_truth, predicted) pair; an aggregator step's is blank
+    tally = Counter(zip(m.ground_truths, m.predictions))
+    m.accepted_honest, m.rejected_honest = tally[0, 0], tally[0, 1]
+    m.accepted_byz, m.rejected_byz = tally[1, 0], tally[1, 1]
     return m
 
 

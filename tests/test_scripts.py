@@ -54,7 +54,7 @@ def test_readme_set_keys_are_config_fields():
 
 
 def test_readme_lists_the_removed_keys():
-    assert REMOVED == ["krum_squared", "normalize", "episodes", "threshold", "bench_f_count"]
+    assert REMOVED == ["krum_squared", "normalize", "episodes", "threshold", "bench_f_count", "blobs_separation"]
 
 
 @pytest.mark.parametrize("key", REMOVED)

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import warnings
@@ -458,11 +459,50 @@ class TestRunRgcf:
         assert m.rejected_honest == m.accepted_byz == 0 < m.rejected_byz
         assert (m.final_params.tobytes(), np.array(m.val_accuracies).tobytes()) == twins["all_ones"][:2]
 
-    def test_confusion_counts_sum_to_steps(self, blobs, blobs_val):
+    def test_confusion_counts_sum_to_steps(self, blobs, blobs_val, monkeypatch):
+        # each count is the tally of its (ground_truth, predicted) pair over
+        # the decided steps: filtered, oracle twin, aggregator (blank pairs,
+        # all counts 0) and a filtered run that diverges
+        def counts(m):
+            return [m.accepted_honest, m.rejected_honest, m.accepted_byz, m.rejected_byz]
+
+        def tally(m):
+            pairs = list(zip(m.ground_truths, m.predictions))
+            assert len(pairs) == len(m.train_losses) == len(m.decisions)
+            return [pairs.count(pair) for pair in ((0, 0), (0, 1), (1, 0), (1, 1))]
+
         arch = logistic(blobs.in_dim, blobs.classes)
         m = run_rgcf(run_config(), blobs, blobs_val, arch, accept_all_filter(arch.param_count))
-        total = m.accepted_honest + m.rejected_honest + m.accepted_byz + m.rejected_byz
-        assert total == 30
+        assert counts(m) == tally(m)
+        assert sum(counts(m)) == 30
+
+        # a filter that rejects every other gradient, whatever its role,
+        # makes both kinds of wrong decision
+        flips = itertools.cycle([1.0, 0.0])
+        with monkeypatch.context() as patch:
+            patch.setattr(filter, "filter_forward", lambda filt, grad, loss: next(flips))
+            m = run_rgcf(run_config(), blobs, blobs_val, arch, accept_all_filter(arch.param_count))
+        assert counts(m) == tally(m)
+        assert min(counts(m)) > 0 and sum(counts(m)) == 30
+
+        twin = run_rgcf(run_config(), blobs, blobs_val, arch, accept_all_filter(arch.param_count),
+                        ground_truth=True)
+        assert counts(twin) == tally(twin)
+        assert twin.rejected_honest == twin.accepted_byz == 0 < twin.accepted_honest
+        assert sum(counts(twin)) == 30
+
+        agg = run_aggregated(run_config(aggregator=AggregatorSpec("mean")), blobs, blobs_val, arch)
+        assert counts(agg) == tally(agg) == [0, 0, 0, 0]
+        assert agg.ground_truths == agg.predictions == [None] * 30
+
+        # the accepted Byzantine gradients overflow the parameters, so a
+        # later turn is non-finite and the run stops before deciding it
+        arch = mlp(blobs.in_dim, (8,), blobs.classes)
+        cfg = run_config(attack=AttackSpec("gradient_shift", 1e200), steps=100)
+        m = run_rgcf(cfg, blobs, blobs_val, arch, accept_all_filter(arch.param_count))
+        assert m.diverged
+        assert counts(m) == tally(m)
+        assert 0 < sum(counts(m)) == len(m.train_losses) < 100
 
     def test_filter_dim_mismatch(self, blobs, blobs_val):
         arch = logistic(blobs.in_dim, blobs.classes)
