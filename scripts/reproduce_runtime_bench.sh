@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Per-decision filtering cost at d=100000 (bench_d's default, over bench_reps'
-# default of 100 timed calls): the filter's single forward pass
-# vs. one aggregation call for each baseline, at n = 10, 20, 40 workers.
+# Per-decision filtering cost at d=100000 (bench_d's default, over bench's
+# 100 timed calls): the filter's single forward pass vs. one aggregation
+# call for each baseline (krum, median, trimmed_mean, bulyan), at n = 10,
+# 20, 40 workers.
 # Results land in runs/bench/bench.csv. Timings depend on the machine.
 # The filter's rows at different n time the same call, since its decision
 # never reads n; each decision streams the filter's 51 MB float64 first

@@ -34,10 +34,14 @@ numpy work, which on a shared VM can change within minutes. So before and
 after the rows, the script times two forked processes, each sorting
 300,000 doubles five times (SORT_SIZE, SORT_REPS), against one, and
 OUT.json holds the ratio of their wall times (`two_sorts_time_ratio`):
-near 1 when a second CPU was free, 2 or more when it was taken. On a
-2-vCPU Xeon VM, split wide worker turns gained in 24 of 24 alternating
-pairs taken after a reading under 2.0, and in 2 of 6 after one of 2.0 or
-more. Takes 40–60 s on a 2-vCPU VM.
+near 1 when a second CPU was free, about 2 when it was taken. The
+clock starts once every child exists, so the forks are not timed. On a
+2-vCPU Xeon VM, in alternating readings, it read 0.81–1.13 (median 0.99)
+while the second vCPU was free and 1.92–2.08 while it was taken, where
+timing the forks as well read 1.00–1.11 (median 1.08) and 1.98–2.08.
+There, split wide worker turns gained in 24 of 24 alternating
+pairs taken after a reading under 2.0 (forks timed), and in 2 of 6 after
+one of 2.0 or more. Takes 40–60 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -138,18 +142,24 @@ def compare_s(out: str, filter_file: str) -> list[float]:
 
 def sorts(k: int, data: np.ndarray) -> float:
     """Wall seconds until k forked processes have each sorted data
-    SORT_REPS times."""
-    t0 = time.perf_counter()
+    SORT_REPS times, timed from when the last of them exists: each child
+    waits on a pipe that this process writes after the last fork."""
+    start_r, start_w = os.pipe()
     pids = []
     for _ in range(k):
         pid = os.fork()
         if pid == 0:
+            os.read(start_r, 1)
             for _ in range(SORT_REPS):
                 np.sort(data)
             os._exit(0)
         pids.append(pid)
+    t0 = time.perf_counter()
+    os.write(start_w, bytes(k))
     for pid in pids:
         os.waitpid(pid, 0)
+    os.close(start_r)
+    os.close(start_w)
     return time.perf_counter() - t0
 
 

@@ -32,6 +32,9 @@ from .simulation import run_aggregated, run_rgcf, server_start, train_filter
 
 RGCF_MODE = "rgcf"
 AGGREGATOR_MODE = "aggregator"
+# the methods `bench` times, each over BENCH_REPS timed calls at every n
+BENCH_METHODS = ("rgcf", "krum", "median", "trimmed_mean", "bulyan")
+BENCH_REPS = 100
 
 
 def fmt(x) -> str:
@@ -59,6 +62,8 @@ def _head(data: Dataset, n: int) -> Dataset:
 
 # the blobs task's distance of each class mean from the origin
 BLOBS_SEPARATION = 10.0
+# the blobs validation set's examples per class
+BLOBS_VAL_PER_CLASS = 200
 
 
 def _blobs(cfg: ExperimentConfig, per_class: int, sid: int) -> Dataset:
@@ -90,7 +95,7 @@ def load_train(cfg: ExperimentConfig) -> Dataset:
 def load_val(cfg: ExperimentConfig) -> Dataset:
     """The validation set, for settings that resolve and load_train have checked."""
     if cfg.task == "blobs":
-        return _blobs(cfg, cfg.blobs_val_per_class, core.SID_BLOBS_VAL)
+        return _blobs(cfg, BLOBS_VAL_PER_CLASS, core.SID_BLOBS_VAL)
     return _head(load_idx(cfg.val_images, cfg.val_labels), cfg.val_subset)
 
 
@@ -123,8 +128,6 @@ def resolve(cfg: ExperimentConfig) -> Specs:
             raise ConfigError("mlp arch requires nonempty, positive hidden dims")
         if min(cfg.train_subset, cfg.val_subset) < 0:
             raise ConfigError("train_subset and val_subset must be >= 0")
-        if cfg.task == "blobs" and cfg.blobs_val_per_class < 1:
-            raise ConfigError("blobs_val_per_class must be >= 1")
         run = RunConfig(
             n_workers=cfg.n_workers,
             byzantine_fraction=cfg.byzantine_fraction,
@@ -132,7 +135,6 @@ def resolve(cfg: ExperimentConfig) -> Specs:
             steps=cfg.steps,
             seed=cfg.seed,
             server_lr=cfg.server_lr,
-            eval_every=cfg.eval_every,
             batch_size=cfg.batch_size,
         )
         f_count = run.byzantine_count if cfg.f_count == -1 else cfg.f_count
@@ -149,10 +151,10 @@ def resolve(cfg: ExperimentConfig) -> Specs:
             batch_size=cfg.batch_size,
             attack=AttackSpec(cfg.train_attack, cfg.train_attack_scale),
         )
-        for method in cfg.bench_methods:
+        for method in BENCH_METHODS:
             for n in cfg.bench_n:
-                bench_spec(method, n, cfg.bench_d, cfg.bench_reps)
-        for key in ("bench_methods", "bench_n", "compare_methods", "compare_attacks", "compare_fractions"):
+                bench_spec(method, n, cfg.bench_d, BENCH_REPS)
+        for key in ("bench_n", "compare_methods", "compare_attacks", "compare_fractions"):
             values = getattr(cfg, key)
             if not values:
                 raise ConfigError(f"{key} is empty")
@@ -274,14 +276,15 @@ def _share(hits: int, misses: int) -> str:
 
 
 def cmd_bench(cfg: ExperimentConfig, specs: Specs) -> int:
+    load_train(cfg)  # judges the data settings, as every command does
     os.makedirs(cfg.out, exist_ok=True)
     write_manifest(cfg, _outpath(cfg, "manifest.txt"))
     rows = []
-    for method in cfg.bench_methods:
+    for method in BENCH_METHODS:
         for n in cfg.bench_n:
-            times = bench_filtering(method, n, cfg.bench_d, cfg.bench_reps, seed=cfg.seed)
+            times = bench_filtering(method, n, cfg.bench_d, BENCH_REPS, seed=cfg.seed)
             mean, std = float(times.mean()), float(times.std())
-            rows.append((method, n, cfg.bench_d, cfg.bench_reps, mean, std))
+            rows.append((method, n, cfg.bench_d, BENCH_REPS, mean, std))
             print(f"bench {method} n={n}: {mean:.6f} +/- {std:.6f} s")
     write_csv(
         _outpath(cfg, "bench.csv"),

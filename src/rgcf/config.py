@@ -38,7 +38,6 @@ class ExperimentConfig:
     blobs_classes: int = 5
     blobs_per_class: int = 400
     blobs_in_dim: int = 20
-    blobs_val_per_class: int = 200
     train_images: str = ""
     train_labels: str = ""
     val_images: str = ""
@@ -69,13 +68,10 @@ class ExperimentConfig:
     attack: str = "inverse"
     attack_scale: float | None = None  # empty = attack default
     steps: int = 2000
-    eval_every: int = 25
 
     # bench
-    bench_methods: tuple[str, ...] = ("rgcf", "krum", "median", "trimmed_mean", "bulyan")
     bench_n: tuple[int, ...] = (10,)
     bench_d: int = 100000
-    bench_reps: int = 100
 
     # compare grid
     compare_methods: tuple[str, ...] = ("rgcf", "krum", "median", "trimmed_mean", "bulyan")

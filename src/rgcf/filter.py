@@ -88,31 +88,32 @@ def start_digest(params: np.ndarray) -> bytes:
 
 
 def _filter_input(filt: FilterNet, grad: np.ndarray, loss: float) -> np.ndarray:
-    """The net's input as a (1, d+1) batch: the gradient, rescaled to norm
-    sqrt(d) unless it is zero, then the loss. Built in place, since every
+    """The net's input row, (d+1,): the gradient, rescaled to norm sqrt(d)
+    unless it is zero, then the loss. Built in place, since every
     transferred gradient passes through here."""
     if grad.shape != (filt.d,):
         raise ValueError(f"gradient length {grad.shape} != filter d {filt.d}")
     if not np.isfinite(loss):
         raise ValueError("loss must be finite")
-    x = np.empty((1, filt.d + 1))
+    x = np.empty(filt.d + 1)
     norm = np.linalg.norm(grad)
     if norm > 0:
-        np.multiply(grad, np.sqrt(filt.d) / norm, out=x[0, : filt.d])
+        np.multiply(grad, np.sqrt(filt.d) / norm, out=x[: filt.d])
     else:
-        x[0, : filt.d] = grad
-    x[0, filt.d] = loss
+        x[: filt.d] = grad
+    x[filt.d] = loss
     return x
 
 
-def filter_forward(filt: FilterNet, grad: np.ndarray, loss: float) -> float:
-    """Probability in (0,1) that the gradient is Byzantine.
+def _forward(filt: FilterNet, x: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    """The net's probability on one input row, and its activations."""
+    z, acts = mlp_forward(filt.params, filt.layer_sizes, x)
+    return float(1.0 / (1.0 + np.exp(-z[0]))), acts
 
-    This is the per-decision hot path, so it runs the net on the input's
-    single row: 1-D matvecs rather than the training path's batch of one.
-    """
-    z, _ = mlp_forward(filt.params, filt.layer_sizes, _filter_input(filt, grad, loss)[0])
-    return float(1.0 / (1.0 + np.exp(-z[0])))
+
+def filter_forward(filt: FilterNet, grad: np.ndarray, loss: float) -> float:
+    """Probability in (0,1) that the gradient is Byzantine."""
+    return _forward(filt, _filter_input(filt, grad, loss))[0]
 
 
 def filter_loss(pred: float, label: int, p: float) -> float:
@@ -134,16 +135,15 @@ def filter_gradient(
     probability. The first weight matrix's gradient is kept as its two
     factors, the input row and the first layer's delta."""
     x = _filter_input(filt, grad, loss)
-    z, acts = mlp_forward(filt.params, filt.layer_sizes, x)
-    pred = 1.0 / (1.0 + np.exp(-z[0, 0]))
+    pred, acts = _forward(filt, x)
     bce = filter_loss(pred, label, p)
     q = min(max(pred, PRED_CLAMP), 1.0 - PRED_CLAMP)
     # dL/dq through the clamp, then sigmoid derivative at the raw pred.
     dq = -p / q if label == 1 else 1.0 / (1.0 - q)
     dz = np.array([[dq * pred * (1.0 - pred)]])
-    rest = np.empty(filt.params.shape[0] - x.shape[1] * filt.layer_sizes[1])
-    delta = mlp_backward(filt.params, filt.layer_sizes, acts, dz, rest)
-    return FactoredGradient(x[0], delta[0], rest), bce, pred
+    rest = np.empty(filt.params.shape[0] - x.shape[0] * filt.layer_sizes[1])
+    delta = mlp_backward(filt.params, filt.layer_sizes, [a[None] for a in acts], dz, rest)
+    return FactoredGradient(x, delta[0], rest), bce, pred
 
 
 def filter_train_step(

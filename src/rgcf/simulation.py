@@ -54,14 +54,13 @@ class RunConfig:
     seed: int
     aggregator: AggregatorSpec | None = None
     server_lr: float = ExperimentConfig.server_lr
-    eval_every: int = ExperimentConfig.eval_every
     batch_size: int = ExperimentConfig.batch_size
 
     def __post_init__(self):
         if not 0.0 <= self.byzantine_fraction <= 1.0:
             raise ValueError("byzantine_fraction must lie in [0,1]")
-        if min(self.steps, self.n_workers, self.eval_every, self.batch_size) < 1:
-            raise ValueError("steps, n_workers, eval_every and batch_size must be >= 1")
+        if min(self.steps, self.n_workers, self.batch_size) < 1:
+            raise ValueError("steps, n_workers and batch_size must be >= 1")
         if self.n_workers > core.MAX_WORKERS:
             raise ValueError(f"n_workers must be <= {core.MAX_WORKERS}, so worker streams stay apart")
         if not self.server_lr > 0:
@@ -122,6 +121,8 @@ class RunMetrics:
 # turn splits from k*d = 2**17 on, and the default grid's turns and every
 # one-worker turn of the wide model stay whole.
 TURN_PART = 1 << 16
+# a run evaluates its model every EVAL_EVERY steps and at its last step
+EVAL_EVERY = 25
 BENCH_WARMUP_S = 2.0
 # pool rows beyond the k that one bench decision reads
 BENCH_SPARE_ROWS = 8
@@ -371,7 +372,7 @@ def _run(
             m.ground_truths.append(truth)
             m.predictions.append(pred)
             m.decisions.append(decision)
-            if t % cfg.eval_every == 0 or t == cfg.steps:
+            if t % EVAL_EVERY == 0 or t == cfg.steps:
                 t4 = clock()
                 acc, val_loss = evaluate(arch, params, val_data)
                 m.eval_s += clock() - t4

@@ -75,7 +75,7 @@ def _kink_margin(params, layer_sizes, x) -> float:
 def _relu_margin(filt, grad, loss) -> float:
     from rgcf.filter import _filter_input
 
-    x = _filter_input(filt, grad, loss)[0]
+    x = _filter_input(filt, grad, loss)
     return _kink_margin(filt.params, filt.layer_sizes, x)
 
 
@@ -118,7 +118,7 @@ def test_criterion_1_gradient_oracle():
         ana = assembled(filter_gradient(filt, *example, label, 10.0)[0])
         from rgcf.filter import _filter_input
 
-        x = _filter_input(filt, *example)
+        x = _filter_input(filt, *example)[None]
 
         def loss_of(params):
             z, _ = mlp_forward(param_vector(params), filt.layer_sizes, x)

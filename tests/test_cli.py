@@ -26,10 +26,8 @@ FAST = [
     "--set", "blobs_classes=3",
     "--set", "blobs_per_class=30",
     "--set", "blobs_in_dim=6",
-    "--set", "blobs_val_per_class=10",
     "--set", "filter_steps=40",
     "--set", "steps=30",
-    "--set", "eval_every=10",
     "--set", "batch_size=16",
 ]
 
@@ -188,6 +186,8 @@ class TestRun:
         assert len(steps) == 31
         evals = open(os.path.join(out, "eval.csv")).read().splitlines()
         assert evals[0] == "step,val_accuracy,val_loss"
+        # every 25 steps and at the last
+        assert [row.split(",")[0] for row in evals[1:]] == ["25", "30"]
         header, row = open(os.path.join(out, "summary.csv")).read().splitlines()
         assert header.startswith("accepted_honest,")
         assert int(row.split(",")[0]) > 0  # the filter applies honest updates
@@ -341,16 +341,15 @@ class TestBench:
         out = str(tmp_path / "bench")
         code = run_cli(
             "bench", "--out", out,
-            "--set", "bench_methods=rgcf,krum", "--set", "bench_n=4",
-            "--set", "bench_d=50", "--set", "bench_reps=10",
+            "--set", "bench_n=7,8", "--set", "bench_d=50",
         )
         assert code == 0
         lines = open(os.path.join(out, "bench.csv")).read().splitlines()
         assert lines[0] == "method,n,d,reps,mean_seconds,std_seconds"
-        assert len(lines) == 3
-
-    def test_unknown_method(self, tmp_path):
-        assert run_cli("bench", "--out", str(tmp_path / "b"), "--set", "bench_methods=fft") == 1
+        # the filter and the four robust rules at every bench_n, 100 timed calls each
+        methods = ("rgcf", "krum", "median", "trimmed_mean", "bulyan")
+        rows = [line.split(",")[:4] for line in lines[1:]]
+        assert rows == [[m, n, "50", "100"] for m in methods for n in ("7", "8")]
 
 
 class TestVerdict:
@@ -657,9 +656,12 @@ INVALID_CONFIGS = [
     ("compare", ["--set", "steps=0"]),
     ("compare", ["--set", "compare_fractions=abc"]),
     ("bench", ["--set", "bench_n=x"]),
-    ("bench", ["--set", "bench_reps=5"]),
-    ("bench", ["--set", "bench_n=2", "--set", "bench_methods=krum"]),
+    ("bench", ["--set", "bench_n=2"]),  # Krum at n=2 cannot take bench's f_count=1
     ("train-filter", ["--set", "blobs_classes=7"]),  # FAST has blobs_in_dim=6
+    # bench reads the training set too, so it judges the same data settings
+    ("bench", ["--set", "blobs_classes=7"]),
+    ("bench", ["--set", "n_workers=1000"]),
+    ("bench", ["--set", "task=idx"]),  # no dataset files
     ("run", ["--set", "batch_size=0"]),
     ("train-filter", ["--set", "filter_lr=0"]),
     ("run", ["--set", "server_lr=0"]),
@@ -669,7 +671,6 @@ INVALID_CONFIGS = [
     ("bench", ["--set", "aggregator=bogus"]),
     ("run", ["--set", "mode=aggregator", "--set", "f_count=-2"]),  # only -1 means the default
     ("compare", ["--set", "compare_methods=rgcf,fft"]),
-    ("train-filter", ["--set", "blobs_val_per_class=0"]),  # checked though not built
     # 120,000 examples, but worker 99,000's batch stream would be worker 0's attack stream
     ("run", ["--set", "blobs_per_class=40000", "--set", f"n_workers={MAX_WORKERS + 1}"]),
     ("run", ["--set", "normalize=true"]),  # the filter input is always direction-only
@@ -692,10 +693,8 @@ INVALID_CONFIGS = [
     ("compare", ["--set", "compare_methods="]),
     ("compare", ["--set", "compare_attacks=,"]),
     ("compare", ["--set", "compare_fractions="]),
-    ("bench", ["--set", "bench_methods="]),
     ("bench", ["--set", "bench_n="]),
     # a bench.csv row is keyed by (method, n)
-    ("bench", ["--set", "bench_methods=krum,median,krum"]),
     ("bench", ["--set", "bench_n=10,10"]),
 ]
 

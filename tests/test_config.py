@@ -70,7 +70,6 @@ class TestManifest:
                 "arch": "mlp",
                 "hidden": "64,32",
                 "bench_n": "10,20,40",
-                "bench_methods": "rgcf,krum",
                 "compare_methods": "median",
                 "compare_attacks": "inverse,all_ones",
                 "compare_fractions": "0.25,0.5",

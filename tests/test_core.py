@@ -9,8 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import rgcf
 from rgcf import core
@@ -20,12 +18,6 @@ from rgcf.core import (
     param_vector,
     stream,
 )
-
-
-def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: expected {a.shape[0]}, got {b.shape[0]}")
-    return float(np.linalg.norm(a - b))
 
 
 class TestParamVector:
@@ -53,29 +45,6 @@ class TestParamVector:
 
 def test_assert_finite_passes_on_clean():
     assert_finite(np.arange(5, dtype=float))
-
-
-class TestL2Distance:
-    def test_hand_345(self):
-        assert l2_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch: expected 2, got 3"):
-            l2_distance(np.zeros(2), np.zeros(3))
-
-    @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_metric_properties(self, xs, ys, zs):
-        n = min(len(xs), len(ys), len(zs))
-        a, b, c = (np.array(v[:n]) for v in (xs, ys, zs))
-        ab, ba = l2_distance(a, b), l2_distance(b, a)
-        assert ab == ba
-        assert ab >= 0.0
-        assert l2_distance(a, c) <= ab + l2_distance(b, c) + 1e-9
 
 
 class TestRngStream:

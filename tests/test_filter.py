@@ -51,8 +51,8 @@ def writable(filt: FilterNet) -> FilterNet:
 def dense_filter_gradient(filt, grad, loss, label, p):
     """filter_gradient's value with the gradient as one written-out vector,
     backpropagated by textbook whole-array expressions (the first weight
-    gradient a K=1 matmul of the input row and delta)."""
-    x = _filter_input(filt, grad, loss)
+    gradient a K=1 matmul of the input row and delta), run as a batch of one."""
+    x = _filter_input(filt, grad, loss)[None]
     z, acts = mlp_forward(filt.params, filt.layer_sizes, x)
     pred = 1.0 / (1.0 + np.exp(-z[0, 0]))
     q = min(max(pred, PRED_CLAMP), 1.0 - PRED_CLAMP)
@@ -77,19 +77,37 @@ class TestForward:
         assert filter_forward(filt, np.ones(5), 1.0) == 0.5
 
     def test_matches_batched_training_forward(self):
+        # a decision and a training step run one forward pass on the input
+        # row, with the bits of the net run on a batch of one
         r = rng(11)
+        for d in (8, 837):
+            filt = filter_init(d, r)
+            g = r.standard_normal(d)
+            z, _ = mlp_forward(filt.params, filt.layer_sizes, _filter_input(filt, g, 0.3)[None])
+            ref = float(1.0 / (1.0 + np.exp(-z[0, 0])))
+            assert filter_forward(filt, g, 0.3) == ref
+            assert filter_gradient(filt, g, 0.3, 1, 10.0)[2] == ref
+
+    def test_a_training_step_runs_no_decision(self, monkeypatch):
+        # filter_forward is the decision the tracer counts, so the training
+        # path reaches the net through its own forward, with the same bits
+        r = rng(13)
         filt = filter_init(8, r)
         g = r.standard_normal(8)
-        z, _ = mlp_forward(filt.params, filt.layer_sizes, _filter_input(filt, g, 0.3))
-        ref = float(1.0 / (1.0 + np.exp(-z[0, 0])))
-        assert filter_forward(filt, g, 0.3) == pytest.approx(ref, abs=1e-12)
+        ref = filter_forward(filt, g, 0.3)
+
+        def no_decision(*args):
+            raise AssertionError("a training step called filter_forward")
+
+        monkeypatch.setattr("rgcf.filter.filter_forward", no_decision)
+        assert filter_gradient(filt, g, 0.3, 1, 10.0)[2] == ref
 
     def test_normalized_input_is_direction_only(self):
         r = rng(12)
         filt = filter_init(8, r)
         g = r.standard_normal(8)
         assert filter_forward(filt, g, 0.3) == filter_forward(filt, 100.0 * g, 0.3)
-        x = _filter_input(filt, 100.0 * g, 0.3)[0]
+        x = _filter_input(filt, 100.0 * g, 0.3)
         assert np.linalg.norm(x[:8]) == pytest.approx(np.sqrt(8))
         assert x[8] == 0.3
 
@@ -133,7 +151,7 @@ class TestTrainStep:
         filt = filter_init(d, r)
         example = self._example(r, d)
         for label in (0, 1):
-            x = _filter_input(filt, *example)
+            x = _filter_input(filt, *example)[None]
 
             def loss_of(params):
                 z, _ = mlp_forward(param_vector(params), filt.layer_sizes, x)

@@ -54,7 +54,10 @@ def test_readme_set_keys_are_config_fields():
 
 
 def test_readme_lists_the_removed_keys():
-    assert REMOVED == ["krum_squared", "normalize", "episodes", "threshold", "bench_f_count", "blobs_separation"]
+    assert REMOVED == [
+        "krum_squared", "normalize", "episodes", "threshold", "bench_f_count", "blobs_separation",
+        "bench_methods", "bench_reps", "eval_every", "blobs_val_per_class",
+    ]
 
 
 @pytest.mark.parametrize("key", REMOVED)

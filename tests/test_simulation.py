@@ -61,7 +61,6 @@ def run_config(**kw):
         attack=AttackSpec("inverse"),
         steps=30,
         seed=3,
-        eval_every=10,
         batch_size=16,
     )
     defaults.update(kw)
@@ -359,6 +358,14 @@ class TestRunRgcf:
         b = run_rgcf(run_config(), blobs, blobs_val, arch, filt)
         assert np.array_equal(a.final_params, b.final_params)
         assert a.val_accuracies == b.val_accuracies
+
+    @pytest.mark.parametrize("steps,evals", [(50, [25, 50]), (51, [25, 50, 51])])
+    def test_evaluates_every_25_steps_and_at_the_last(self, blobs, blobs_val, steps, evals):
+        arch = logistic(blobs.in_dim, blobs.classes)
+        m = run_rgcf(run_config(steps=steps), blobs, blobs_val, arch, accept_all_filter(arch.param_count))
+        assert simulation.EVAL_EVERY == 25
+        assert m.eval_steps == evals
+        assert len(m.val_accuracies) == len(m.val_losses) == len(evals)
 
     def test_reject_all_leaves_params_untouched(self, blobs, blobs_val):
         arch = logistic(blobs.in_dim, blobs.classes)

@@ -18,20 +18,10 @@ from rgcf.attacks import AttackSpec
 from rgcf.data import synth_gaussian_blobs
 from rgcf.models import mlp
 from rgcf.simulation import RunConfig
+from tests.test_cli import FAST  # a logistic blobs task with d=21
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-# FAST settings of test_cli: a logistic blobs task with d=21
-TINY = [
-    "--set", "blobs_classes=3",
-    "--set", "blobs_per_class=30",
-    "--set", "blobs_in_dim=6",
-    "--set", "blobs_val_per_class=10",
-    "--set", "filter_steps=40",
-    "--set", "steps=30",
-    "--set", "eval_every=10",
-    "--set", "batch_size=16",
-]
 
 # One span name per layer the benchmark's per-layer metrics read.
 REQUIRED_SPANS = [
@@ -80,10 +70,10 @@ def test_install_uninstall_round_trip():
 def test_commands_record_every_layer(tmp_path):
     tf = str(tmp_path / "tf")
     runs = [
-        ["train-filter", "--out", tf, *TINY],
-        ["run", "--out", str(tmp_path / "rgcf"), *TINY,
+        ["train-filter", "--out", tf, *FAST],
+        ["run", "--out", str(tmp_path / "rgcf"), *FAST,
          "--set", f"filter_file={tf}/filter.rgcf", "--set", "byzantine_fraction=0.3"],
-        ["run", "--out", str(tmp_path / "krum"), *TINY,
+        ["run", "--out", str(tmp_path / "krum"), *FAST,
          "--set", "mode=aggregator", "--set", "aggregator=krum",
          "--set", "byzantine_fraction=0.3"],
     ]
@@ -104,7 +94,7 @@ def test_commands_record_every_layer(tmp_path):
 def test_aggregator_run_has_one_backward_per_step(tmp_path):
     # every queried worker's gradient comes from one stacked backward pass:
     # n minibatches, one models.backward span per step
-    argv = ["run", "--out", str(tmp_path / "krum"), *TINY,
+    argv = ["run", "--out", str(tmp_path / "krum"), *FAST,
             "--set", "mode=aggregator", "--set", "aggregator=krum",
             "--set", "n_workers=5", "--set", "byzantine_fraction=0.4"]
     tracer = tracing.Tracer()
@@ -125,8 +115,8 @@ def test_filter_training_queries_workers_through_worker_step(tmp_path):
     # turn: one worker_step, one backward pass and one mini-batch per step,
     # and one attack per Byzantine pick of stream SID_FILTER_PICK
     steps = 40
-    argv = ["train-filter", "--seed", "0", "--out", str(tmp_path / "tf"), *TINY]
-    assert "filter_steps=40" in TINY
+    argv = ["train-filter", "--seed", "0", "--out", str(tmp_path / "tf"), *FAST]
+    assert "filter_steps=40" in FAST
     tracer = tracing.Tracer()
     tracer.install()
     try:
