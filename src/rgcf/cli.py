@@ -2,11 +2,11 @@
 
 Every command runs in three phases. It resolves its configuration (config
 file plus --set overrides) into every spec the config describes, whichever
-command runs, and reads the data and filter files it needs; it writes a
-manifest.txt of the resolved config into the output directory; then it
-computes, emitting CSV artifacts with floats formatted to 9 significant
-digits for byte-stable reruns. Invalid configuration is a ConfigError,
-raised before any output is written.
+command runs, reads the data and filter files it needs and loads the
+compiled kernels it needs; it writes a manifest.txt of the resolved config
+into the output directory; then it computes, emitting CSV artifacts with
+floats formatted to 9 significant digits for byte-stable reruns. Invalid
+configuration is a ConfigError, raised before any output is written.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ AGGREGATOR_MODE = "aggregator"
 # the methods `bench` times, each over BENCH_REPS timed calls at every n
 BENCH_METHODS = ("rgcf", "krum", "median", "trimmed_mean", "bulyan")
 BENCH_REPS = 100
+# the file train-filter writes under out; filter_file names the one run and compare read
+FILTER_FILE = "filter.rgcf"
 
 
 def fmt(x) -> str:
@@ -120,6 +122,8 @@ def resolve(cfg: ExperimentConfig) -> Specs:
     """Build every spec the config describes, whichever command runs, so
     that invalid configuration is a ConfigError before any output."""
     try:
+        if not cfg.out:
+            raise ConfigError("out is empty: name an output directory")
         if cfg.task not in ("blobs", "idx"):
             raise ConfigError(f"unknown task {cfg.task!r}")
         if cfg.arch not in ("logistic", "mlp"):
@@ -210,16 +214,17 @@ def cmd_train_filter(cfg: ExperimentConfig, specs: Specs) -> int:
     if cfg.task == "idx":
         train_data = _head(train_data, cfg.train_subset)
     arch = build_arch(cfg, train_data)
+    _load_kernels()
     os.makedirs(cfg.out, exist_ok=True)
     write_manifest(cfg, _outpath(cfg, "manifest.txt"))
     filt, log = train_filter(specs.filter_train, train_data, arch, cfg.seed)
-    save_filter(filt, _outpath(cfg, cfg.filter_file))
+    save_filter(filt, _outpath(cfg, FILTER_FILE))
     write_csv(
         _outpath(cfg, "filter_train.csv"),
         ["step", "loss", "running_accuracy"],
         zip(itertools.count(1), log.losses, log.running_accuracy),
     )
-    print(f"trained filter (d={filt.d}) -> {_outpath(cfg, cfg.filter_file)}")
+    print(f"trained filter (d={filt.d}) -> {_outpath(cfg, FILTER_FILE)}")
     return 0
 
 
@@ -241,12 +246,12 @@ def _load_filter(cfg: ExperimentConfig, arch: Architecture) -> FilterNet:
     return filt
 
 
-def _load_kernels(cells: list[RunConfig]) -> None:
-    """Build or load the compiled kernels now if a cell's aggregator sorts
-    columns with them: without a compiler, the command then fails before
-    it writes any output, and compare's forked pool workers inherit the
-    loaded library."""
-    if any(cell.aggregator is not None and cell.aggregator.compiled for cell in cells):
+def _load_kernels(cells: list[RunConfig] | None = None) -> None:
+    """Build or load the compiled kernels now, so that without a compiler
+    the command fails before any output: always (cells None) for Adam in
+    train-filter and the sorted columns in bench, else if a cell's
+    aggregator sorts with them. compare's forked workers inherit them."""
+    if cells is None or any(cell.aggregator is not None and cell.aggregator.compiled for cell in cells):
         kernels.library()
 
 
@@ -277,6 +282,7 @@ def _share(hits: int, misses: int) -> str:
 
 def cmd_bench(cfg: ExperimentConfig, specs: Specs) -> int:
     load_train(cfg)  # judges the data settings, as every command does
+    _load_kernels()
     os.makedirs(cfg.out, exist_ok=True)
     write_manifest(cfg, _outpath(cfg, "manifest.txt"))
     rows = []

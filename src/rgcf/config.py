@@ -57,7 +57,7 @@ class ExperimentConfig:
     filter_lr: float = 0.002
     train_attack: str = "random_gaussian"
     train_attack_scale: float | None = None  # empty = attack default
-    filter_file: str = "filter.rgcf"
+    filter_file: str = "filter.rgcf"  # the filter run and compare read
 
     # deployment run
     mode: str = "rgcf"  # rgcf | aggregator

@@ -116,9 +116,7 @@ def sample_minibatch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform with-replacement sample of data's given rows: (inputs, labels),
     gathered into the (size, in_dim) and (size,) arrays of out when it is
-    given."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    given. The run's spec checked size >= 1."""
     idx = rows[rng.integers(0, len(rows), size=size)]
     inputs, labels = out if out is not None else (None, None)
     # Every index is in range, so "clip" moves none; unlike the default

@@ -118,9 +118,7 @@ def filter_forward(filt: FilterNet, grad: np.ndarray, loss: float) -> float:
 
 def filter_loss(pred: float, label: int, p: float) -> float:
     """Weighted binary cross-entropy (negative log-likelihood); the
-    Byzantine class is up-weighted by p."""
-    if p <= 0:
-        raise ValueError("p must be positive")
+    Byzantine class is up-weighted by p > 0, checked by FilterTrainConfig."""
     q = min(max(pred, PRED_CLAMP), 1.0 - PRED_CLAMP)
     if label == 1:
         return -p * np.log(q)

@@ -222,7 +222,7 @@ class FilterTrainConfig:
             raise ValueError("steps must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if min(self.positive_weight, self.filter_lr, self.server_lr) <= 0:
+        if not all(x > 0 for x in (self.positive_weight, self.filter_lr, self.server_lr)):
             raise ValueError("positive_weight and learning rates must be positive")
 
 

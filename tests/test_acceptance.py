@@ -1,8 +1,8 @@
 """Acceptance gate: nine criteria, one pass/fail line each.
 
-Run via pytest (`pytest tests/test_acceptance.py -s`) or standalone
-(`python3 tests/test_acceptance.py`). Heavy artifacts (the trained MLP
-filter and the convergence matrix) are built once and shared.
+Run via pytest (`python3 -m pytest tests/test_acceptance.py -s -q`), which
+prints one `criterion N: PASS/FAIL` line per claim. Heavy artifacts (the
+trained MLP filter and the convergence matrix) are built once and shared.
 """
 
 import csv
@@ -359,24 +359,3 @@ def test_criterion_9_manifest_determinism():
     )
     report(9, same, "train-filter, run and compare CSVs byte-identical on manifest rerun")
 
-
-if __name__ == "__main__":
-    failed = []
-    for fn in [
-        test_criterion_1_gradient_oracle,
-        test_criterion_2_aggregator_oracle,
-        test_criterion_3_masked_update,
-        test_criterion_4_filter_training,
-        test_criterion_5_attack_generalization,
-        test_criterion_6_convergence_matrix,
-        test_criterion_7_full_byzantine_resilience,
-        test_criterion_8_runtime_ordering,
-        test_criterion_9_manifest_determinism,
-    ]:
-        try:
-            fn()
-        except AssertionError as e:
-            failed.append(fn.__name__)
-            if "criterion" not in str(e):
-                print(f"{fn.__name__}: FAIL — {e}")
-    raise SystemExit(1 if failed else 0)

@@ -113,9 +113,10 @@ class TestTrainFilter:
     def test_missing_compiler_fails_the_compiled_rules_only(self, trained, tmp_path, monkeypatch, capsys):
         # the compiled kernels are built on first use, never at import: the
         # Adam step in train-filter, and the column sort of median, trimmed
-        # mean at f_count > 0 and Bulyan, which run and compare load before
-        # they write any output. Without a compiler each of those is a
-        # one-line runtime failure; rgcf, Krum, mean and trimmed mean at
+        # mean at f_count > 0 and Bulyan, which bench always times. Each
+        # command loads the kernels it needs before it writes any output, so
+        # without a compiler each of those is a one-line runtime failure
+        # with no output directory; rgcf, Krum, mean and trimmed mean at
         # f_count=0 never load the kernels
         monkeypatch.setattr(kernels, "CC", ("no-such-compiler", *kernels.CC[1:]))
         failure = "runtime failure: cannot build the compiled kernels with 'no-such-compiler'"
@@ -125,13 +126,9 @@ class TestTrainFilter:
         def agg(kind):
             return ["--set", "mode=aggregator", "--set", f"aggregator={kind}"]
 
-        out = str(tmp_path / "nocc")
-        assert run_cli("train-filter", "--out", out, *FAST) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(failure) and err.count("\n") == 1
-        assert not os.path.exists(os.path.join(out, "filter.rgcf"))
-        assert not os.path.exists(os.path.join(out, "filter_train.csv"))
         compiled = [
+            ("train-filter", []),
+            ("bench", ["--set", "bench_d=50"]),
             ("run", agg("median")),
             ("run", [*agg("trimmed_mean"), "--set", "byzantine_fraction=0.2"]),
             ("run", [*agg("bulyan"), "--set", "n_workers=7", "--set", "f_count=1"]),
@@ -152,6 +149,16 @@ class TestTrainFilter:
         ]
         for i, (command, args) in enumerate(plain):
             assert run_cli(command, "--seed", "1", "--out", str(tmp_path / f"plain{i}"), *FAST, *args) == 0
+
+    def test_filter_file_does_not_move_the_trained_filter(self, tmp_path):
+        # train-filter always writes filter.rgcf under out; filter_file only
+        # names the filter that run and compare read
+        out = tmp_path / "o"
+        args = ["train-filter", "--seed", "1", *FAST]
+        assert run_cli(*args, "--out", str(out), "--set", "filter_file=sub/f.rgcf") == 0
+        assert sorted(os.listdir(out)) == ["filter.rgcf", "filter_train.csv", "manifest.txt"]
+        assert run_cli(*args, "--out", str(tmp_path / "default")) == 0
+        assert read(out / "filter.rgcf") == read(tmp_path / "default" / "filter.rgcf")
 
     def test_import_loads_no_library(self):
         # the kernels are built and loaded on first use, so importing the
@@ -664,6 +671,9 @@ INVALID_CONFIGS = [
     ("bench", ["--set", "task=idx"]),  # no dataset files
     ("run", ["--set", "batch_size=0"]),
     ("train-filter", ["--set", "filter_lr=0"]),
+    ("train-filter", ["--set", "filter_lr=nan"]),
+    ("train-filter", ["--set", "positive_weight=nan"]),
+    ("run", ["--out", " "]),  # stripped to an empty out
     ("run", ["--set", "server_lr=0"]),
     ("run", ["--set", "mode=aggregator", "--set", "server_lr=-1"]),
     ("bench", ["--set", "steps=0"]),  # every command validates the whole config
@@ -808,6 +818,12 @@ class TestArgs:
         assert run_cli("train-filter", "--out", " sp ", *FAST) == 0
         assert os.listdir(tmp_path) == ["sp"]
         assert build_config(os.path.join("sp", "manifest.txt")).out == "sp"
+
+    def test_empty_out_exits_1_before_writing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("train-filter", *FAST, "--set", "out=") == 1
+        assert capsys.readouterr().err == "error: out is empty: name an output directory\n"
+        assert os.listdir(tmp_path) == []
 
     def test_seed_and_out_flags_override(self, tmp_path):
         out = str(tmp_path / "o")

@@ -226,6 +226,3 @@ class TestMinibatch:
         pool = set(map(tuple, d.inputs[rows]))
         assert all(tuple(row) in pool for row in inputs)
 
-    def test_size_validated(self):
-        with pytest.raises(ValueError):
-            sample_minibatch(small_dataset(), np.arange(12), 0, rng(42))

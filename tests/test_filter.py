@@ -135,10 +135,6 @@ class TestLoss:
     def test_positive_weight_scales_byzantine_class(self):
         assert filter_loss(0.3, 1, 10.0) == pytest.approx(10.0 * filter_loss(0.3, 1, 1.0))
 
-    def test_invalid_weight(self):
-        with pytest.raises(ValueError):
-            filter_loss(0.5, 1, 0.0)
-
 
 class TestTrainStep:
     def _example(self, r, d):

@@ -334,15 +334,6 @@ class TestApplyUpdate:
         out = apply_update(w, param_vector([1e9, -1e9, 5.0]), 0.7, 1)
         assert out is w
 
-    def test_validation(self):
-        w = param_vector([1.0])
-        with pytest.raises(ValueError, match="length mismatch: expected 1, got 2"):
-            apply_update(w, param_vector([1.0, 2.0]), 0.1, 0)
-        with pytest.raises(ValueError):
-            apply_update(w, w, 0.0, 0)
-        with pytest.raises(ValueError):
-            apply_update(w, w, 0.1, 2)
-
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_mask_property(self, seed):
