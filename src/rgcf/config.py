@@ -106,7 +106,7 @@ def build_config(
         try:
             with open(config_path) as f:
                 raw.update(parse_kv_lines(f, config_path))
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config {config_path}: {e}") from e
     raw.update(overrides or {})
     cfg = ExperimentConfig()

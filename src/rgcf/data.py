@@ -112,16 +112,14 @@ def sample_minibatch(
     rows: np.ndarray,
     size: int,
     rng: np.random.Generator,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform with-replacement sample of data's given rows: (inputs, labels),
-    gathered into the (size, in_dim) and (size,) arrays of out when it is
-    given. The run's spec checked size >= 1."""
+    out: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """Uniform with-replacement sample of data's given rows, gathered into
+    out=(inputs (size, in_dim), labels (size,)). The run's spec checked
+    size >= 1."""
     idx = rows[rng.integers(0, len(rows), size=size)]
-    inputs, labels = out if out is not None else (None, None)
+    inputs, labels = out
     # Every index is in range, so "clip" moves none; unlike the default
     # "raise", it gathers straight into out without a buffer.
-    return (
-        np.take(data.inputs, idx, axis=0, out=inputs, mode="clip"),
-        np.take(data.labels, idx, out=labels, mode="clip"),
-    )
+    np.take(data.inputs, idx, axis=0, out=inputs, mode="clip")
+    np.take(data.labels, idx, out=labels, mode="clip")

@@ -22,7 +22,6 @@ from . import attacks, core, filter, models
 from . import data as datasets
 from .aggregators import AggregatorSpec, aggregate
 from .attacks import AttackSpec, apply_attack
-from .config import ExperimentConfig
 from .core import NonFiniteValueError, assert_finite, param_vector, stream
 from .data import Dataset, sample_minibatch, shard
 from .filter import FilterNet, filter_init
@@ -52,9 +51,9 @@ class RunConfig:
     attack: AttackSpec
     steps: int
     seed: int
+    server_lr: float
+    batch_size: int
     aggregator: AggregatorSpec | None = None
-    server_lr: float = ExperimentConfig.server_lr
-    batch_size: int = ExperimentConfig.batch_size
 
     def __post_init__(self):
         if not 0.0 <= self.byzantine_fraction <= 1.0:
@@ -210,12 +209,12 @@ def build_workers(cfg: RunConfig, train_data: Dataset) -> list[WorkerSpec]:
 
 @dataclass(frozen=True)
 class FilterTrainConfig:
-    steps: int = ExperimentConfig.filter_steps
-    positive_weight: float = ExperimentConfig.positive_weight
-    filter_lr: float = ExperimentConfig.filter_lr
-    server_lr: float = ExperimentConfig.server_lr
-    batch_size: int = ExperimentConfig.batch_size
-    attack: AttackSpec = AttackSpec(ExperimentConfig.train_attack, ExperimentConfig.train_attack_scale)
+    steps: int
+    positive_weight: float
+    filter_lr: float
+    server_lr: float
+    batch_size: int
+    attack: AttackSpec
 
     def __post_init__(self):
         if self.steps < 0:
@@ -402,7 +401,7 @@ def bench_spec(method: str, n: int, d: int, reps: int) -> AggregatorSpec | None:
     return spec
 
 
-def bench_filtering(method: str, n: int, d: int, reps: int, seed: int = 0) -> np.ndarray:
+def bench_filtering(method: str, n: int, d: int, reps: int, seed: int) -> np.ndarray:
     """Wall seconds of each of `reps` filtering/aggregation decisions over
     synthetic random gradients, excluding their generation.
 

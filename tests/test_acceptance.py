@@ -13,11 +13,10 @@ import time
 
 import numpy as np
 
-from rgcf import models
 from rgcf.attacks import ATTACK_KINDS, AttackSpec, apply_attack
+from rgcf.cli import build_arch, load_train, load_val
 from rgcf.cli import main as cli_main
 from rgcf.core import SID_SERVER_INIT, param_vector, stream
-from rgcf.data import synth_gaussian_blobs, sample_minibatch
 from rgcf.filter import (
     filter_forward,
     filter_gradient,
@@ -27,13 +26,12 @@ from rgcf.filter import (
 )
 from rgcf.models import (
     apply_update,
-    backward,
     init_params,
     logistic,
     mlp,
     mlp_forward,
 )
-from rgcf.simulation import FilterTrainConfig, RunConfig, bench_filtering, run_rgcf, train_filter
+from rgcf.simulation import bench_filtering, run_rgcf, train_filter
 from tests.test_aggregators import (
     oracle_bulyan,
     oracle_coord_median,
@@ -41,6 +39,7 @@ from tests.test_aggregators import (
     oracle_trimmed_mean,
     random_instance,
 )
+from tests.conftest import DEFAULT_CONFIG, DEFAULT_SPECS, backward_stack, minibatch
 from tests.test_models import finite_diff_gradient
 from tests.test_filter import assembled
 from rgcf.aggregators import agg_bulyan, agg_coord_median, agg_krum, agg_trimmed_mean
@@ -97,7 +96,7 @@ def test_criterion_1_gradient_oracle():
             if _kink_margin(params, arch.layer_sizes, inputs) > 1e-3:
                 break
         fd = finite_diff_gradient(arch, params, inputs, labels, h=1e-5)
-        ana, _ = backward(arch, params, inputs, labels)
+        (ana,), _ = backward_stack(arch, params, inputs[None], labels[None])
         worst = max(worst, np.abs(ana - fd).max() / max(1.0, np.abs(fd).max()))
         checked += 1
     # filter net: 10 instances of the weighted-BCE gradient
@@ -179,10 +178,11 @@ def test_criterion_3_masked_update():
 
 def _logistic_filter():
     if "logistic" not in _CACHE:
-        seed = 0
-        train = synth_gaussian_blobs(5, 400, 20, 10.0, rng(seed, 40))
-        arch = logistic(20, 5)  # d = 105
-        filt, _ = train_filter(FilterTrainConfig(), train, arch, seed)
+        # the CLI's default logistic blobs task at seed 0: d = 105
+        seed = DEFAULT_CONFIG.seed
+        train = load_train(DEFAULT_CONFIG)
+        arch = build_arch(DEFAULT_CONFIG, train)
+        filt, _ = train_filter(DEFAULT_SPECS.filter_train, train, arch, seed)
         _CACHE["logistic"] = (filt, arch, train, seed)
     return _CACHE["logistic"]
 
@@ -194,7 +194,8 @@ def _heldout_accuracy(attack_kind):
     spec = AttackSpec(attack_kind)
     correct = 0
     for _ in range(100):  # 100 honest + 100 attacked = 200 fresh reports
-        grad, loss = backward(arch, params, *sample_minibatch(data, np.arange(data.size), 128, batch_rng))
+        inputs, labels = minibatch(data, np.arange(data.size), 128, batch_rng)
+        (grad,), (loss,) = backward_stack(arch, params, inputs[None], labels[None])
         attacked = param_vector(apply_attack(spec, grad, attack_rng))
         correct += int(filter_forward(filt, grad, loss) < filt.threshold)
         correct += int(filter_forward(filt, attacked, loss) >= filt.threshold)
@@ -274,17 +275,15 @@ def test_criterion_6_convergence_matrix():
 
 
 def test_criterion_7_full_byzantine_resilience():
+    # the filter criterion 6 trained on the CLI's default blobs task with
+    # an MLP server at seed 0, run with every worker Byzantine (inverse)
     filt = load_filter(os.path.join(_compare_dir(), "filter.rgcf"))
-    seed = 0
-    train = synth_gaussian_blobs(5, 400, 20, 10.0, rng(seed, 40))
-    val = synth_gaussian_blobs(5, 200, 20, 10.0, rng(seed, 41))
-    arch = mlp(20, (32,), 5)
-    cfg = RunConfig(
-        n_workers=10, byzantine_fraction=1.0, attack=AttackSpec("inverse"),
-        steps=1000, seed=seed,
-    )
+    config = dataclasses.replace(DEFAULT_CONFIG, arch="mlp")
+    train, val = load_train(config), load_val(config)
+    arch = build_arch(config, train)
+    cfg = dataclasses.replace(DEFAULT_SPECS.run, byzantine_fraction=1.0, steps=1000)
     m = run_rgcf(cfg, train, val, arch, filt)
-    bitequal = np.array_equal(m.final_params, init_params(arch, rng(seed, SID_SERVER_INIT)))
+    bitequal = np.array_equal(m.final_params, init_params(arch, rng(cfg.seed, SID_SERVER_INIT)))
     report(
         7,
         m.accepted_updates == 0 and bitequal,
@@ -313,7 +312,8 @@ def test_criterion_8_runtime_ordering():
         ok,
         f"krum/rgcf at n=10: {speedup:.1f}x (need >= 3); bulyan slowest: {bulyan_slowest} "
         f"({t[('bulyan', 10)] / next_slowest:.2f}x the next-slowest n=10 method, need > 1); "
-        f"rgcf n=100 vs n=10: {t[('rgcf', 100)] / t[('rgcf', 10)]:.2f}x (need <= 2); "
+        f"rgcf n=100 vs n=10: {t[('rgcf', 100)] / t[('rgcf', 10)]:.2f}x (need <= 2; both rows time "
+        f"the same one-gradient filter call); "
         f"krum n=40 vs n=10: {krum_growth:.1f}x (need >= 8); not gated, n=10 median/rgcf "
         f"{t[('median', 10)] / t[('rgcf', 10)]:.2f}x, trimmed_mean/rgcf "
         f"{t[('trimmed_mean', 10)] / t[('rgcf', 10)]:.2f}x; ms per call: {ms}",

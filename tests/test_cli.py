@@ -806,6 +806,17 @@ class TestArgs:
     def test_unknown_key(self, tmp_path):
         assert run_cli("run", "--out", str(tmp_path / "x"), "--set", "bogus=1") == 1
 
+    def test_config_that_is_not_utf8_exits_1_before_writing(self, tmp_path, capsys):
+        # a config file is UTF-8 text; other bytes are a config error, as
+        # a missing file is, not a runtime failure
+        config = tmp_path / "c.cfg"
+        config.write_bytes(b"seed=\xff\n")
+        out = tmp_path / "x"
+        assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {config}: 'utf-8' codec can't decode byte 0xff")
+        assert os.listdir(tmp_path) == ["c.cfg"]
+
     def test_out_with_hash_exits_1_before_writing(self, tmp_path):
         # the manifest of out=<dir>/a#b would read back as out=<dir>/a
         assert run_cli("train-filter", "--out", str(tmp_path / "a#b"), *FAST) == 1
@@ -831,15 +842,6 @@ class TestArgs:
         cfg = build_config(os.path.join(out, "manifest.txt"))
         assert cfg.seed == 9
         assert cfg.out == out
-
-
-def test_empty_config_resolves_to_the_specs_own_defaults():
-    # the tests that build FilterTrainConfig() or a RunConfig from its
-    # defaults build what the CLI runs from a config that sets nothing
-    specs = resolve(build_config(None, {}))
-    assert specs.filter_train == simulation.FilterTrainConfig()
-    run = specs.run
-    assert run == simulation.RunConfig(run.n_workers, run.byzantine_fraction, run.attack, run.steps, run.seed)
 
 
 class TestFCount:

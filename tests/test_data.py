@@ -12,11 +12,10 @@ from rgcf.data import (
     Dataset,
     load_idx,
     read_exact,
-    sample_minibatch,
     shard,
     synth_gaussian_blobs,
 )
-from tests.conftest import rng
+from tests.conftest import minibatch, rng
 
 
 def write_idx(dataset: Dataset, images_path: str, labels_path: str, rows: int, cols: int) -> None:
@@ -215,14 +214,14 @@ class TestShard:
 class TestMinibatch:
     def test_with_replacement_allows_oversampling(self):
         d = small_dataset(n=3)
-        inputs, labels = sample_minibatch(d, np.arange(3), 50, rng(40))
+        inputs, labels = minibatch(d, np.arange(3), 50, rng(40))
         assert inputs.shape == (50, d.in_dim)
         assert labels.shape == (50,)
 
     def test_rows_come_from_dataset(self):
         d = small_dataset()
         rows = np.array([1, 4, 7])
-        inputs, _ = sample_minibatch(d, rows, 8, rng(41))
+        inputs, _ = minibatch(d, rows, 8, rng(41))
         pool = set(map(tuple, d.inputs[rows]))
         assert all(tuple(row) in pool for row in inputs)
 

